@@ -32,6 +32,7 @@ from .errors import (
     EmptyInput,
     EmptyStratum,
     InfeasiblePlan,
+    MalformedRow,
     MixedStrata,
     NonpositiveWeight,
     OutOfOrderEvent,
@@ -52,6 +53,7 @@ from .evaluate import (
 from .messages import SpatMessage, compose, fit_message_dists, stream
 from .predict import (
     DEFAULT_HOLD_S,
+    PHASE_QUANTITY,
     AsymmetricLoss,
     Confidence,
     Expectation,

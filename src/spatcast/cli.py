@@ -16,7 +16,6 @@ import sys
 from . import evaluate as ev
 from .cycles import (
     DEFAULT_TOLERANCE_S,
-    PHASE_RING,
     ingest_events,
     read_cycle_csv,
     read_event_csv,
@@ -31,10 +30,11 @@ from .predict import (
     AsymmetricLoss,
     Confidence,
     Expectation,
+    PHASE_QUANTITY,
     Prediction,
     predict,
+    predict_schedule,
     predict_sum_joint,
-    predict_sum_marginal,
 )
 from .simulate import (
     SimulationConfig,
@@ -158,9 +158,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-_PHASE_QUANTITY = {"p4": "d4", "p8": "d8", "p1": "d4+d1", "p5": "d8+d5"}
-
-
 def _cmd_predict(args) -> int:
     table = _load_table(args)
     if args.method == "confidence":
@@ -179,21 +176,17 @@ def _cmd_predict(args) -> int:
         print(msg.to_ndjson())
         return 0
 
-    phase = args.phase
-    if phase in ("p2", "p6"):
-        length = float(table[0].length_s)
-        _print_prediction(Prediction(
+    quantity = PHASE_QUANTITY[args.phase]
+    if quantity is None:
+        schedule = predict_schedule(fit_message_dists(table), args.phase, args.t, 1)
+        end = schedule[0].end_time
+        p = Prediction(
             made_at=args.t, quantity="cycle_end", method="identity",
-            predicted_duration=length, residual=length - args.t,
+            predicted_duration=end, residual=end - args.t,
             n_conditioning_samples=len(table),
-        ))
-        return 0
-    quantity = _PHASE_QUANTITY[phase]
-    if phase in ("p1", "p5") and args.approach == 2:
-        lead, follow = quantity.split("+")
-        p = predict_sum_joint(fit_joint(table, lead, follow), args.t, method)
-    elif "+" in quantity:
-        p = predict_sum_marginal(fit(table, quantity), args.t, method)
+        )
+    elif "+" in quantity and args.approach == 2:
+        p = predict_sum_joint(fit_joint(table, *quantity.split("+")), args.t, method)
     else:
         p = predict(fit(table, quantity), args.t, method)
     _print_prediction(p)
@@ -208,7 +201,7 @@ def _cmd_evaluate(args) -> int:
     metrics = args.metric.split(",")
     rows = ev.compare(
         predictors, dist, table, metrics,
-        grid_step=args.step, leave_one_out=args.leave_one_out, threads=args.threads,
+        grid_step=args.step, leave_one_out=args.leave_one_out,
     )
     ev.write_comparison_csv(rows, args.output)
     if args.plot_data:
@@ -299,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="print a prediction or SPaT message")
     p.add_argument("--input", required=True, help="cycle-record CSV")
-    p.add_argument("--phase", choices=sorted(PHASE_RING), default="p4")
+    p.add_argument("--phase", choices=sorted(PHASE_QUANTITY), default="p4")
     p.add_argument("--t", type=float, required=True, help="seconds into the cycle")
     p.add_argument("--method", choices=["expectation", "confidence", "asymmetric"],
                    default="expectation")
@@ -328,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_positive_float, default=1.0,
                    help="t grid step in seconds (down to 0.1)")
     p.add_argument("--leave-one-out", action="store_true")
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--plot-data", default=None,
                    help="prefix for binned pdf/cdf CSVs of the training dist")
     p.add_argument("--bin-width", type=_positive_float, default=1.0)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import (
     BarrierViolation,
     EmptyStratum,
+    MalformedRow,
     OutOfOrderEvent,
     RingSequenceViolation,
 )
@@ -94,11 +96,12 @@ class CycleRecord:
     d6: float
 
     def __post_init__(self) -> None:
+        # Written so that nan fails too: every comparison with nan is False.
         for name in DURATION_NAMES:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.length_s <= 0:
-            raise ValueError("cycle length must be positive")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not 0 < self.length_s < math.inf:
+            raise ValueError("length_s must be finite and positive")
 
     # Ring 1 end times.
     @property
@@ -410,14 +413,16 @@ def read_cycle_csv(source, site_id: str = "") -> CycleTable:
         header = next(rows, None)
         if header != _CYCLE_HEADER:
             raise ValueError(f"expected header {_CYCLE_HEADER}, got {header}")
-        records = tuple(
-            CycleRecord(
-                cycle_index=int(row[0]),
-                cycle_start_ms=int(row[1]),
-                length_s=float(row[2]),
-                d4=float(row[3]), d1=float(row[4]), d2=float(row[5]),
-                d8=float(row[6]), d5=float(row[7]), d6=float(row[8]),
-            )
-            for row in rows
-        )
+        records = tuple(_parse_cycle_row(row, rows.line_num) for row in rows)
     return CycleTable(records, site_id=site_id)
+
+
+def _parse_cycle_row(row: list[str], line: int) -> CycleRecord:
+    if len(row) != len(_CYCLE_HEADER):
+        raise MalformedRow(
+            line, f"expected {len(_CYCLE_HEADER)} fields, got {len(row)}"
+        )
+    try:
+        return CycleRecord(int(row[0]), int(row[1]), *map(float, row[2:]))
+    except ValueError as exc:
+        raise MalformedRow(line, str(exc)) from exc

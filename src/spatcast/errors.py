@@ -47,3 +47,11 @@ class EmptyGrid(SpatError):
 
 class SinkClosed(SpatError):
     """The message sink stopped accepting writes."""
+
+
+class MalformedRow(SpatError):
+    """A CSV row does not parse as a record; ``line`` is its file line number."""
+
+    def __init__(self, line: int, reason: str) -> None:
+        super().__init__(f"line {line}: {reason}")
+        self.line = line

@@ -4,14 +4,12 @@ For a grid of times t, the error at t averages a loss between the
 prediction made at t and the realized duration, over exactly the cycles
 whose duration exceeds t (the cycles for which a prediction at t was ever
 needed).  In-sample evaluation is the default; leave-one-out refits the
-predictor without the evaluated cycle.  Grid points are independent, so
-evaluation parallelizes trivially.
+predictor without the evaluated cycle.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -79,14 +77,14 @@ def _eval_arrays(dist_or_joint, eval_table: CycleTable) -> tuple[np.ndarray, np.
     return values, values
 
 
-def _point_prediction(predictor, dist_or_joint, t: float, hold: float) -> float:
+def _point_prediction(predictor, dist_or_joint, t: float) -> float:
     if hasattr(predictor, "apply"):
         if isinstance(dist_or_joint, JointSamples):
             return predict_sum_joint(
-                dist_or_joint, t, predictor, hold_interval=hold
+                dist_or_joint, t, predictor, hold_interval=DEFAULT_HOLD_S
             ).predicted_duration
         return predict(
-            dist_or_joint, t, predictor, hold_interval=hold
+            dist_or_joint, t, predictor, hold_interval=DEFAULT_HOLD_S
         ).predicted_duration
     return float(predictor(dist_or_joint, t))
 
@@ -131,15 +129,13 @@ def error_curve(
     predictor_label: str | None = None,
     grid_step: float = 1.0,
     leave_one_out: bool = False,
-    threads: int = 1,
-    hold_interval: float = DEFAULT_HOLD_S,
 ) -> ErrorCurve:
     """Average ``loss`` between predictions at each grid t and realizations.
 
     The grid runs from 0 in steps of ``grid_step`` while at least one
     evaluation cycle survives (duration strictly greater than t).  When the
     training distribution is exhausted before the evaluation samples are
-    (possible out-of-sample), the broadcast fallback of t + hold_interval
+    (possible out-of-sample), the broadcast fallback of t + DEFAULT_HOLD_S
     stands in for the prediction.  Leave-one-out needs a refittable
     predictor (a Method) and in-sample data.
     """
@@ -163,19 +159,15 @@ def error_curve(
             for i, (kv, tv) in enumerate(zip(key[mask], target[mask])):
                 reduced = _drop_one(dist_or_joint, kv, tv)
                 if reduced is None:
-                    pred = t + hold_interval
+                    pred = t + DEFAULT_HOLD_S
                 else:
-                    pred = _point_prediction(predictor, reduced, t, hold_interval)
+                    pred = _point_prediction(predictor, reduced, t)
                 errs[i] = pred - tv
             return t, float(loss(errs).mean()), n
-        pred = _point_prediction(predictor, dist_or_joint, t, hold_interval)
+        pred = _point_prediction(predictor, dist_or_joint, t)
         return t, float(loss(pred - target[mask]).mean()), n
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = [p for p in pool.map(at, ts) if p is not None]
-    else:
-        points = [p for p in map(at, ts) if p is not None]
+    points = [p for p in map(at, ts) if p is not None]
     if not points:
         raise EmptyGrid("no grid point has surviving samples")
 

@@ -20,10 +20,15 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, TextIO
 
-from .cycles import DURATION_KEY, PHASE_RING, RING_SEQUENCE, CycleRecord, CycleTable
+from .cycles import CycleRecord, CycleTable
 from .distributions import EmpiricalDist, fit
 from .errors import EmptyCondition, SinkClosed
-from .predict import DEFAULT_HOLD_S, next_green_start, predict_schedule
+from .predict import (
+    DEFAULT_HOLD_S,
+    PHASE_QUANTITY,
+    next_green_start,
+    predict_schedule,
+)
 
 _ORDER_EPS = 1e-9
 
@@ -87,44 +92,28 @@ def _conditional_stats(
     phase: str,
     t: float,
     alpha: float,
-    hold_interval: float,
-) -> tuple[float, float, float, float, float, int, bool]:
-    """(min_end, max_end, likely, confidence_value, next_time, n, degraded).
+) -> tuple[float, float, float, float, float, bool]:
+    """(min_end, max_end, likely, confidence_value, next_time, degraded).
 
     Pure in (dists, phase, t, alpha), which lets the streamer cache per
-    tick offset.  The opening phase conditions its own duration on running
-    past t; the middle phase conditions the per-cycle sum; the coordination
-    phase ends exactly at the cycle length.
+    tick offset.  The likely end and next green come from the phase's
+    schedule; the other fields condition the same quantity on running past t.
     """
-    seq = RING_SEQUENCE[PHASE_RING[phase]]
-    first_key, mid_key, last_key = (DURATION_KEY[p] for p in seq)
-    length = dists[first_key].stratum
-    if length is None:
-        raise ValueError("distributions must carry their cycle-length stratum")
-    idx = seq.index(phase)
-    if idx == 2 and t >= length:
-        raise ValueError(f"t = {t:g} s is beyond the cycle length {length:g} s")
     try:
-        if idx == 2:
-            min_end = max_end = likely = conf = float(length)
-            n = dists[last_key].n
-        else:
-            key = first_key if idx == 0 else f"{first_key}+{mid_key}"
-            if key not in dists:
-                raise ValueError(f"composing {phase} needs the {key!r} distribution")
-            base = dists[key]
-            cond = base.condition_gt(t)
-            min_end = max(t, cond.support_min())
-            max_end = cond.support_max()
-            likely = cond.mean()
-            conf = cond.upper_quantile(alpha)
-            n = cond.n
         schedule = predict_schedule(dists, phase, t, horizon_cycles=2)
-        next_time = next_green_start(schedule, phase)
-        return min_end, max_end, likely, conf, next_time, n, False
     except EmptyCondition:
-        held = t + hold_interval
-        return held, held, held, held, held + float(length), 0, True
+        held = t + DEFAULT_HOLD_S
+        length = float(dists[PHASE_QUANTITY[phase]].stratum)
+        return held, held, held, held, held + length, True
+    likely = schedule[0].end_time
+    next_time = next_green_start(schedule, phase)
+    quantity = PHASE_QUANTITY[phase]
+    if quantity is None:
+        return likely, likely, likely, likely, next_time, False
+    cond = dists[quantity].condition_gt(t)
+    min_end = max(t, cond.support_min())
+    conf = cond.upper_quantile(alpha)
+    return min_end, cond.support_max(), likely, conf, next_time, False
 
 
 def compose(
@@ -136,7 +125,6 @@ def compose(
     site_id: str = "",
     cycle_index: int = 0,
     phase_start: float = 0.0,
-    hold_interval: float = DEFAULT_HOLD_S,
 ) -> SpatMessage:
     """Compose the broadcastable record for one phase at elapsed time t.
 
@@ -144,8 +132,8 @@ def compose(
     a replaying streamer knows it, and it defaults to 0, which is exact for
     the cycle-opening phases p4 and p8.
     """
-    min_end, max_end, likely, conf, next_time, n, degraded = _conditional_stats(
-        dists, current_phase, t, alpha, hold_interval
+    min_end, max_end, likely, conf, next_time, degraded = _conditional_stats(
+        dists, current_phase, t, alpha
     )
     return SpatMessage(
         site_id=site_id,
@@ -187,7 +175,6 @@ def stream(
     alpha: float = 0.8,
     site_id: str | None = None,
     speed: float | None = None,
-    hold_interval: float = DEFAULT_HOLD_S,
 ) -> int:
     """Replay a cycle table as NDJSON messages at a fixed cadence.
 
@@ -215,9 +202,9 @@ def stream(
                 key = (phase, t_ms)
                 stats = cache.get(key)
                 if stats is None:
-                    stats = _conditional_stats(dists, phase, t, alpha, hold_interval)
+                    stats = _conditional_stats(dists, phase, t, alpha)
                     cache[key] = stats
-                min_end, max_end, likely, conf, next_time, n, degraded = stats
+                min_end, max_end, likely, conf, next_time, degraded = stats
                 msg = SpatMessage(
                     site_id=sid,
                     cycle_index=rec.cycle_index,

@@ -26,6 +26,20 @@ from .errors import EmptyCondition, NonpositiveWeight
 
 DEFAULT_HOLD_S = 1.0  # broadcast fallback when history is exhausted
 
+# The quantity whose conditional distribution predicts each phase's end: the
+# opening phase's own duration, the opening+middle per-cycle sum for the
+# middle phase, and None for the coordination phase, which ends at the cycle
+# length L.
+PHASE_QUANTITY: dict[str, str | None] = {
+    phase: quantity
+    for first, mid, last in RING_SEQUENCE.values()
+    for phase, quantity in (
+        (first, DURATION_KEY[first]),
+        (mid, f"{DURATION_KEY[first]}+{DURATION_KEY[mid]}"),
+        (last, None),
+    )
+}
+
 
 @dataclass(frozen=True)
 class Prediction:
@@ -108,6 +122,30 @@ class AsymmetricLoss:
 Method = Union[Expectation, Confidence, AsymmetricLoss]
 
 
+def _predict_given(
+    condition, quantity: str, t: float, method: Method, hold_interval: float | None
+) -> Prediction:
+    """Apply ``method`` to ``condition(t)``, or hold when that is empty."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    try:
+        cond = condition(t)
+    except EmptyCondition:
+        if hold_interval is None:
+            raise
+        return Prediction(
+            made_at=t, quantity=quantity, method=method.label,
+            predicted_duration=t + hold_interval, residual=hold_interval,
+            n_conditioning_samples=0, degraded=True,
+        )
+    value = float(method.apply(cond))
+    return Prediction(
+        made_at=t, quantity=quantity, method=method.label,
+        predicted_duration=value, residual=value - t,
+        n_conditioning_samples=cond.n,
+    )
+
+
 def predict(
     dist: EmpiricalDist,
     t: float,
@@ -121,24 +159,7 @@ def predict(
     sample.  A streaming caller that must always broadcast something can
     pass ``hold_interval`` to get a degraded prediction of t + hold instead.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    try:
-        cond = dist.condition_gt(t)
-    except EmptyCondition:
-        if hold_interval is None:
-            raise
-        return Prediction(
-            made_at=t, quantity=dist.quantity, method=method.label,
-            predicted_duration=t + hold_interval, residual=hold_interval,
-            n_conditioning_samples=0, degraded=True,
-        )
-    value = float(method.apply(cond))
-    return Prediction(
-        made_at=t, quantity=dist.quantity, method=method.label,
-        predicted_duration=value, residual=value - t,
-        n_conditioning_samples=cond.n,
-    )
+    return _predict_given(dist.condition_gt, dist.quantity, t, method, hold_interval)
 
 
 def predict_expectation(
@@ -182,23 +203,8 @@ def predict_sum_joint(
     *, hold_interval: float | None = None,
 ) -> Prediction:
     """Predict a two-phase end from joint pairs, given the lead runs past t."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    try:
-        cond = joint.sum_given_lead_gt(t)
-    except EmptyCondition:
-        if hold_interval is None:
-            raise
-        return Prediction(
-            made_at=t, quantity=joint.sum_quantity, method=method.label,
-            predicted_duration=t + hold_interval, residual=hold_interval,
-            n_conditioning_samples=0, degraded=True,
-        )
-    value = float(method.apply(cond))
-    return Prediction(
-        made_at=t, quantity=joint.sum_quantity, method=method.label,
-        predicted_duration=value, residual=value - t,
-        n_conditioning_samples=cond.n,
+    return _predict_given(
+        joint.sum_given_lead_gt, joint.sum_quantity, t, method, hold_interval
     )
 
 
@@ -228,44 +234,42 @@ def predict_schedule(
     The current cycle uses real-time conditioning: the opening phase
     conditions its own duration on {d > t}; the middle phase conditions the
     per-cycle sum on {sum > t}; the coordination phase ends at the cycle
-    length exactly.  Cycles n+1 .. n+horizon-1 stack unconditional expected
-    durations at multiples of the cycle length, since real-time information
-    does not reach across the cycle boundary.  Times are seconds from the
-    current cycle start.  Knowing only (phase, t) says nothing about how far
-    the opposite ring has advanced mid-cycle, so a schedule covers one ring;
-    query the other ring with its own phase tag.
+    length L exactly, so querying it at t >= L is a ValueError.  Cycles
+    n+1 .. n+horizon-1 stack unconditional expected durations at multiples
+    of the cycle length, since real-time information does not reach across
+    the cycle boundary.  Times are seconds from the current cycle start.
+    Knowing only (phase, t) says nothing about how far the opposite ring has
+    advanced mid-cycle, so a schedule covers one ring; query the other ring
+    with its own phase tag.
     """
     if horizon_cycles < 1:
         raise ValueError("horizon_cycles must be >= 1")
-    if current_phase not in PHASE_RING:
+    if current_phase not in PHASE_QUANTITY:
         raise ValueError(f"unknown phase {current_phase!r}")
     seq = RING_SEQUENCE[PHASE_RING[current_phase]]
-    first_key, mid_key, _ = (DURATION_KEY[p] for p in seq)
-    first = dists[first_key]
-    mid = dists[mid_key]
+    first, mid = (dists[DURATION_KEY[p]] for p in seq[:2])
     if first.stratum is None:
         raise ValueError("distributions must carry their cycle-length stratum")
     length = float(first.stratum)
     mu_first, mu_mid = first.mean(), mid.mean()
 
-    idx = seq.index(current_phase)
-    entries: list[ScheduleEntry] = []
-    if idx == 0:
-        end0 = predict(first, t, method).predicted_duration
-        entries.append(ScheduleEntry(seq[0], 0, end0, 0.0))
-        entries.append(ScheduleEntry(seq[1], 0, end0 + mu_mid, end0))
-        entries.append(ScheduleEntry(seq[2], 0, length, end0 + mu_mid))
-    elif idx == 1:
-        sum_key = f"{first_key}+{mid_key}"
-        if sum_key not in dists:
-            raise ValueError(
-                f"schedule from {current_phase} needs the {sum_key!r} distribution"
-            )
-        end1 = predict(dists[sum_key], t, method).predicted_duration
-        entries.append(ScheduleEntry(seq[1], 0, end1, None))
-        entries.append(ScheduleEntry(seq[2], 0, length, end1))
+    quantity = PHASE_QUANTITY[current_phase]
+    if quantity is None:
+        if not t < length:
+            raise ValueError(f"t = {t:g} s is beyond the cycle length {length:g} s")
+        end = length
+    elif quantity not in dists:
+        raise ValueError(
+            f"schedule from {current_phase} needs the {quantity!r} distribution"
+        )
     else:
-        entries.append(ScheduleEntry(seq[2], 0, length, None))
+        end = predict(dists[quantity], t, method).predicted_duration
+
+    idx = seq.index(current_phase)
+    entries = [ScheduleEntry(current_phase, 0, end, 0.0 if idx == 0 else None)]
+    for phase in seq[idx + 1:]:
+        start, end = end, (end + mu_mid if phase == seq[1] else length)
+        entries.append(ScheduleEntry(phase, 0, end, start))
 
     for j in range(1, horizon_cycles):
         base = j * length

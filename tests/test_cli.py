@@ -109,6 +109,34 @@ class TestPredict:
         assert payload["predictedDuration"] == 120.0
         assert payload["residual"] == 50.0
 
+    def test_coordination_phase_past_cycle_length_exits_1(self, capsys, cycles_csv):
+        for t in ("120", "500"):
+            errs = []
+            for extra in ([], ["--message"]):
+                rc = main(["predict", "--input", str(cycles_csv), "--phase", "p2",
+                           "--t", t, *extra])
+                out, err = capsys.readouterr()
+                assert rc == 1
+                assert out == ""
+                errs.append(err)
+            assert errs[0] == errs[1] == (
+                f"error: t = {t} s is beyond the cycle length 120 s\n"
+            )
+
+    def test_coordination_phase_on_mixed_plan_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "plans.cfg"
+        cfg.write_text("schedule = 0-6@100, 6-24@120\n")
+        mixed = tmp_path / "mixed.csv"
+        assert main(["simulate", "--config", str(cfg), "--cycles", "720",
+                     "-o", str(mixed)]) == 0
+        for phase in ("p2", "p6", "p4"):
+            rc = main(["predict", "--input", str(mixed), "--phase", phase,
+                       "--t", "30"])
+            out, err = capsys.readouterr()
+            assert rc == 1
+            assert out == ""
+            assert err.startswith("error: table mixes cycle lengths [100.0, 120.0]")
+
     def test_ring2_phase(self, capsys, cycles_csv):
         assert main(["predict", "--input", str(cycles_csv), "--phase", "p8",
                      "--t", "36"]) == 0
@@ -120,6 +148,22 @@ class TestPredict:
             main(["predict", "--input", str(cycles_csv), "--t", "0",
                   "--alpha", "1.5"])
         assert exc.value.code == 2
+
+
+class TestBadCycleCsv:
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda f: f[:3] + ["nan"] + f[4:], "d4 must be finite and >= 0"),
+        (lambda f: f[:-1], "expected 9 fields, got 8"),
+    ])
+    def test_bad_row_exits_1(self, tmp_path, capsys, cycles_csv, edit, reason):
+        lines = cycles_csv.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["predict", "--input", str(bad), "--t", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: line 3: {reason}\n"
 
 
 class TestEvaluate:

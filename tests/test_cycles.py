@@ -160,6 +160,19 @@ class TestCsv:
         with pytest.raises(ValueError):
             sc.read_cycle_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
+    @pytest.mark.parametrize("row, reason", [
+        ("1,120000,120.00,36.00,5.00,79.00,36.00,5.00", "expected 9 fields, got 8"),
+        ("1,120000,inf,36.00,5.00,79.00,36.00,5.00,79.00", "length_s must be finite"),
+        ("1,120000,120.00,36.00,nan,79.00,36.00,5.00,79.00", "d1 must be finite"),
+        ("1,120000,120.00,36.00,x,79.00,36.00,5.00,79.00", "could not convert"),
+    ])
+    def test_cycle_csv_bad_row_names_its_line(self, build_table, row, reason):
+        buf = io.StringIO()
+        sc.write_cycle_csv(build_table([(36, 5, 5)]), buf)
+        with pytest.raises(sc.MalformedRow, match=f"^line 3: {reason}") as exc:
+            sc.read_cycle_csv(io.StringIO(buf.getvalue() + row + "\n"))
+        assert exc.value.line == 3
+
     def test_event_csv_round_trip(self, build_table):
         events = sc.emit_events(build_table([(36, 5, 5)]))
         buf = io.StringIO()

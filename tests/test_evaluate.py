@@ -57,14 +57,6 @@ class TestCurves:
         with pytest.raises(sc.EmptyGrid):
             mae_curve(sc.Expectation(), dist, table)
 
-    def test_threads_match_serial(self, build_table):
-        table = table_from_d4([30.0, 36.0, 44.0, 59.0, 60.0], build_table)
-        dist = sc.fit(table, "d4")
-        serial = mse_curve(sc.Expectation(), dist, table)
-        threaded = mse_curve(sc.Expectation(), dist, table, threads=4)
-        np.testing.assert_array_equal(serial.values, threaded.values)
-        np.testing.assert_array_equal(serial.ts, threaded.ts)
-
 
 class TestLeaveOneOut:
     def test_two_sample_hand_computation(self, build_table):

@@ -215,10 +215,17 @@ def test_composed_messages_always_ordered(rows, alpha, t_int):
     table = sc.CycleTable(tuple(records))
     dists = sc.fit_message_dists(table)
     t = float(t_int)
-    for phase in ("p4", "p1", "p2"):
-        if phase == "p2" and t >= 120.0:
+    for phase in sc.PHASES:
+        if phase in ("p2", "p6") and t >= 120.0:
             continue
         msg = sc.compose(dists, phase, t, alpha)
         assert msg.start_time <= msg.min_end_time <= msg.likely_time <= msg.max_end_time
         assert msg.min_end_time >= msg.made_at
         assert msg.next_time > msg.likely_time
+        if msg.degraded:
+            with pytest.raises(sc.EmptyCondition):
+                sc.predict_schedule(dists, phase, t, 2)
+            continue
+        schedule = sc.predict_schedule(dists, phase, t, 2)
+        assert msg.likely_time == schedule[0].end_time
+        assert msg.next_time == sc.next_green_start(schedule, phase)
