@@ -19,6 +19,24 @@ from .cycles import CycleTable
 from .errors import EmptyCondition, EmptyInput, MixedStrata
 
 
+def upper_rank(n: int, alpha: float) -> int:
+    """Index, among n sorted samples, of the upper alpha quantile.
+
+    The largest k with (n - k)/n >= alpha, i.e. the largest order statistic
+    that at least a share alpha of the samples reaches.
+    """
+    return int(np.count_nonzero((n - np.arange(n)) / n >= alpha)) - 1
+
+
+def lower_rank(n: int, p: float) -> int:
+    """Index, among n sorted samples, of the lower p quantile.
+
+    The smallest j >= 1 with j/n >= p, less one: the first order statistic
+    whose empirical cdf reaches p.
+    """
+    return int(np.count_nonzero(np.arange(1, n + 1) / n < p))
+
+
 @dataclass(frozen=True)
 class EmpiricalDist:
     """Multiset of duration samples with pdf/cdf/quantile/support queries.
@@ -38,6 +56,8 @@ class EmpiricalDist:
         arr = np.sort(np.asarray(self.values, dtype=float))
         if arr.size == 0:
             raise EmptyInput("a distribution needs at least one sample")
+        if not np.isfinite(arr[[0, -1]]).all():  # sorted: any nan or inf sits at an end
+            raise ValueError("duration samples must be finite")
         if arr[0] < 0:
             raise ValueError("duration samples must be >= 0")
         arr.setflags(write=False)
@@ -92,18 +112,23 @@ class EmpiricalDist:
         """
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        uniq = np.unique(self.values)
-        tails = (self.n - np.searchsorted(self.values, uniq, side="left")) / self.n
-        ok = uniq[tails >= alpha]
-        return float(ok[-1])
+        return float(self.values[upper_rank(self.n, alpha)])
 
     def quantile(self, p: float) -> float:
         """Smallest support value d with cdf(d) >= p (lower quantile)."""
         if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
-        uniq = np.unique(self.values)
-        cdfs = np.searchsorted(self.values, uniq, side="right") / self.n
-        return float(uniq[int(np.argmax(cdfs >= p))])
+        return float(self.values[lower_rank(self.n, p)])
+
+    def order_stat_without(self, x: np.ndarray, k: int) -> np.ndarray:
+        """The k-th smallest sample once one copy of each ``x`` is removed.
+
+        Every ``x`` must be a sample value.  Removing the last copy of x, at
+        index r, leaves values[k] in place below r and shifts values[k + 1]
+        down to k from r on.
+        """
+        r = np.searchsorted(self.values, x, side="right") - 1
+        return self.values[np.where(k < r, k, k + 1)]
 
 
 @dataclass(frozen=True)
@@ -129,6 +154,8 @@ class JointSamples:
             raise EmptyInput("joint samples need at least one pair")
         if lead.shape != follow.shape:
             raise ValueError("lead and follow must have the same length")
+        if not (np.isfinite(lead).all() and np.isfinite(follow).all()):
+            raise ValueError("duration samples must be finite")
         if lead.min() < 0 or follow.min() < 0:
             raise ValueError("duration samples must be >= 0")
         lead.setflags(write=False)

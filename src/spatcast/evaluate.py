@@ -3,8 +3,9 @@
 For a grid of times t, the error at t averages a loss between the
 prediction made at t and the realized duration, over exactly the cycles
 whose duration exceeds t (the cycles for which a prediction at t was ever
-needed).  In-sample evaluation is the default; leave-one-out refits the
-predictor without the evaluated cycle.
+needed).  In-sample evaluation is the default.  Leave-one-out predicts each
+cycle from the training sample without that cycle; it is exact (closed form,
+no refit) and defined only for in-sample evaluation.
 """
 
 from __future__ import annotations
@@ -89,34 +90,16 @@ def _point_prediction(predictor, dist_or_joint, t: float) -> float:
     return float(predictor(dist_or_joint, t))
 
 
-def _drop_one(dist_or_joint, key_value: float, target_value: float):
-    """Remove one sample matching the evaluated cycle from the training set."""
+def _require_in_sample(dist_or_joint, key: np.ndarray, target: np.ndarray) -> None:
+    """Raise unless the evaluated cycles are the training sample, as a multiset."""
     if isinstance(dist_or_joint, JointSamples):
-        mask = (dist_or_joint.lead == key_value) & (
-            dist_or_joint.lead + dist_or_joint.follow == target_value
-        )
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            raise ValueError("leave-one-out requires in-sample evaluation")
-        keep = np.ones(dist_or_joint.n, dtype=bool)
-        keep[idx[0]] = False
-        if not keep.any():
-            return None
-        return JointSamples(
-            dist_or_joint.lead[keep], dist_or_joint.follow[keep],
-            dist_or_joint.lead_quantity, dist_or_joint.follow_quantity,
-            dist_or_joint.stratum, dist_or_joint.provenance,
-        )
-    values = dist_or_joint.values
-    pos = int(np.searchsorted(values, key_value))
-    if pos >= values.size or values[pos] != key_value:
+        train = np.stack([dist_or_joint.lead, dist_or_joint.lead + dist_or_joint.follow])
+        evaluated = np.stack([key, target])
+        same = np.array_equal(train[:, np.lexsort(train)], evaluated[:, np.lexsort(evaluated)])
+    else:
+        same = np.array_equal(np.sort(key), dist_or_joint.values)
+    if not same:
         raise ValueError("leave-one-out requires in-sample evaluation")
-    if values.size == 1:
-        return None
-    return EmpiricalDist(
-        np.delete(values, pos), dist_or_joint.quantity,
-        dist_or_joint.stratum, dist_or_joint.provenance,
-    )
 
 
 def error_curve(
@@ -136,16 +119,25 @@ def error_curve(
     evaluation cycle survives (duration strictly greater than t).  When the
     training distribution is exhausted before the evaluation samples are
     (possible out-of-sample), the broadcast fallback of t + DEFAULT_HOLD_S
-    stands in for the prediction.  Leave-one-out needs a refittable
-    predictor (a Method) and in-sample data.
+    stands in for the prediction.  With ``leave_one_out`` each cycle's
+    prediction leaves that cycle out of the training sample; this needs a
+    Method predictor and ``eval_table`` holding exactly the training cycles.
+    A lone survivor then has no training data left and holds.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     key, target = _eval_arrays(dist_or_joint, eval_table)
     if key.size == 0 or not np.any(key > 0):
         raise EmptyGrid("no evaluation sample survives any t >= 0")
-    if leave_one_out and not hasattr(predictor, "apply"):
-        raise ValueError("leave-one-out needs a refittable prediction method")
+    if leave_one_out:
+        if not hasattr(predictor, "apply_loo"):
+            raise ValueError("leave-one-out needs a refittable prediction method")
+        _require_in_sample(dist_or_joint, key, target)
+        condition = (
+            dist_or_joint.sum_given_lead_gt
+            if isinstance(dist_or_joint, JointSamples)
+            else dist_or_joint.condition_gt
+        )
 
     ts = np.arange(0.0, float(key.max()), grid_step)
 
@@ -155,15 +147,9 @@ def error_curve(
         if n == 0:
             return None
         if leave_one_out:
-            errs = np.empty(n)
-            for i, (kv, tv) in enumerate(zip(key[mask], target[mask])):
-                reduced = _drop_one(dist_or_joint, kv, tv)
-                if reduced is None:
-                    pred = t + DEFAULT_HOLD_S
-                else:
-                    pred = _point_prediction(predictor, reduced, t)
-                errs[i] = pred - tv
-            return t, float(loss(errs).mean()), n
+            x = target[mask]
+            pred = t + DEFAULT_HOLD_S if n == 1 else predictor.apply_loo(condition(t), x)
+            return t, float(loss(pred - x).mean()), n
         pred = _point_prediction(predictor, dist_or_joint, t)
         return t, float(loss(pred - target[mask]).mean()), n
 

@@ -12,7 +12,9 @@ conditional distribution:
 All predictors condition on "the phase is still running at elapsed time t"
 (samples strictly greater than t) and are pure functions of an immutable
 distribution snapshot and t, so callers may invoke them at any cadence and
-concurrently.
+concurrently.  Each method's ``apply_loo(dist, x)`` is ``apply`` on ``dist``
+with one copy of each sample ``x`` left out, for all ``x`` at once; it needs
+``dist.n >= 2``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from .cycles import DURATION_KEY, PHASE_RING, RING_SEQUENCE
-from .distributions import EmpiricalDist, JointSamples
+from .distributions import EmpiricalDist, JointSamples, lower_rank, upper_rank
 from .errors import EmptyCondition, NonpositiveWeight
 
 DEFAULT_HOLD_S = 1.0  # broadcast fallback when history is exhausted
@@ -71,6 +75,9 @@ class Expectation:
     def apply(self, dist: EmpiricalDist) -> float:
         return dist.mean()
 
+    def apply_loo(self, dist: EmpiricalDist, x: np.ndarray) -> np.ndarray:
+        return (dist.values.sum() - x) / (dist.n - 1)
+
 
 @dataclass(frozen=True)
 class Confidence:
@@ -88,6 +95,9 @@ class Confidence:
 
     def apply(self, dist: EmpiricalDist) -> float:
         return dist.upper_quantile(self.alpha)
+
+    def apply_loo(self, dist: EmpiricalDist, x: np.ndarray) -> np.ndarray:
+        return dist.order_stat_without(x, upper_rank(dist.n - 1, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -117,6 +127,9 @@ class AsymmetricLoss:
 
     def apply(self, dist: EmpiricalDist) -> float:
         return dist.quantile(self.ratio)
+
+    def apply_loo(self, dist: EmpiricalDist, x: np.ndarray) -> np.ndarray:
+        return dist.order_stat_without(x, lower_rank(dist.n - 1, self.ratio))
 
 
 Method = Union[Expectation, Confidence, AsymmetricLoss]

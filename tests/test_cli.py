@@ -188,6 +188,19 @@ class TestEvaluate:
         assert (tmp_path / "d4_pdf.csv").exists()
         assert (tmp_path / "d4_cdf.csv").exists()
 
+    def test_leave_one_out_on_other_training_data_exits_1(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["simulate", "--cycles", "200", "--seed", "1", "-o", str(a)]) == 0
+        assert main(["simulate", "--cycles", "200", "--seed", "2", "-o", str(b)]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--input", str(a), "--train-input", str(b),
+                   "--quantity", "d4", "--leave-one-out", "--compare", "expectation",
+                   "-o", str(tmp_path / "c.csv")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: leave-one-out requires in-sample evaluation\n"
+
     def test_unknown_metric_is_data_error(self, tmp_path, cycles_csv):
         rc = main(["evaluate", "--input", str(cycles_csv),
                    "--compare", "expectation", "--metric", "nope",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
+from spatcast.distributions import lower_rank, upper_rank
 
 
 def dist_of(values, quantity="d4", stratum=120.0):
@@ -42,6 +43,11 @@ class TestFit:
             sc.fit(sc.CycleTable(()), "d4")
         with pytest.raises(sc.EmptyInput):
             sc.EmpiricalDist(np.array([]), "d4")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sc.EmpiricalDist(np.array([40.0, bad, 36.0]), "d4")
 
     def test_stratum_recorded(self, build_table):
         dist = sc.fit(build_table([(36, 0, 0)]), "d4")
@@ -140,6 +146,15 @@ class TestJoint:
         with pytest.raises(sc.EmptyCondition):
             joint.sum_given_lead_gt(41)
 
+    @pytest.mark.parametrize("lead, follow", [
+        ([np.nan, 36.0], [1.0, 2.0]),
+        ([40.0, 36.0], [1.0, np.inf]),
+        ([-np.inf, 36.0], [1.0, 2.0]),
+    ])
+    def test_non_finite_pairs_rejected(self, lead, follow):
+        with pytest.raises(ValueError, match="finite"):
+            sc.JointSamples(np.array(lead), np.array(follow))
+
     def test_fit_joint(self, build_table):
         table = build_table([(36, 0, 0), (41, 10, 5)])
         joint = sc.fit_joint(table, "d4", "d1")
@@ -197,3 +212,35 @@ def test_cdf_monotone_and_normalized(samples):
     cdfs = [dist.cdf(v) for v in values]
     assert all(b >= a for a, b in zip(cdfs, cdfs[1:]))
     assert cdfs[-1] == 1.0
+
+
+@st.composite
+def sorted_samples_and_level(draw):
+    """Tie-heavy sorted samples and a level that is often exactly j/n."""
+    values = np.sort(np.array(
+        draw(st.lists(st.integers(0, 6), min_size=1, max_size=60)), dtype=float
+    ))
+    n = values.size
+    level = draw(st.one_of(
+        st.floats(0.001, 0.999),
+        st.integers(1, max(1, n - 1)).map(lambda j: j / n),
+        st.sampled_from([0.5, 0.8, 0.25, 0.75]),
+    ))
+    return values, level
+
+
+@settings(max_examples=300, deadline=None)
+@given(sorted_samples_and_level())
+def test_ranks_match_unique_value_scans(case):
+    values, level = case
+    if not 0.0 < level < 1.0:
+        return
+    n = values.size
+    # The scans over unique values that the ranks replace.
+    uniq = np.unique(values)
+    tails = (n - np.searchsorted(values, uniq, side="left")) / n
+    old_upper = uniq[tails >= level][-1]
+    cdfs = np.searchsorted(values, uniq, side="right") / n
+    old_lower = uniq[int(np.argmax(cdfs >= level))]
+    assert values[upper_rank(n, level)] == old_upper
+    assert values[lower_rank(n, level)] == old_lower

@@ -2,11 +2,14 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
-from spatcast.evaluate import compare, loss_curve, mae_curve, mse_curve, write_comparison_csv
+from spatcast.evaluate import (
+    compare, error_curve, loss_curve, mae_curve, mse_curve, write_comparison_csv,
+)
+from spatcast.predict import DEFAULT_HOLD_S
 
 
 def dist_of(values, quantity="d4", stratum=120.0):
@@ -15,6 +18,52 @@ def dist_of(values, quantity="d4", stratum=120.0):
 
 def table_from_d4(values, build):
     return build([(v, 0.0, 0.0) for v in values])
+
+
+def _drop_one(dist_or_joint, key_value, target_value):
+    """The training set without one sample matching the evaluated cycle."""
+    if isinstance(dist_or_joint, sc.JointSamples):
+        mask = (dist_or_joint.lead == key_value) & (
+            dist_or_joint.lead + dist_or_joint.follow == target_value
+        )
+        keep = np.ones(dist_or_joint.n, dtype=bool)
+        keep[np.flatnonzero(mask)[0]] = False
+        if not keep.any():
+            return None
+        return sc.JointSamples(
+            dist_or_joint.lead[keep], dist_or_joint.follow[keep],
+            dist_or_joint.lead_quantity, dist_or_joint.follow_quantity,
+            dist_or_joint.stratum, dist_or_joint.provenance,
+        )
+    values = dist_or_joint.values
+    pos = int(np.searchsorted(values, key_value))
+    assert values[pos] == key_value
+    if values.size == 1:
+        return None
+    return sc.EmpiricalDist(
+        np.delete(values, pos), dist_or_joint.quantity,
+        dist_or_joint.stratum, dist_or_joint.provenance,
+    )
+
+
+def refit_loo_errors(method, dist_or_joint, key, target, grid_step):
+    """Leave-one-out (t, errors) per grid point, refitting without each cycle."""
+    predict = sc.predict_sum_joint if isinstance(dist_or_joint, sc.JointSamples) else sc.predict
+    points = []
+    for t in np.arange(0.0, float(key.max()), grid_step):
+        mask = key > t
+        if not mask.any():
+            continue
+        errs = []
+        for kv, tv in zip(key[mask], target[mask]):
+            reduced = _drop_one(dist_or_joint, kv, tv)
+            if reduced is None:
+                pred = t + DEFAULT_HOLD_S
+            else:
+                pred = predict(reduced, t, method, hold_interval=DEFAULT_HOLD_S).predicted_duration
+            errs.append(pred - tv)
+        points.append((t, np.array(errs)))
+    return points
 
 
 class TestCurves:
@@ -82,6 +131,22 @@ class TestLeaveOneOut:
         insample = mae_curve(sc.Expectation(), dist, table)
         loo = mae_curve(sc.Expectation(), dist, table, leave_one_out=True)
         assert np.max(np.abs(insample.values - loo.values)) < 0.2
+
+    def test_out_of_sample_rejected(self, build_table):
+        train = table_from_d4([36.0, 41.0, 46.0], build_table)
+        dist = sc.fit(train, "d4")
+        for other in ([36.0, 41.0, 41.0], [36.0, 41.0], [36.0, 41.0, 46.0, 46.0]):
+            with pytest.raises(ValueError, match="in-sample"):
+                mae_curve(sc.Expectation(), dist, table_from_d4(other, build_table),
+                          leave_one_out=True)
+
+    def test_joint_out_of_sample_rejected(self, build_table):
+        # Same leads and same sums as a multiset, but paired differently.
+        train = build_table([(36, 0, 0), (41, 5, 5)])
+        other = build_table([(36, 5, 5), (41, 0, 0)])
+        with pytest.raises(ValueError, match="in-sample"):
+            mae_curve(sc.Expectation(), sc.fit_joint(train, "d4", "d1"), other,
+                      leave_one_out=True)
 
     def test_joint_leave_one_out(self, build_table):
         table = build_table([(36, 0, 0), (36, 5, 5), (41, 0, 0), (41, 10, 10)])
@@ -191,3 +256,46 @@ def test_expectation_mse_optimality_property(values):
     best = mse_curve(sc.Expectation(), dist, table)
     rival = mse_curve(sc.Confidence(0.5), dist, table)
     assert np.all(best.values <= rival.values)
+
+
+LOO_METHODS = st.one_of(
+    st.just(sc.Expectation()),
+    st.sampled_from([0.5, 0.8]).map(sc.Confidence),
+    st.floats(0.05, 0.95).map(sc.Confidence),
+    st.sampled_from([(1, 3), (3, 1), (1, 1), (2, 5)]).map(lambda w: sc.AsymmetricLoss(*w)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), min_size=1, max_size=40),
+    LOO_METHODS,
+    st.sampled_from(["d4", "d4+d1", "joint"]),
+    st.sampled_from([1.0, 0.1]),
+)
+@example([(0, 1)], sc.Expectation(), "d4", 1.0)
+@example([(0, 0), (2, 1)], sc.Confidence(0.8), "joint", 0.1)
+@example([(1, 0), (1, 2)], sc.AsymmetricLoss(3, 1), "d4+d1", 1.0)
+def test_leave_one_out_matches_refit(cycles, method, quantity, grid_step):
+    """Heavy ties (36 + 5k s, the controller's extension quantisation)."""
+    d4 = [36.0 + 5 * k for k, _ in cycles]
+    d1 = [5.0 * j for _, j in cycles]
+    table = sc.CycleTable(tuple(
+        sc.CycleRecord(i, i * 120000, 120.0, d4=a, d1=b, d2=120.0 - a - b,
+                       d8=a, d5=b, d6=120.0 - a - b)
+        for i, (a, b) in enumerate(zip(d4, d1))
+    ))
+    if quantity == "joint":
+        fitted = sc.fit_joint(table, "d4", "d1")
+        key, target = np.array(d4), np.add(d4, d1)
+    else:
+        fitted = sc.fit(table, quantity)
+        key = target = table.column(quantity)
+    points = refit_loo_errors(method, fitted, key, target, grid_step)
+    for loss, metric in ((np.abs, "mae"), (np.square, "mse")):
+        curve = error_curve(method, fitted, table, loss, metric,
+                            grid_step=grid_step, leave_one_out=True)
+        np.testing.assert_array_equal(curve.ts, [t for t, _ in points])
+        np.testing.assert_array_equal(curve.counts, [e.size for _, e in points])
+        np.testing.assert_allclose(curve.values, [loss(e).mean() for _, e in points],
+                                   rtol=0, atol=1e-9)
