@@ -25,6 +25,7 @@ from .cycles import (
 )
 from .distributions import fit, fit_joint
 from .errors import SpatError
+from .ioutil import text_sink
 from .messages import compose, fit_message_dists, stream
 from .predict import (
     AsymmetricLoss,
@@ -91,11 +92,26 @@ def _parse_predictor(spec: str):
     if name == "expectation":
         return Expectation()
     if name == "confidence":
-        return Confidence(_alpha_arg(rest))
+        try:
+            alpha = float(rest)
+        except ValueError as exc:
+            raise ValueError(
+                f"predictor must look like 'confidence:alpha', got {spec!r}"
+            ) from exc
+        return Confidence(alpha)
     if name == "asymmetric":
-        c1_s, _, c2_s = rest.partition(":")
-        return AsymmetricLoss(float(c1_s), float(c2_s))
-    raise argparse.ArgumentTypeError(f"unknown predictor {spec!r}")
+        try:
+            c1_s, c2_s = rest.split(":")
+            c1, c2 = float(c1_s), float(c2_s)
+        except ValueError as exc:
+            raise ValueError(
+                f"predictor must look like 'asymmetric:c1:c2', got {spec!r}"
+            ) from exc
+        return AsymmetricLoss(c1, c2)
+    raise ValueError(
+        f"unknown predictor {spec!r}; expected expectation, "
+        "confidence:alpha or asymmetric:c1:c2"
+    )
 
 
 def _load_table(args, path=None):
@@ -218,12 +234,8 @@ def _cmd_emit(args) -> int:
         speed = 1.0
     elif args.speed not in (None, "max"):
         speed = _positive_float(args.speed)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as out:
-            stream(table, dists, out, cadence_ms=args.cadence_ms,
-                   alpha=args.alpha, site_id=args.site or None, speed=speed)
-    else:
-        stream(table, dists, sys.stdout, cadence_ms=args.cadence_ms,
+    with text_sink(args.output or sys.stdout) as out:
+        stream(table, dists, out, cadence_ms=args.cadence_ms,
                alpha=args.alpha, site_id=args.site or None, speed=speed)
     return 0
 

@@ -389,10 +389,13 @@ def read_event_csv(source) -> list[PhaseEvent]:
         header = next(rows, None)
         if header != _EVENT_HEADER:
             raise ValueError(f"expected header {_EVENT_HEADER}, got {header}")
-        return [
-            PhaseEvent(int(ts), int(ring), phase, kind)
-            for ts, ring, phase, kind in rows
-        ]
+        try:
+            return [
+                PhaseEvent(int(ts), int(ring), phase, kind)
+                for ts, ring, phase, kind in rows
+            ]
+        except ValueError as exc:
+            raise MalformedRow(rows.line_num, str(exc)) from exc
 
 
 def write_cycle_csv(table: CycleTable, target) -> None:

@@ -18,14 +18,9 @@ import numpy as np
 
 from .cycles import CycleTable
 from .distributions import EmpiricalDist, JointSamples
-from .errors import EmptyGrid
+from .errors import EmptyCondition, EmptyGrid
 from .ioutil import text_sink
-from .predict import (
-    DEFAULT_HOLD_S,
-    Method,
-    predict,
-    predict_sum_joint,
-)
+from .predict import DEFAULT_HOLD_S
 
 PredictorLike = Callable  # a Method, or callable(dist_or_joint, t) -> float
 
@@ -63,31 +58,22 @@ def _asym_loss(c1: float, c2: float) -> Callable[[np.ndarray], np.ndarray]:
     return loss
 
 
-def _eval_arrays(dist_or_joint, eval_table: CycleTable) -> tuple[np.ndarray, np.ndarray]:
-    """(survival key, prediction target) per evaluation cycle.
+def _eval_arrays(
+    dist_or_joint, eval_table: CycleTable
+) -> tuple[np.ndarray, np.ndarray, Callable[[float], EmpiricalDist]]:
+    """(survival key, prediction target) per evaluation cycle, and the training condition.
 
-    For a scalar distribution both are the quantity itself.  For joint
-    samples the survival key is the leading duration (predictions exist
-    while the lead phase runs) and the target is the per-cycle sum.
+    For a scalar distribution key and target are the quantity itself and the
+    condition is ``condition_gt``.  For joint samples the survival key is the
+    leading duration (predictions exist while the lead phase runs), the
+    target is the per-cycle sum and the condition is ``sum_given_lead_gt``.
     """
     if isinstance(dist_or_joint, JointSamples):
         lead = eval_table.column(dist_or_joint.lead_quantity)
         follow = eval_table.column(dist_or_joint.follow_quantity)
-        return lead, lead + follow
+        return lead, lead + follow, dist_or_joint.sum_given_lead_gt
     values = eval_table.column(dist_or_joint.quantity)
-    return values, values
-
-
-def _point_prediction(predictor, dist_or_joint, t: float) -> float:
-    if hasattr(predictor, "apply"):
-        if isinstance(dist_or_joint, JointSamples):
-            return predict_sum_joint(
-                dist_or_joint, t, predictor, hold_interval=DEFAULT_HOLD_S
-            ).predicted_duration
-        return predict(
-            dist_or_joint, t, predictor, hold_interval=DEFAULT_HOLD_S
-        ).predicted_duration
-    return float(predictor(dist_or_joint, t))
+    return values, values, dist_or_joint.condition_gt
 
 
 def _require_in_sample(dist_or_joint, key: np.ndarray, target: np.ndarray) -> None:
@@ -126,18 +112,14 @@ def error_curve(
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    key, target = _eval_arrays(dist_or_joint, eval_table)
+    key, target, condition = _eval_arrays(dist_or_joint, eval_table)
     if key.size == 0 or not np.any(key > 0):
         raise EmptyGrid("no evaluation sample survives any t >= 0")
+    is_method = hasattr(predictor, "apply")
     if leave_one_out:
         if not hasattr(predictor, "apply_loo"):
             raise ValueError("leave-one-out needs a refittable prediction method")
         _require_in_sample(dist_or_joint, key, target)
-        condition = (
-            dist_or_joint.sum_given_lead_gt
-            if isinstance(dist_or_joint, JointSamples)
-            else dist_or_joint.condition_gt
-        )
 
     ts = np.arange(0.0, float(key.max()), grid_step)
 
@@ -146,12 +128,21 @@ def error_curve(
         n = int(mask.sum())
         if n == 0:
             return None
-        if leave_one_out:
-            x = target[mask]
-            pred = t + DEFAULT_HOLD_S if n == 1 else predictor.apply_loo(condition(t), x)
-            return t, float(loss(pred - x).mean()), n
-        pred = _point_prediction(predictor, dist_or_joint, t)
-        return t, float(loss(pred - target[mask]).mean()), n
+        x = target[mask]
+        if not is_method:
+            pred = float(predictor(dist_or_joint, t))
+        else:
+            try:
+                cond = condition(t)
+            except EmptyCondition:
+                cond = None
+            if cond is None or (leave_one_out and cond.n == 1):
+                pred = t + DEFAULT_HOLD_S
+            elif leave_one_out:
+                pred = predictor.apply_loo(cond, x)
+            else:
+                pred = float(predictor.apply(cond))
+        return t, float(loss(pred - x).mean()), n
 
     points = [p for p in map(at, ts) if p is not None]
     if not points:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cycles import DURATION_KEY, PHASE_RING, RING_SEQUENCE
 from .distributions import EmpiricalDist, JointSamples, lower_rank, upper_rank
-from .errors import EmptyCondition, NonpositiveWeight
+from .errors import NonpositiveWeight
 
 DEFAULT_HOLD_S = 1.0  # broadcast fallback when history is exhausted
 
@@ -135,22 +135,11 @@ class AsymmetricLoss:
 Method = Union[Expectation, Confidence, AsymmetricLoss]
 
 
-def _predict_given(
-    condition, quantity: str, t: float, method: Method, hold_interval: float | None
-) -> Prediction:
-    """Apply ``method`` to ``condition(t)``, or hold when that is empty."""
+def _predict_given(condition, quantity: str, t: float, method: Method) -> Prediction:
+    """Apply ``method`` to ``condition(t)``."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    try:
-        cond = condition(t)
-    except EmptyCondition:
-        if hold_interval is None:
-            raise
-        return Prediction(
-            made_at=t, quantity=quantity, method=method.label,
-            predicted_duration=t + hold_interval, residual=hold_interval,
-            n_conditioning_samples=0, degraded=True,
-        )
+    cond = condition(t)
     value = float(method.apply(cond))
     return Prediction(
         made_at=t, quantity=quantity, method=method.label,
@@ -159,45 +148,29 @@ def _predict_given(
     )
 
 
-def predict(
-    dist: EmpiricalDist,
-    t: float,
-    method: Method,
-    *,
-    hold_interval: float | None = None,
-) -> Prediction:
+def predict(dist: EmpiricalDist, t: float, method: Method) -> Prediction:
     """Condition ``dist`` on running past t, then apply ``method``.
 
-    By default EmptyCondition propagates when t exceeds every historical
-    sample.  A streaming caller that must always broadcast something can
-    pass ``hold_interval`` to get a degraded prediction of t + hold instead.
+    EmptyCondition always propagates when t reaches every historical
+    sample; callers that must broadcast something hold at t +
+    ``DEFAULT_HOLD_S`` themselves.
     """
-    return _predict_given(dist.condition_gt, dist.quantity, t, method, hold_interval)
+    return _predict_given(dist.condition_gt, dist.quantity, t, method)
 
 
-def predict_expectation(
-    dist: EmpiricalDist, t: float, *, hold_interval: float | None = None
-) -> Prediction:
-    return predict(dist, t, Expectation(), hold_interval=hold_interval)
+def predict_expectation(dist: EmpiricalDist, t: float) -> Prediction:
+    return predict(dist, t, Expectation())
 
 
-def predict_confidence(
-    dist: EmpiricalDist, t: float, alpha: float, *, hold_interval: float | None = None
-) -> Prediction:
-    return predict(dist, t, Confidence(alpha), hold_interval=hold_interval)
+def predict_confidence(dist: EmpiricalDist, t: float, alpha: float) -> Prediction:
+    return predict(dist, t, Confidence(alpha))
 
 
-def predict_asymmetric(
-    dist: EmpiricalDist, t: float, c1: float, c2: float,
-    *, hold_interval: float | None = None,
-) -> Prediction:
-    return predict(dist, t, AsymmetricLoss(c1, c2), hold_interval=hold_interval)
+def predict_asymmetric(dist: EmpiricalDist, t: float, c1: float, c2: float) -> Prediction:
+    return predict(dist, t, AsymmetricLoss(c1, c2))
 
 
-def predict_sum_marginal(
-    sum_dist: EmpiricalDist, t: float, method: Method,
-    *, hold_interval: float | None = None,
-) -> Prediction:
+def predict_sum_marginal(sum_dist: EmpiricalDist, t: float, method: Method) -> Prediction:
     """Predict a two-phase end from the marginal sum samples.
 
     Conditions on {sum > t}, which is implied by (but weaker than) the
@@ -208,17 +181,12 @@ def predict_sum_marginal(
         raise ValueError(
             f"expected a per-cycle sum distribution, got {sum_dist.quantity!r}"
         )
-    return predict(sum_dist, t, method, hold_interval=hold_interval)
+    return predict(sum_dist, t, method)
 
 
-def predict_sum_joint(
-    joint: JointSamples, t: float, method: Method,
-    *, hold_interval: float | None = None,
-) -> Prediction:
+def predict_sum_joint(joint: JointSamples, t: float, method: Method) -> Prediction:
     """Predict a two-phase end from joint pairs, given the lead runs past t."""
-    return _predict_given(
-        joint.sum_given_lead_gt, joint.sum_quantity, t, method, hold_interval
-    )
+    return _predict_given(joint.sum_given_lead_gt, joint.sum_quantity, t, method)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ class SimulationConfig:
     start_ms: int = 0
 
 
-def _parse_segments(text: str, scale_hours: bool = True) -> Segments:
+def _parse_segments(text: str) -> Segments:
     segs = []
     for part in text.split(","):
         part = part.strip()

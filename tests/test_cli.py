@@ -45,6 +45,18 @@ class TestIngest:
                    "-o", str(tmp_path / "out.csv")])
         assert rc == 1
 
+    def test_short_event_row_names_its_line(self, tmp_path, capsys, cycles_csv):
+        events_csv = tmp_path / "events.csv"
+        sc.write_event_csv(sc.emit_events(sc.read_cycle_csv(cycles_csv)), events_csv)
+        lines = events_csv.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0]
+        events_csv.write_text("\n".join(lines) + "\n")
+        rc = main(["ingest", "--events", str(events_csv), "-o", str(tmp_path / "out.csv")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 5: not enough values to unpack (expected 4, got 3)\n"
+
 
 class TestFit:
     def test_distribution_dump(self, tmp_path, cycles_csv):
@@ -206,6 +218,22 @@ class TestEvaluate:
                    "--compare", "expectation", "--metric", "nope",
                    "-o", str(tmp_path / "x.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("bogus", "unknown predictor 'bogus'"),
+        ("confidence:1.5", "alpha must be in (0, 1)"),
+        ("asymmetric:3", "predictor must look like 'asymmetric:c1:c2', got 'asymmetric:3'"),
+        ("asymmetric:0:1", "c1 and c2 must be > 0"),
+    ])
+    def test_bad_predictor_is_data_error(self, tmp_path, capsys, cycles_csv, spec, reason):
+        rc = main(["evaluate", "--input", str(cycles_csv), "--compare", spec,
+                   "-o", str(tmp_path / "x.csv")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {reason}")
+        assert err.count("\n") == 1
 
 
 class TestEmit:

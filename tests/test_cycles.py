@@ -180,6 +180,20 @@ class TestCsv:
         back = sc.read_event_csv(io.StringIO(buf.getvalue()))
         assert back == events
 
+    @pytest.mark.parametrize("row, reason", [
+        ("120000,1,p4", "not enough values to unpack"),
+        ("", "not enough values to unpack"),
+        ("x,1,p4,start", "invalid literal"),
+        ("120000,1,p8,start", "phase 'p8' is not on ring 1"),
+    ])
+    def test_event_csv_bad_row_names_its_line(self, build_table, row, reason):
+        buf = io.StringIO()
+        sc.write_event_csv(sc.emit_events(build_table([(36, 5, 5)])), buf)
+        line = buf.getvalue().count("\n") + 1
+        with pytest.raises(sc.MalformedRow, match=f"^line {line}: {reason}") as exc:
+            sc.read_event_csv(io.StringIO(buf.getvalue() + row + "\n"))
+        assert exc.value.line == line
+
 
 # 0.01 s grid durations: d4 in [36, 66], d1 in [0, 25], d5 capped to keep d6 > 0
 centi = st.tuples(

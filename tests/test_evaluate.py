@@ -60,9 +60,28 @@ def refit_loo_errors(method, dist_or_joint, key, target, grid_step):
             if reduced is None:
                 pred = t + DEFAULT_HOLD_S
             else:
-                pred = predict(reduced, t, method, hold_interval=DEFAULT_HOLD_S).predicted_duration
+                try:
+                    pred = predict(reduced, t, method).predicted_duration
+                except sc.EmptyCondition:
+                    pred = t + DEFAULT_HOLD_S
             errs.append(pred - tv)
         points.append((t, np.array(errs)))
+    return points
+
+
+def point_prediction_errors(method, dist_or_joint, key, target, grid_step):
+    """(t, errors) per grid point from one prediction each, holding past the history."""
+    predict = sc.predict_sum_joint if isinstance(dist_or_joint, sc.JointSamples) else sc.predict
+    points = []
+    for t in np.arange(0.0, float(key.max()), grid_step):
+        mask = key > t
+        if not mask.any():
+            continue
+        try:
+            pred = predict(dist_or_joint, t, method).predicted_duration
+        except sc.EmptyCondition:
+            pred = t + DEFAULT_HOLD_S
+        points.append((t, pred - target[mask]))
     return points
 
 
@@ -266,35 +285,50 @@ LOO_METHODS = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+TIE_CYCLES = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), min_size=1, max_size=40)
+
+
+def tie_table(cycles):
+    """Heavy ties (d4 = 36 + 5k s, the controller's extension quantisation; d1 = 5j s)."""
+    return sc.CycleTable(tuple(
+        sc.CycleRecord(i, i * 120000, 120.0, d4=36.0 + 5 * k, d1=5.0 * j,
+                       d2=84.0 - 5 * (k + j), d8=36.0 + 5 * k, d5=5.0 * j,
+                       d6=84.0 - 5 * (k + j))
+        for i, (k, j) in enumerate(cycles)
+    ))
+
+
+@settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), min_size=1, max_size=40),
+    TIE_CYCLES,
     LOO_METHODS,
     st.sampled_from(["d4", "d4+d1", "joint"]),
     st.sampled_from([1.0, 0.1]),
+    st.booleans(),
+    st.none() | TIE_CYCLES,
 )
-@example([(0, 1)], sc.Expectation(), "d4", 1.0)
-@example([(0, 0), (2, 1)], sc.Confidence(0.8), "joint", 0.1)
-@example([(1, 0), (1, 2)], sc.AsymmetricLoss(3, 1), "d4+d1", 1.0)
-def test_leave_one_out_matches_refit(cycles, method, quantity, grid_step):
-    """Heavy ties (36 + 5k s, the controller's extension quantisation)."""
-    d4 = [36.0 + 5 * k for k, _ in cycles]
-    d1 = [5.0 * j for _, j in cycles]
-    table = sc.CycleTable(tuple(
-        sc.CycleRecord(i, i * 120000, 120.0, d4=a, d1=b, d2=120.0 - a - b,
-                       d8=a, d5=b, d6=120.0 - a - b)
-        for i, (a, b) in enumerate(zip(d4, d1))
-    ))
+@example([(0, 1)], sc.Expectation(), "d4", 1.0, True, None)
+@example([(0, 0), (2, 1)], sc.Confidence(0.8), "joint", 0.1, True, None)
+@example([(1, 0), (1, 2)], sc.AsymmetricLoss(3, 1), "d4+d1", 1.0, True, None)
+@example([(0, 0)], sc.Expectation(), "d4", 1.0, False, [(2, 1)])
+@example([(0, 3), (1, 0)], sc.Confidence(0.8), "joint", 0.1, False, [(3, 0), (0, 4)])
+def test_leave_one_out_matches_refit(cycles, method, quantity, grid_step, leave_one_out, other):
+    """Leave-one-out curves equal the refit oracle; other curves equal one
+    ``predict`` per grid point, on the training table or on ``other``
+    (where an exhausted history holds at t + DEFAULT_HOLD_S)."""
+    train = tie_table(cycles)
+    table = train if leave_one_out or other is None else tie_table(other)
     if quantity == "joint":
-        fitted = sc.fit_joint(table, "d4", "d1")
-        key, target = np.array(d4), np.add(d4, d1)
+        fitted = sc.fit_joint(train, "d4", "d1")
+        key, target = table.column("d4"), table.column("d4+d1")
     else:
-        fitted = sc.fit(table, quantity)
+        fitted = sc.fit(train, quantity)
         key = target = table.column(quantity)
-    points = refit_loo_errors(method, fitted, key, target, grid_step)
+    oracle = refit_loo_errors if leave_one_out else point_prediction_errors
+    points = oracle(method, fitted, key, target, grid_step)
     for loss, metric in ((np.abs, "mae"), (np.square, "mse")):
         curve = error_curve(method, fitted, table, loss, metric,
-                            grid_step=grid_step, leave_one_out=True)
+                            grid_step=grid_step, leave_one_out=leave_one_out)
         np.testing.assert_array_equal(curve.ts, [t for t, _ in points])
         np.testing.assert_array_equal(curve.counts, [e.size for _, e in points])
         np.testing.assert_allclose(curve.values, [loss(e).mean() for _, e in points],

@@ -33,13 +33,6 @@ class TestExpectation:
         with pytest.raises(sc.EmptyCondition):
             sc.predict_expectation(dist_of([30]), 30)
 
-    def test_hold_fallback(self):
-        p = sc.predict_expectation(dist_of([30]), 35, hold_interval=1.0)
-        assert p.degraded
-        assert p.predicted_duration == 36.0
-        assert p.residual == 1.0
-        assert p.n_conditioning_samples == 0
-
 
 class TestConfidence:
     def test_point_mass(self):
