@@ -14,6 +14,7 @@ from .cycles import (
     RING_SEQUENCE,
     CycleRecord,
     CycleTable,
+    EventLog,
     PhaseEvent,
     day_number,
     ingest_events,

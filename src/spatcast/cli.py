@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import datetime as dt
 import json
+import math
 import sys
 
 from . import evaluate as ev
@@ -55,9 +56,18 @@ def _alpha_arg(text: str) -> float:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    if not 0 < value < math.inf:  # nan fails too
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text}"
+        )
     return value
+
+
+def _speed_arg(text: str) -> "float | None":
+    """Replay speed: None is as fast as possible, else a wall-clock multiplier."""
+    if text == "max":
+        return None
+    return 1.0 if text == "realtime" else _positive_float(text)
 
 
 def _positive_int(text: str) -> int:
@@ -229,14 +239,9 @@ def _cmd_emit(args) -> int:
     table = _load_table(args)
     train = _load_table(args, args.train_input) if args.train_input else table
     dists = fit_message_dists(train)
-    speed = None
-    if args.speed == "realtime":
-        speed = 1.0
-    elif args.speed not in (None, "max"):
-        speed = _positive_float(args.speed)
     with text_sink(args.output or sys.stdout) as out:
         stream(table, dists, out, cadence_ms=args.cadence_ms,
-               alpha=args.alpha, site_id=args.site or None, speed=speed)
+               alpha=args.alpha, site_id=args.site or None, speed=args.speed)
     return 0
 
 
@@ -246,7 +251,7 @@ def _cmd_emit(args) -> int:
 _SCHEMA_HELP = """\
 file schemas:
   phase-event CSV   timestamp_ms,ring,phase,kind   (ring 1|2; phase p4,p1,p2,
-                    p8,p5,p6; kind start|end; integer ms timestamps)
+                    p8,p5,p6; kind start|end; int64 ms timestamps)
   cycle-record CSV  cycle_index,cycle_start_ms,L_s,d4_s,d1_s,d2_s,d8_s,d5_s,d6_s
                     (durations in seconds, 0.01 s resolution; header mandatory)
   simulator config  flat 'key = value' lines; schedule/rate values are
@@ -346,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="separate training CSV (default: in-sample)")
     p.add_argument("--cadence-ms", type=_cadence_arg, default=100)
     p.add_argument("--alpha", type=_alpha_arg, default=0.8)
-    p.add_argument("--speed", default="max",
-                   help="max, realtime, or a positive multiplier")
+    p.add_argument("--speed", type=_speed_arg, default="max",
+                   help="max, realtime, or a finite positive multiplier")
     add_common_slicing(p)
     p.add_argument("-o", "--output", default=None, help="file (default stdout)")
     p.set_defaults(func=_cmd_emit)

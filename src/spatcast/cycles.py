@@ -23,7 +23,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +50,7 @@ DURATION_NAMES: tuple[str, ...] = ("d4", "d1", "d2", "d8", "d5", "d6")
 
 MS_PER_DAY = 86_400_000
 DEFAULT_TOLERANCE_S = 0.05  # covers the 10 ms log clock skew with margin
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 _EVENT_HEADER = ["timestamp_ms", "ring", "phase", "kind"]
 _CYCLE_HEADER = [
@@ -209,53 +210,59 @@ class CycleTable:
 # ---------------------------------------------------------------------------
 # Ingestion
 
+# An event's step is its position 0-5 in its ring's start/end pattern: the
+# opening phase's start and end, then the second phase's, then the third's.
+# Reader and log share one small code per event, ring * 8 + step.
+_KINDS = ("start", "end")
+_EVENT_CODE: dict[tuple[int, str, str], int] = {
+    (ring, phase, kind): ring * 8 + 2 * j + end
+    for ring, seq in RING_SEQUENCE.items()
+    for j, phase in enumerate(seq)
+    for end, kind in enumerate(_KINDS)
+}
+_RAW_EVENT_CODE: dict[tuple[str, str, str], int] = {
+    (str(ring), phase, kind): code for (ring, phase, kind), code in _EVENT_CODE.items()
+}
 
-def _ring_spans(
-    events: Sequence[PhaseEvent], ring: int, tol_ms: int
-) -> list[tuple[str, int, int]]:
-    """Turn one ring's events into (phase, start_ms, end_ms) green spans.
 
-    Leading events before the ring's first cycle-opening start are dropped
-    (they belong to a cycle whose beginning we never saw); a dangling
-    trailing start is dropped as incomplete.  Everything in between must
-    follow the ring pattern exactly, with consecutive spans contiguous in
-    time: phase k+1 starts where phase k ended, and the next cycle's
-    opening phase starts where the previous cycle closed.
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """A phase-event log held as columns, in log order.
+
+    ``timestamp_ms`` is int64, ``ring`` and ``step`` are int8; ``step`` is
+    the event's position 0-5 in its ring's pattern (p4 start, p4 end, p1
+    start, ... on ring 1).  Build one with ``read_event_csv`` or
+    ``from_events``, which validate each event.
     """
-    seq = RING_SEQUENCE[ring]
-    start_at = next(
-        (i for i, ev in enumerate(events) if ev.phase == seq[0] and ev.kind == "start"),
-        None,
-    )
-    if start_at is None:
-        raise RingSequenceViolation(f"ring {ring}: no {seq[0]} start in stream")
 
-    spans: list[tuple[str, int, int]] = []
-    pos = 0
-    span_start = 0
-    for ev in events[start_at:]:
-        expected_phase = seq[(pos // 2) % 3]
-        expect_end = pos % 2 == 1
-        if ev.phase != expected_phase or (ev.kind == "end") != expect_end:
-            raise RingSequenceViolation(
-                f"ring {ring}: got {ev.phase} {ev.kind} at {ev.timestamp_ms} ms, "
-                f"expected {expected_phase} {'end' if expect_end else 'start'}"
-            )
-        if expect_end:
-            spans.append((expected_phase, span_start, ev.timestamp_ms))
-        else:
-            if spans and abs(ev.timestamp_ms - spans[-1][2]) > tol_ms:
-                raise RingSequenceViolation(
-                    f"ring {ring}: {ev.phase} starts at {ev.timestamp_ms} ms but "
-                    f"{spans[-1][0]} ended at {spans[-1][2]} ms (stream not contiguous)"
-                )
-            span_start = ev.timestamp_ms
-        pos += 1
-    return spans
+    timestamp_ms: np.ndarray
+    ring: np.ndarray
+    step: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamp_ms)
+
+    def __iter__(self) -> Iterator[PhaseEvent]:
+        columns = (self.timestamp_ms.tolist(), self.ring.tolist(), self.step.tolist())
+        for ts, ring, step in zip(*columns):
+            yield PhaseEvent(ts, ring, RING_SEQUENCE[ring][step // 2], _KINDS[step % 2])
+
+    @classmethod
+    def from_events(cls, events: Iterable[PhaseEvent]) -> "EventLog":
+        events = list(events)
+        return cls._from_codes(
+            [ev.timestamp_ms for ev in events],
+            [_EVENT_CODE[ev.ring, ev.phase, ev.kind] for ev in events],
+        )
+
+    @classmethod
+    def _from_codes(cls, times: list[int], codes: list[int]) -> "EventLog":
+        code = np.array(codes, dtype=np.int8)
+        return cls(np.array(times, dtype=np.int64), code >> 3, code & 7)
 
 
 def ingest_events(
-    stream: Iterable[PhaseEvent],
+    stream: "EventLog | Iterable[PhaseEvent]",
     tolerance: float = DEFAULT_TOLERANCE_S,
     site_id: str = "",
 ) -> CycleTable:
@@ -269,56 +276,98 @@ def ingest_events(
     Raises OutOfOrderEvent on a timestamp regression, RingSequenceViolation
     when the phase order breaks a ring pattern (or the stream has a time
     gap), and BarrierViolation when the barrier identities fail beyond
-    ``tolerance`` seconds.
+    ``tolerance`` seconds.  Each names the first failing event or cycle.
     """
-    events = list(stream)
-    prev_ts = None
-    for ev in events:
-        if prev_ts is not None and ev.timestamp_ms < prev_ts:
-            raise OutOfOrderEvent(
-                f"timestamp {ev.timestamp_ms} ms after {prev_ts} ms"
-            )
-        prev_ts = ev.timestamp_ms
+    log = stream if isinstance(stream, EventLog) else EventLog.from_events(stream)
+    ts = log.timestamp_ms
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if back.size:
+        i = back[0] + 1
+        raise OutOfOrderEvent(f"timestamp {ts[i]} ms after {ts[i - 1]} ms")
 
     tol_ms = int(round(tolerance * 1000))
-    spans = {
-        ring: _ring_spans([ev for ev in events if ev.ring == ring], ring, tol_ms)
-        for ring in (1, 2)
-    }
-    cycles = {ring: _chunk3(spans[ring]) for ring in (1, 2)}
+    # Every time difference taken below is at most the log's span; past
+    # int64, Python integers keep the differences exact.
+    if len(ts) and int(ts[-1]) - int(ts[0]) > _INT64_MAX:
+        ts = ts.astype(object)
+    r1, r2 = (
+        _ring_cycles(ts[log.ring == ring], log.step[log.ring == ring], ring, tol_ms)
+        for ring in RING_SEQUENCE
+    )
 
-    r1, r2 = cycles[1], cycles[2]
     # Drop unpaired leading cycles until both rings open together.
-    while r1 and r2 and abs(r1[0][0][1] - r2[0][0][1]) > tol_ms:
-        if r1[0][0][1] < r2[0][0][1]:
-            r1.pop(0)
+    a, b = r1[:, 0].tolist(), r2[:, 0].tolist()
+    i = j = 0
+    while i < len(a) and j < len(b) and abs(a[i] - b[j]) > tol_ms:
+        if a[i] < b[j]:
+            i += 1
         else:
-            r2.pop(0)
+            j += 1
+    n = min(len(a) - i, len(b) - j)
+    r1, r2 = r1[i:i + n], r2[j:j + n]
 
-    records = []
-    for idx in range(min(len(r1), len(r2))):
-        c1, c2 = r1[idx], r2[idx]
-        if abs(c1[0][1] - c2[0][1]) > tol_ms:
-            raise BarrierViolation(
-                f"cycle {idx}: rings open {abs(c1[0][1] - c2[0][1])} ms apart"
-            )
-        cycle_start = c1[0][1]
-        length = (c1[2][2] - cycle_start) / 1000.0
-        durs = {
-            DURATION_KEY[phase]: (end - start) / 1000.0
-            for phase, start, end in (*c1, *c2)
-        }
-        rec = CycleRecord(
-            cycle_index=idx, cycle_start_ms=cycle_start, length_s=length, **durs
+    apart = np.abs(r1[:, 0] - r2[:, 0])
+    length = np.asarray((r1[:, 5] - r1[:, 0]) / 1000.0, dtype=float)
+    ends_minus_starts = np.hstack([r1[:, 1::2] - r1[:, ::2], r2[:, 1::2] - r2[:, ::2]])
+    durs = np.asarray(ends_minus_starts / 1000.0, dtype=float)
+    d4, d1, d2, d8, d5, d6 = durs.T
+    # Same operations, in the same order, as CycleRecord.barrier_residuals.
+    residuals = (
+        abs(d4 + d1 + d2 - length), abs(d8 + d5 + d6 - length),
+        abs((d1 + d2) - (d5 + d6)), abs(d4 - d8),
+    )
+    suspect = (apart > tol_ms) | (length <= 0)  # CycleRecord rejects L = 0
+    for r in residuals:
+        suspect |= r > tolerance
+
+    columns = r1[:, 0].tolist(), length.tolist(), durs.tolist()
+    if suspect.any():  # raise for the first failing cycle, as checked one by one
+        idx = int(suspect.argmax())
+        if apart[idx] > tol_ms:
+            raise BarrierViolation(f"cycle {idx}: rings open {apart[idx]} ms apart")
+        start, cycle_len, d = (col[idx] for col in columns)
+        CycleRecord(idx, start, cycle_len, *d).validate(tolerance)
+    records = tuple(
+        CycleRecord(idx, start, cycle_len, *d)
+        for idx, (start, cycle_len, d) in enumerate(zip(*columns))
+    )
+    return CycleTable(records, site_id=site_id)
+
+
+def _ring_cycles(t: np.ndarray, step: np.ndarray, ring: int, tol_ms: int) -> np.ndarray:
+    """One ring's complete cycles, one row of its six transition times each.
+
+    Leading events before the ring's first cycle-opening start are dropped
+    (they belong to a cycle whose beginning we never saw); a trailing
+    incomplete cycle is dropped too.  Everything in between must follow the
+    ring pattern exactly, with consecutive spans contiguous in time: phase
+    k+1 starts where phase k ended, and the next cycle's opening phase
+    starts where the previous cycle closed.  A violation raises
+    RingSequenceViolation for the first offending event.
+    """
+    seq = RING_SEQUENCE[ring]
+    opens = np.flatnonzero(step == 0)
+    if not opens.size:
+        raise RingSequenceViolation(f"ring {ring}: no {seq[0]} start in stream")
+    t, step = t[opens[0]:], step[opens[0]:]
+    n = len(t)
+    wrong = np.flatnonzero(step != np.arange(n) % 6)
+    gaps = np.flatnonzero(t[2::2] - t[1:-1:2] > tol_ms)  # start vs. the end before it
+    bad = wrong[0] if wrong.size else n
+    gap = 2 * gaps[0] + 2 if gaps.size else n
+    if bad < n and bad <= gap:
+        got, want = step[bad], bad % 6
+        raise RingSequenceViolation(
+            f"ring {ring}: got {seq[got // 2]} {_KINDS[got % 2]} at {t[bad]} ms, "
+            f"expected {seq[want // 2]} {_KINDS[want % 2]}"
         )
-        rec.validate(tolerance)
-        records.append(rec)
-    return CycleTable(tuple(records), site_id=site_id)
-
-
-def _chunk3(spans: list[tuple[str, int, int]]) -> list[tuple]:
-    """Group a ring's spans into complete 3-phase cycles, dropping the tail."""
-    return [tuple(spans[i:i + 3]) for i in range(0, len(spans) - len(spans) % 3, 3)]
+    if gap < n:
+        raise RingSequenceViolation(
+            f"ring {ring}: {seq[gap // 2 % 3]} starts at {t[gap]} ms but "
+            f"{seq[(gap - 1) // 2 % 3]} ended at {t[gap - 1]} ms (stream not contiguous)"
+        )
+    k = n // 6
+    return t[:6 * k].reshape(k, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +432,30 @@ def write_event_csv(events: Iterable[PhaseEvent], target) -> None:
             w.writerow([ev.timestamp_ms, ev.ring, ev.phase, ev.kind])
 
 
-def read_event_csv(source) -> list[PhaseEvent]:
+def read_event_csv(source) -> EventLog:
+    """Read a phase-event CSV; a bad row raises MalformedRow with its line."""
+    times: list[int] = []
+    codes: list[int] = []
     with text_source(source) as f:
         rows = csv.reader(f)
         header = next(rows, None)
         if header != _EVENT_HEADER:
             raise ValueError(f"expected header {_EVENT_HEADER}, got {header}")
         try:
-            return [
-                PhaseEvent(int(ts), int(ring), phase, kind)
-                for ts, ring, phase, kind in rows
-            ]
-        except ValueError as exc:
+            for ts, ring, phase, kind in rows:
+                t = int(ts)
+                # Only a string of 19 or more characters can leave int64.
+                if len(ts) > 18 and not _INT64_MIN <= t <= _INT64_MAX:
+                    raise ValueError(f"timestamp {ts} ms does not fit in int64")
+                times.append(t)
+                code = _RAW_EVENT_CODE.get((ring, phase, kind))
+                if code is None:  # another spelling, or an invalid event
+                    ev = PhaseEvent(t, int(ring), phase, kind)
+                    code = _EVENT_CODE[ev.ring, ev.phase, ev.kind]
+                codes.append(code)
+        except (ValueError, csv.Error) as exc:
             raise MalformedRow(rows.line_num, str(exc)) from exc
+    return EventLog._from_codes(times, codes)
 
 
 def write_cycle_csv(table: CycleTable, target) -> None:

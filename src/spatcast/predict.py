@@ -19,6 +19,7 @@ with one copy of each sample ``x`` left out, for all ``x`` at once; it needs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -114,8 +115,10 @@ class AsymmetricLoss:
     c2: float
 
     def __post_init__(self) -> None:
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise NonpositiveWeight("c1 and c2 must be > 0")
+        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):  # nan fails too
+            raise NonpositiveWeight(
+                f"c1 and c2 must be > 0 and finite, got c1={self.c1}, c2={self.c2}"
+            )
 
     @property
     def ratio(self) -> float:

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spatcast as sc
-from spatcast.cli import main
+from spatcast.cli import build_parser, main
 
 
 @pytest.fixture
@@ -224,6 +230,8 @@ class TestEvaluate:
         ("confidence:1.5", "alpha must be in (0, 1)"),
         ("asymmetric:3", "predictor must look like 'asymmetric:c1:c2', got 'asymmetric:3'"),
         ("asymmetric:0:1", "c1 and c2 must be > 0"),
+        ("asymmetric:nan:1", "c1 and c2 must be > 0 and finite, got c1=nan, c2=1.0"),
+        ("asymmetric:1:inf", "c1 and c2 must be > 0 and finite, got c1=1.0, c2=inf"),
     ])
     def test_bad_predictor_is_data_error(self, tmp_path, capsys, cycles_csv, spec, reason):
         rc = main(["evaluate", "--input", str(cycles_csv), "--compare", spec,
@@ -253,3 +261,102 @@ class TestEmit:
             main(["emit", "--input", str(cycles_csv), "--cadence-ms", "5",
                   "-o", str(tmp_path / "x.ndjson")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf", "fast"])
+    def test_bad_speed_is_usage_error(self, capsys, speed):
+        with pytest.raises(SystemExit) as exc:
+            main(["emit", "--input", "cycles.csv", "--speed", speed])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --speed" in err
+
+    @pytest.mark.parametrize("speed, value", [
+        ("max", None), ("realtime", 1.0), ("2.5", 2.5),
+    ])
+    def test_speed_values(self, speed, value):
+        args = build_parser().parse_args(["emit", "--input", "c.csv", "--speed", speed])
+        assert args.speed == value
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--events", "e.csv", "-o", "c.csv", "--tolerance", "inf"],
+    ["ingest", "--events", "e.csv", "-o", "c.csv", "--tolerance", "nan"],
+    ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
+     "--step", "inf"],
+    ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
+     "--step", "nan"],
+    ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
+     "--bin-width", "inf"],
+    ["predict", "--input", "c.csv", "--t", "10", "--c1", "nan"],
+    ["predict", "--input", "c.csv", "--t", "10", "--c2", "inf"],
+    ["fit", "--input", "c.csv", "-o", "d.csv", "--cycle-length", "nan"],
+])
+def test_non_finite_float_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: spatcast")
+    assert f"argument {argv[-2]}: expected a finite positive number, got {argv[-1]}" in err
+
+
+def _valid_event_lines():
+    table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(3), 3)
+    buf = io.StringIO()
+    sc.write_event_csv(sc.emit_events(table), buf)
+    return buf.getvalue().splitlines()
+
+
+_EVENT_LINES = _valid_event_lines()
+_FIELD_TEXT = st.one_of(
+    st.sampled_from(["", "1", "2", "01", " 2", "3", "-1", "p4", "p9", "start", "END",
+                     "1e3", "1_000", str(2**63), "9" * 25]),
+    st.text(alphabet="0123456789-_ .,\"pxe", max_size=8),
+)
+
+
+@st.composite
+def _mutated_event_csv(draw):
+    """A valid event CSV with one to three lines dropped, doubled, swapped,
+    edited or blanked, or with a huge-timestamp line inserted."""
+    lines = list(_EVENT_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "edit", "blank", "huge"]))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif op == "edit":
+            fields = lines[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_FIELD_TEXT)
+            lines[i] = ",".join(fields)
+        elif op == "blank":
+            lines[i] = ""
+        elif op == "huge":
+            ts = draw(st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 10**30]))
+            lines.insert(i, f"{ts},{draw(st.sampled_from(['1', '2']))},p4,start")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_event_csv())
+def test_ingest_survives_mutated_event_csv(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        events, cycles = Path(tmp) / "events.csv", Path(tmp) / "cycles.csv"
+        events.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["ingest", "--events", str(events), "-o", str(cycles)])
+        assert rc in (0, 1)
+        assert out.getvalue() == ""
+        if rc == 1:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+            sc.read_cycle_csv(cycles)

@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
@@ -178,13 +178,23 @@ class TestCsv:
         buf = io.StringIO()
         sc.write_event_csv(events, buf)
         back = sc.read_event_csv(io.StringIO(buf.getvalue()))
-        assert back == events
+        assert len(back) == len(events)
+        assert list(back) == events
+
+    def test_event_csv_accepts_other_integer_spellings(self, build_table):
+        events = sc.emit_events(build_table([(36, 5, 5)]))
+        buf = io.StringIO()
+        sc.write_event_csv(events, buf)
+        text = buf.getvalue().replace(",1,p4,", ",01,p4,").replace(",2,p8,", ", 2,p8,")
+        assert list(sc.read_event_csv(io.StringIO(text))) == events
 
     @pytest.mark.parametrize("row, reason", [
         ("120000,1,p4", "not enough values to unpack"),
         ("", "not enough values to unpack"),
         ("x,1,p4,start", "invalid literal"),
         ("120000,1,p8,start", "phase 'p8' is not on ring 1"),
+        (f"{2**63},1,p4,start", f"timestamp {2**63} ms does not fit in int64"),
+        (f"{-2**63 - 1},1,p4,start", f"timestamp {-2**63 - 1} ms does not fit in int64"),
     ])
     def test_event_csv_bad_row_names_its_line(self, build_table, row, reason):
         buf = io.StringIO()
@@ -240,3 +250,179 @@ def test_stratify_returns_subset_and_is_idempotent(lengths):
         sub = sc.stratify(table, target)
         assert set(sub.records) <= set(table.records)
         assert sc.stratify(sub, target).records == sub.records
+
+
+# ---------------------------------------------------------------------------
+# ingest_events against the per-event loop it replaced
+
+
+def _reference_ring_spans(events, ring, tol_ms):
+    """One ring's events as (phase, start_ms, end_ms) green spans, event by event."""
+    seq = sc.RING_SEQUENCE[ring]
+    start_at = next(
+        (i for i, ev in enumerate(events) if ev.phase == seq[0] and ev.kind == "start"),
+        None,
+    )
+    if start_at is None:
+        raise sc.RingSequenceViolation(f"ring {ring}: no {seq[0]} start in stream")
+
+    spans = []
+    pos = 0
+    span_start = 0
+    for ev in events[start_at:]:
+        expected_phase = seq[(pos // 2) % 3]
+        expect_end = pos % 2 == 1
+        if ev.phase != expected_phase or (ev.kind == "end") != expect_end:
+            raise sc.RingSequenceViolation(
+                f"ring {ring}: got {ev.phase} {ev.kind} at {ev.timestamp_ms} ms, "
+                f"expected {expected_phase} {'end' if expect_end else 'start'}"
+            )
+        if expect_end:
+            spans.append((expected_phase, span_start, ev.timestamp_ms))
+        else:
+            if spans and abs(ev.timestamp_ms - spans[-1][2]) > tol_ms:
+                raise sc.RingSequenceViolation(
+                    f"ring {ring}: {ev.phase} starts at {ev.timestamp_ms} ms but "
+                    f"{spans[-1][0]} ended at {spans[-1][2]} ms (stream not contiguous)"
+                )
+            span_start = ev.timestamp_ms
+        pos += 1
+    return spans
+
+
+def _reference_ingest(stream, tolerance=sc.DEFAULT_TOLERANCE_S, site_id=""):
+    """The per-event ingest loop, kept as the oracle for ingest_events."""
+    events = list(stream)
+    prev_ts = None
+    for ev in events:
+        if prev_ts is not None and ev.timestamp_ms < prev_ts:
+            raise sc.OutOfOrderEvent(f"timestamp {ev.timestamp_ms} ms after {prev_ts} ms")
+        prev_ts = ev.timestamp_ms
+
+    tol_ms = int(round(tolerance * 1000))
+    r1, r2 = (
+        [tuple(spans[i:i + 3]) for i in range(0, len(spans) - len(spans) % 3, 3)]
+        for spans in (
+            _reference_ring_spans([ev for ev in events if ev.ring == ring], ring, tol_ms)
+            for ring in (1, 2)
+        )
+    )
+    # Drop unpaired leading cycles until both rings open together.
+    while r1 and r2 and abs(r1[0][0][1] - r2[0][0][1]) > tol_ms:
+        if r1[0][0][1] < r2[0][0][1]:
+            r1.pop(0)
+        else:
+            r2.pop(0)
+
+    records = []
+    for idx in range(min(len(r1), len(r2))):
+        c1, c2 = r1[idx], r2[idx]
+        if abs(c1[0][1] - c2[0][1]) > tol_ms:
+            raise sc.BarrierViolation(
+                f"cycle {idx}: rings open {abs(c1[0][1] - c2[0][1])} ms apart"
+            )
+        cycle_start = c1[0][1]
+        length = (c1[2][2] - cycle_start) / 1000.0
+        durs = {
+            sc.DURATION_KEY[phase]: (end - start) / 1000.0
+            for phase, start, end in (*c1, *c2)
+        }
+        rec = sc.CycleRecord(
+            cycle_index=idx, cycle_start_ms=cycle_start, length_s=length, **durs
+        )
+        rec.validate(tolerance)
+        records.append(rec)
+    return sc.CycleTable(tuple(records), site_id=site_id)
+
+
+# Green durations in ms: coarse values make zero-length phases and cycles,
+# ties and exact barrier matches common; jitter breaks them by a little.
+_coarse_ms = st.sampled_from([0, 1000, 5000, 36_000])
+_jitter_ms = st.sampled_from([0, 0, 0, 1, 7, 50, 2000])
+
+
+@st.composite
+def _event_streams(draw):
+    """Sorted event streams from random cycles, trimmed and maybe corrupted.
+
+    Ring 2 mirrors ring 1 except in at most one cycle, where it moves the
+    p4/p8 barrier (ring 2 keeps its length), drifts (it does not) or opens
+    late or early.
+    """
+    n = draw(st.integers(1, 6))
+    faulty = draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from(["none"] * 3 + ["lead", "drift", "offset"]))
+    size = draw(st.sampled_from([1, 7, 50, 2000])) * draw(st.sampled_from([1, -1]))
+    start = draw(st.sampled_from([0, 3 * 86_400_000, -5_000]))
+    events = []
+    for c in range(n):
+        ring1 = [draw(_coarse_ms) + draw(_jitter_ms) for _ in range(3)]
+        ring2, offset = list(ring1), 0
+        if c == faulty and fault == "lead":
+            ring2 = [ring1[0] + size, ring1[1], ring1[2] - size]
+        elif c == faulty and fault == "drift":
+            ring2 = [ring1[0], ring1[1], ring1[2] + size]
+        elif c == faulty and fault == "offset":
+            offset = size
+        if min(ring2) < 0:
+            ring2 = ring1
+        for ring, durs, t in ((1, ring1, start), (2, ring2, start + offset)):
+            for phase, d in zip(sc.RING_SEQUENCE[ring], durs):
+                events.append(sc.PhaseEvent(t, ring, phase, "start"))
+                events.append(sc.PhaseEvent(t + d, ring, phase, "end"))
+                t += d
+        start += sum(ring1)
+    events.sort(key=lambda ev: ev.timestamp_ms)  # stable: per-ring order kept
+
+    trims = st.sampled_from([0, 0, 0, 1, 2, 5, 7, 13])
+    head, tail = draw(trims), draw(trims)
+    events = events[head:max(head, len(events) - tail)]
+    corruption = draw(st.sampled_from(
+        ["none"] * 4 + ["drop", "duplicate", "swap", "shift", "extreme"]
+    ))
+    if events and corruption != "none":
+        i = draw(st.integers(0, len(events) - 1))
+        ev = events[i]
+        if corruption == "drop":
+            del events[i]
+        elif corruption == "duplicate":
+            events.insert(i, ev)
+        elif corruption == "swap" and i + 1 < len(events):
+            events[i], events[i + 1] = events[i + 1], ev
+        elif corruption == "shift":
+            delta = draw(st.sampled_from([-1000, -30, -1, 1, 30, 1000]))
+            events[i] = sc.PhaseEvent(ev.timestamp_ms + delta, ev.ring, ev.phase, ev.kind)
+        elif corruption == "extreme":
+            ts = draw(st.sampled_from([-(2**63), 2**63 - 1]))
+            events[i] = sc.PhaseEvent(ts, ev.ring, ev.phase, ev.kind)
+    return events
+
+
+def _outcome(ingest, events, tolerance):
+    try:
+        return ingest(events, tolerance, "s")
+    except (sc.SpatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_event_streams(), st.sampled_from([-0.5, 0.0, 0.001, 0.05, 0.05, 0.5, 3.0]))
+@example(_cycle_events(0, (36, 0, 84), (36, 0, 84)), 0.05)
+@example(  # a zero-length cycle, then a barrier violation
+    sorted(_cycle_events(0, (0, 0, 0), (0, 0, 0)) + _cycle_events(0, (36, 0, 84), (37, 0, 83)),
+           key=lambda ev: ev.timestamp_ms),
+    0.05,
+)
+@example(_cycle_events(0, (36, 0, 84), (37, 0, 83)), 0.05)  # barrier violation
+@example(  # p4 at the int64 minimum: the gap to p1 start exceeds int64
+    [sc.PhaseEvent(-(2**63), 1, "p4", kind) for kind in ("start", "end")]
+    + [ev for ev in _cycle_events(0, (36, 0, 84), (36, 0, 84)) if ev.phase != "p4"],
+    0.05,
+)
+def test_ingest_matches_per_event_loop(events, tolerance):
+    want = _outcome(_reference_ingest, events, tolerance)
+    assert _outcome(sc.ingest_events, events, tolerance) == want
+    buf = io.StringIO()
+    sc.write_event_csv(events, buf)
+    log = sc.read_event_csv(io.StringIO(buf.getvalue()))
+    assert _outcome(sc.ingest_events, log, tolerance) == want

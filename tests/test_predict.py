@@ -88,6 +88,15 @@ class TestAsymmetric:
         with pytest.raises(sc.NonpositiveWeight):
             sc.predict_asymmetric(dist_of([10]), 0, 1, -2)
 
+    @pytest.mark.parametrize("c1, c2, named", [
+        (float("nan"), 1.0, "c1=nan, c2=1.0"),
+        (1.0, float("inf"), "c1=1.0, c2=inf"),
+        (float("-inf"), float("nan"), "c1=-inf, c2=nan"),
+    ])
+    def test_non_finite_weights_rejected(self, c1, c2, named):
+        with pytest.raises(sc.NonpositiveWeight, match=f"must be > 0 and finite, got {named}$"):
+            sc.AsymmetricLoss(c1, c2)
+
 
 class TestSumPredictors:
     SUMS = [36.0, 41.0, 41.0, 51.0]
