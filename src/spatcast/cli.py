@@ -253,7 +253,8 @@ file schemas:
   phase-event CSV   timestamp_ms,ring,phase,kind   (ring 1|2; phase p4,p1,p2,
                     p8,p5,p6; kind start|end; int64 ms timestamps)
   cycle-record CSV  cycle_index,cycle_start_ms,L_s,d4_s,d1_s,d2_s,d8_s,d5_s,d6_s
-                    (durations in seconds, 0.01 s resolution; header mandatory)
+                    (int64 index and ms start; durations in seconds, 0.01 s
+                    resolution; header mandatory)
   simulator config  flat 'key = value' lines; schedule/rate values are
                     comma-separated START-END@VALUE hour segments tiling 0-24
   message stream    NDJSON, one message per ring's active phase per tick:

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -158,26 +159,83 @@ class CycleRecord:
             )
 
 
-@dataclass(frozen=True)
-class CycleTable:
-    """Ordered, immutable collection of cycle records from one site.
+# CycleRecord's fields in order, one column each in a CycleTable.
+_FIELDS: tuple[str, ...] = ("cycle_index", "cycle_start_ms", "length_s", *DURATION_NAMES)
+_INT_FIELDS = _FIELDS[:2]
 
+
+class CycleTable:
+    """Ordered, immutable collection of one site's cycles, held as columns.
+
+    ``cycle_index`` and ``cycle_start_ms`` are int64 arrays; ``length_s`` and
+    the six durations ``d4`` ... ``d6`` are float64 arrays; all are
+    read-only, one entry per cycle.  ``records``, iteration and indexing
+    give ``CycleRecord`` views, built on first use and then kept.
+
+    Build a table from records, or with ``from_columns``; both check every
+    cycle as ``CycleRecord`` does, and that starts strictly increase.
     Tables straight out of ingestion or simulation are contiguous in time
     (each cycle starts where the previous one ended); slices produced by
     ``stratify`` or ``window`` keep order but not contiguity.
     """
 
-    records: tuple[CycleRecord, ...]
-    site_id: str = ""
-    provenance: str | None = None
+    __slots__ = (*_FIELDS, "site_id", "provenance", "_records")
 
-    def __post_init__(self) -> None:
-        starts = [r.cycle_start_ms for r in self.records]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+    def __init__(
+        self,
+        records: Iterable[CycleRecord] = (),
+        site_id: str = "",
+        provenance: str | None = None,
+    ) -> None:
+        records = tuple(records)
+        columns = [[getattr(r, name) for r in records] for name in _FIELDS]
+        self._set(columns, site_id, provenance, records)
+
+    @classmethod
+    def from_columns(
+        cls, *columns, site_id: str = "", provenance: str | None = None
+    ) -> "CycleTable":
+        """A table from nine columns in CycleRecord field order, copied."""
+        if len(columns) != len(_FIELDS):
+            raise TypeError(f"expected {len(_FIELDS)} columns, got {len(columns)}")
+        table = cls.__new__(cls)
+        table._set(columns, site_id, provenance, None)
+        return table
+
+    def _set(self, columns, site_id, provenance, records) -> None:
+        arrays = [
+            _int64_array(values, name) if name in _INT_FIELDS else np.array(values, dtype=float)
+            for name, values in zip(_FIELDS, columns)
+        ]
+        if any(arr.shape != arrays[0].shape or arr.ndim != 1 for arr in arrays):
+            raise ValueError("columns must be one-dimensional and of equal length")
+        bad = _invalid(arrays[2], arrays[3:])
+        if bad.any():
+            _record_at(arrays, int(bad.argmax()))  # raises CycleRecord's error
+        starts = arrays[1]
+        if (starts[1:] <= starts[:-1]).any():
             raise ValueError("cycle_start_ms must be strictly increasing")
+        for arr in arrays:
+            arr.setflags(write=False)
+        attrs = (*zip(_FIELDS, arrays), ("site_id", site_id), ("provenance", provenance),
+                 ("_records", records))
+        for name, value in attrs:
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"CycleTable is immutable; cannot set {name!r}")
+
+    @property
+    def records(self) -> tuple[CycleRecord, ...]:
+        """One CycleRecord view per cycle, built on first use and then kept."""
+        if self._records is None:
+            columns = [self.cycle_index.tolist(), self.cycle_start_ms.tolist()]
+            columns += [_per_distinct(getattr(self, name)) for name in _FIELDS[2:]]
+            object.__setattr__(self, "_records", tuple(map(CycleRecord, *columns)))
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.cycle_index)
 
     def __iter__(self) -> Iterator[CycleRecord]:
         return iter(self.records)
@@ -185,26 +243,80 @@ class CycleTable:
     def __getitem__(self, i: int) -> CycleRecord:
         return self.records[i]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycleTable):
+            return NotImplemented
+        return (self.site_id, self.provenance) == (other.site_id, other.provenance) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"CycleTable(<{len(self)} cycles>, site_id={self.site_id!r}, "
+                f"provenance={self.provenance!r})")
+
     def column(self, quantity: str) -> np.ndarray:
         """Per-cycle values of a duration, or of a per-cycle sum like 'd4+d1'."""
         parts = [p.strip() for p in quantity.split("+")]
         for p in parts:
             if p not in DURATION_NAMES:
                 raise ValueError(f"unknown quantity {quantity!r}")
-        out = np.zeros(len(self.records), dtype=float)
+        out = np.zeros(len(self), dtype=float)
         for p in parts:
-            out += np.array([getattr(r, p) for r in self.records], dtype=float)
+            out += getattr(self, p)
         return out
 
     def cycle_lengths(self) -> np.ndarray:
-        return np.array([r.length_s for r in self.records], dtype=float)
+        return self.length_s.copy()
 
     def day_indices(self) -> np.ndarray:
-        return np.array([r.day_index for r in self.records], dtype=np.int64)
+        return self.cycle_start_ms // MS_PER_DAY
 
     def validate(self, tolerance: float = DEFAULT_TOLERANCE_S) -> None:
-        for rec in self.records:
-            rec.validate(tolerance)
+        """Raise BarrierViolation for the first cycle breaking an identity."""
+        durations = [getattr(self, d) for d in DURATION_NAMES]
+        over = np.zeros(len(self), dtype=bool)
+        for r in _barrier_residuals(self.length_s, *durations):
+            over |= r > tolerance
+        if over.any():
+            columns = [getattr(self, name) for name in _FIELDS]
+            _record_at(columns, int(over.argmax())).validate(tolerance)
+
+    def _select(self, keep: np.ndarray, tag: str) -> "CycleTable":
+        prov = tag if self.provenance is None else f"{self.provenance},{tag}"
+        return CycleTable.from_columns(
+            *(getattr(self, name)[keep] for name in _FIELDS),
+            site_id=self.site_id, provenance=prov,
+        )
+
+
+def _record_at(columns, i: int) -> CycleRecord:
+    return CycleRecord(*(col[i].item() for col in columns))
+
+
+def _int64_array(values, name: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        bad = next(v for v in values if not _INT64_MIN <= v <= _INT64_MAX)
+        raise ValueError(f"{name} {bad} does not fit in int64") from None
+
+
+def _invalid(length: np.ndarray, durations) -> np.ndarray:
+    """Per cycle, whether CycleRecord rejects it; nan fails as it does there."""
+    ok = (length > 0) & (length < np.inf)
+    for d in durations:
+        ok &= (d >= 0) & (d < np.inf)
+    return ~ok
+
+
+def _barrier_residuals(length, d4, d1, d2, d8, d5, d6) -> tuple[np.ndarray, ...]:
+    """Per-cycle residuals in ``CycleRecord.barrier_residuals``' operations and order."""
+    return (
+        abs(d4 + d1 + d2 - length), abs(d8 + d5 + d6 - length),
+        abs((d1 + d2) - (d5 + d6)), abs(d4 - d8),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +421,19 @@ def ingest_events(
     apart = np.abs(r1[:, 0] - r2[:, 0])
     length = np.asarray((r1[:, 5] - r1[:, 0]) / 1000.0, dtype=float)
     ends_minus_starts = np.hstack([r1[:, 1::2] - r1[:, ::2], r2[:, 1::2] - r2[:, ::2]])
-    durs = np.asarray(ends_minus_starts / 1000.0, dtype=float)
-    d4, d1, d2, d8, d5, d6 = durs.T
-    # Same operations, in the same order, as CycleRecord.barrier_residuals.
-    residuals = (
-        abs(d4 + d1 + d2 - length), abs(d8 + d5 + d6 - length),
-        abs((d1 + d2) - (d5 + d6)), abs(d4 - d8),
-    )
-    suspect = (apart > tol_ms) | (length <= 0)  # CycleRecord rejects L = 0
-    for r in residuals:
+    durs = np.asarray(ends_minus_starts / 1000.0, dtype=float).T
+    suspect = (apart > tol_ms) | _invalid(length, durs)  # CycleRecord rejects L = 0
+    for r in _barrier_residuals(length, *durs):
         suspect |= r > tolerance
-
-    columns = r1[:, 0].tolist(), length.tolist(), durs.tolist()
     if suspect.any():  # raise for the first failing cycle, as checked one by one
         idx = int(suspect.argmax())
         if apart[idx] > tol_ms:
             raise BarrierViolation(f"cycle {idx}: rings open {apart[idx]} ms apart")
-        start, cycle_len, d = (col[idx] for col in columns)
-        CycleRecord(idx, start, cycle_len, *d).validate(tolerance)
-    records = tuple(
-        CycleRecord(idx, start, cycle_len, *d)
-        for idx, (start, cycle_len, d) in enumerate(zip(*columns))
+        rec = CycleRecord(idx, int(r1[idx, 0]), length[idx].item(), *durs[:, idx].tolist())
+        rec.validate(tolerance)
+    return CycleTable.from_columns(
+        np.arange(len(length)), r1[:, 0], length, *durs, site_id=site_id
     )
-    return CycleTable(records, site_id=site_id)
 
 
 def _ring_cycles(t: np.ndarray, step: np.ndarray, ring: int, tol_ms: int) -> np.ndarray:
@@ -383,12 +485,12 @@ def stratify(table: CycleTable, cycle_length: float) -> CycleTable:
     if cycle_length <= 0:
         raise ValueError("cycle_length must be positive")
     key = round(cycle_length, 1)
-    recs = tuple(r for r in table.records if round(r.length_s, 1) == key)
-    if not recs:
+    # Python's round, not np.round: they disagree (100.35 -> 100.3 vs 100.4).
+    lengths, inverse = np.unique(table.length_s, return_inverse=True)
+    keep = np.array([round(x, 1) == key for x in lengths.tolist()], dtype=bool)[inverse]
+    if not keep.any():
         raise EmptyStratum(f"no cycles with L = {key} s")
-    tag = f"L={key:g}"
-    prov = tag if table.provenance is None else f"{table.provenance},{tag}"
-    return replace(table, records=recs, provenance=prov)
+    return table._select(keep, f"L={key:g}")
 
 
 def day_number(day: "dt.date | int") -> int:
@@ -412,12 +514,11 @@ def window(table: CycleTable, target_day: "dt.date | int", delta_days: int) -> C
         raise ValueError("delta_days must be >= 1")
     target = day_number(target_day)
     lo, hi = target - delta_days, target - 1
-    recs = tuple(r for r in table.records if lo <= r.day_index <= hi)
-    if not recs:
+    days = table.day_indices()
+    keep = (lo <= days) & (days <= hi)
+    if not keep.any():
         raise EmptyStratum(f"no cycles in days [{lo}, {hi}]")
-    tag = f"days[{lo},{hi}]"
-    prov = tag if table.provenance is None else f"{table.provenance},{tag}"
-    return replace(table, records=recs, provenance=prov)
+    return table._select(keep, f"days[{lo},{hi}]")
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +539,7 @@ def read_event_csv(source) -> EventLog:
     codes: list[int] = []
     with text_source(source) as f:
         rows = csv.reader(f)
-        header = next(rows, None)
+        header = _read_header(rows)
         if header != _EVENT_HEADER:
             raise ValueError(f"expected header {_EVENT_HEADER}, got {header}")
         try:
@@ -458,34 +559,125 @@ def read_event_csv(source) -> EventLog:
     return EventLog._from_codes(times, codes)
 
 
+def _read_header(rows) -> "list[str] | None":
+    try:
+        return next(rows, None)
+    except csv.Error as exc:
+        raise MalformedRow(rows.line_num, str(exc)) from exc
+
+
 def write_cycle_csv(table: CycleTable, target) -> None:
+    columns = [table.cycle_index.tolist(), table.cycle_start_ms.tolist()]
+    columns += [_per_distinct(getattr(table, name), "{:.2f}".format) for name in _FIELDS[2:]]
     with text_sink(target) as f:
         w = csv.writer(f)
         w.writerow(_CYCLE_HEADER)
-        for r in table:
-            w.writerow([
-                r.cycle_index, r.cycle_start_ms, f"{r.length_s:.2f}",
-                f"{r.d4:.2f}", f"{r.d1:.2f}", f"{r.d2:.2f}",
-                f"{r.d8:.2f}", f"{r.d5:.2f}", f"{r.d6:.2f}",
-            ])
+        w.writerows(zip(*columns))
+
+
+def _per_distinct(values: np.ndarray, fn=None) -> list:
+    """``[fn(x) for x in values.tolist()]`` for a float64 column, calling
+    ``fn`` once per distinct value; ``fn`` of None gives the values.
+
+    Equal values share one result object, which keeps record views and
+    formatted columns small.  Values are told apart by their bits, so -0.0
+    keeps its sign.
+    """
+    keys = values.view(np.int64).tolist()
+    distinct = list(dict.fromkeys(keys))
+    found = np.array(distinct, dtype=np.int64).view(float).tolist()
+    if fn is not None:
+        found = [fn(x) for x in found]
+    return list(map(dict(zip(distinct, found)).__getitem__, keys))
+
+
+_CHUNK_ROWS = 256
 
 
 def read_cycle_csv(source, site_id: str = "") -> CycleTable:
+    """Read a cycle-record CSV into a table.
+
+    Fields are parsed with ``int()`` and ``float()``.  The first bad row
+    raises MalformedRow with its file line: a wrong field count, a field
+    that does not parse, an integer outside int64, or values CycleRecord
+    rejects.  Barrier identities are not checked.
+    """
+    chunks = []
     with text_source(source) as f:
-        rows = csv.reader(f)
-        header = next(rows, None)
+        reader = csv.reader(f)
+        header = _read_header(reader)
         if header != _CYCLE_HEADER:
             raise ValueError(f"expected header {_CYCLE_HEADER}, got {header}")
-        records = tuple(_parse_cycle_row(row, rows.line_num) for row in rows)
-    return CycleTable(records, site_id=site_id)
+        # Rows are parsed a chunk at a time, so their strings never all
+        # stay in memory at once.
+        while True:
+            rows: list[list[str]] = []
+            lines: list[int] = []
+            fault = None  # a row that fails to parse, as (row index, error)
+            try:
+                for row in itertools.islice(reader, _CHUNK_ROWS):
+                    rows.append(row)
+                    lines.append(reader.line_num)
+            except csv.Error as exc:
+                fault = len(rows), exc
+                lines.append(reader.line_num)
+            chunks.append(_parse_cycle_rows(rows, lines, fault))
+            if len(rows) < _CHUNK_ROWS:
+                break
+    columns = (np.concatenate(parts) for parts in zip(*chunks))
+    return CycleTable.from_columns(*columns, site_id=site_id)
 
 
-def _parse_cycle_row(row: list[str], line: int) -> CycleRecord:
-    if len(row) != len(_CYCLE_HEADER):
-        raise MalformedRow(
-            line, f"expected {len(_CYCLE_HEADER)} fields, got {len(row)}"
-        )
+def _parse_cycle_rows(rows, lines, fault) -> list[np.ndarray]:
+    """Columns of the rows, or MalformedRow for the first bad one.
+
+    ``lines`` holds each row's file line, and one more for ``fault``, a row
+    that failed to read.
+    """
+    n = len(rows)
+    width = len(_CYCLE_HEADER)
+    if set(map(len, rows)) - {width}:
+        n = next(i for i, row in enumerate(rows) if len(row) != width)
+        fault = n, ValueError(f"expected {width} fields, got {len(rows[n])}")
+    # Parse column by column; a column's failure wins unless an earlier
+    # column already failed at the same or an earlier row.
+    columns = []
+    for name, texts in zip(_FIELDS, zip(*rows[:n]) if n else [()] * width):
+        values, bad, exc = _parse_column(texts[:n], int if name in _INT_FIELDS else float)
+        if name in _INT_FIELDS and values and (
+            min(values) < _INT64_MIN or max(values) > _INT64_MAX
+        ):
+            bad = next(i for i, v in enumerate(values) if not _INT64_MIN <= v <= _INT64_MAX)
+            exc = ValueError(f"{name} {values[bad]} does not fit in int64")
+        if bad < n:
+            n, fault = bad, (bad, exc)
+        columns.append(values)
+    columns = [np.array(values[:n], dtype=np.int64 if name in _INT_FIELDS else float)
+               for name, values in zip(_FIELDS, columns)]
+
+    bad = _invalid(columns[2], columns[3:])
+    if bad.any():  # a parsed row CycleRecord rejects comes before any later fault
+        i = int(bad.argmax())
+        try:
+            _record_at(columns, i)
+        except ValueError as exc:
+            raise MalformedRow(lines[i], str(exc)) from exc
+    if fault is not None:
+        i, exc = fault
+        raise MalformedRow(lines[i], str(exc)) from exc
+    return columns
+
+
+def _parse_column(texts, parse) -> tuple[list, int, "ValueError | None"]:
+    """``parse`` of each text: the values before the first failure, its index
+    (len(texts) if none) and its error."""
     try:
-        return CycleRecord(int(row[0]), int(row[1]), *map(float, row[2:]))
-    except ValueError as exc:
-        raise MalformedRow(line, str(exc)) from exc
+        return list(map(parse, texts)), len(texts), None
+    except ValueError:
+        values = []
+        for text in texts:
+            try:
+                values.append(parse(text))
+            except ValueError as exc:
+                return values, len(values), exc
+        raise

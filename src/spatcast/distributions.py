@@ -192,7 +192,8 @@ class JointSamples:
 def _single_stratum(table: CycleTable) -> float:
     if len(table) == 0:
         raise EmptyInput("cannot fit on an empty table")
-    strata = {round(r.length_s, 1) for r in table}
+    # Python's round, as in stratify; np.round disagrees (100.35 -> 100.4).
+    strata = {round(x, 1) for x in set(table.length_s.tolist())}
     if len(strata) > 1:
         raise MixedStrata(
             f"table mixes cycle lengths {sorted(strata)}; stratify first"

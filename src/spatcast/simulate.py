@@ -10,6 +10,7 @@ satisfies the barrier identities exactly and is a pure function of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,6 @@ from .cycles import (
     DURATION_KEY,
     MS_PER_DAY,
     RING_SEQUENCE,
-    CycleRecord,
     CycleTable,
     PhaseEvent,
 )
@@ -68,9 +68,15 @@ class TimingPlan:
 
     def __post_init__(self) -> None:
         _check_segments(self.schedule, "schedule")
+        # A nan or inf here would leave simulate's d5 resample loop spinning.
+        for name in ("min_green_p4", "extension", "max_d4", "max_d1"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.extension <= 0:
             raise ValueError("extension must be positive")
         for _, _, length in self.schedule:
+            if not math.isfinite(length):
+                raise ValueError(f"schedule: cycle length must be finite, got {length}")
             if length <= 0:
                 raise ValueError("cycle length must be positive")
             if self.min_green_p4 + self.max_d1 >= length:
@@ -94,9 +100,12 @@ class DemandProfile:
     def __post_init__(self) -> None:
         _check_segments(self.side_street_rate, "side_street_rate")
         _check_segments(self.left_turn_rate, "left_turn_rate")
-        for segs in (self.side_street_rate, self.left_turn_rate):
-            if any(v < 0 for _, _, v in segs):
-                raise ValueError("rates must be >= 0")
+        for name in ("side_street_rate", "left_turn_rate"):
+            for _, _, rate in getattr(self, name):
+                if not math.isfinite(rate):
+                    raise ValueError(f"{name}: rates must be finite, got {rate}")
+                if rate < 0:
+                    raise ValueError("rates must be >= 0")
 
     def side_rate_at(self, hour: float) -> float:
         return _segment_value(self.side_street_rate, hour)
@@ -154,7 +163,7 @@ def simulate(
             )
 
     rng = np.random.default_rng(demand.rng_seed)
-    records = []
+    starts, lengths, durations = [], [], []
     t_ms = start_ms
     for i in range(n_cycles):
         hour = (t_ms % MS_PER_DAY) / _MS_PER_HOUR
@@ -168,12 +177,13 @@ def simulate(
             d6 = d1 + d2 - d5
             if d6 > 0:
                 break
-        records.append(CycleRecord(
-            cycle_index=i, cycle_start_ms=t_ms, length_s=length,
-            d4=d4, d1=d1, d2=d2, d8=d4, d5=d5, d6=d6,
-        ))
+        starts.append(t_ms)
+        lengths.append(length)
+        durations.append((d4, d1, d2, d4, d5, d6))
         t_ms += int(round(length * 1000))
-    return CycleTable(tuple(records), site_id=site_id)
+    return CycleTable.from_columns(
+        range(n_cycles), starts, lengths, *zip(*durations), site_id=site_id
+    )
 
 
 def emit_events(table: CycleTable) -> list[PhaseEvent]:
@@ -234,6 +244,7 @@ def parse_config(text: str) -> SimulationConfig:
     starting with '#' and blank lines are ignored.
     """
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -242,6 +253,7 @@ def parse_config(text: str) -> SimulationConfig:
         if not sep:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         values[key.strip()] = value.strip()
+        lines[key.strip()] = lineno
 
     known = {
         "min_green_p4", "extension", "max_d4", "max_d1", "schedule",
@@ -251,23 +263,28 @@ def parse_config(text: str) -> SimulationConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
+    def parse(key, convert):
+        try:
+            return convert(values[key])
+        except ValueError as exc:
+            raise ValueError(f"line {lines[key]}: {key}: {exc}") from exc
+
     plan_kwargs = {}
     if "schedule" in values:
-        plan_kwargs["schedule"] = _parse_segments(values["schedule"])
+        plan_kwargs["schedule"] = parse("schedule", _parse_segments)
     for key in ("min_green_p4", "extension", "max_d4", "max_d1"):
         if key in values:
-            plan_kwargs[key] = float(values[key])
+            plan_kwargs[key] = parse(key, float)
     demand_kwargs = {}
-    if "side_street_rate" in values:
-        demand_kwargs["side_street_rate"] = _parse_segments(values["side_street_rate"])
-    if "left_turn_rate" in values:
-        demand_kwargs["left_turn_rate"] = _parse_segments(values["left_turn_rate"])
+    for key in ("side_street_rate", "left_turn_rate"):
+        if key in values:
+            demand_kwargs[key] = parse(key, _parse_segments)
     if "seed" in values:
-        demand_kwargs["rng_seed"] = int(values["seed"])
+        demand_kwargs["rng_seed"] = parse("seed", int)
     return SimulationConfig(
         plan=TimingPlan(**plan_kwargs),
         demand=DemandProfile(**demand_kwargs),
-        start_ms=int(values.get("start_ms", "0")),
+        start_ms=parse("start_ms", int) if "start_ms" in values else 0,
     )
 
 

@@ -36,6 +36,20 @@ class TestSimulate:
         table = sc.read_cycle_csv(out)
         assert set(table.cycle_lengths().tolist()) == {110.0}
 
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 9\nschedule = 0-24@nan\n", "schedule: cycle length must be finite, got nan"),
+        ("seed = 1e3\n", "line 1: seed: invalid literal for int() with base 10: '1e3'"),
+    ])
+    def test_bad_config_exits_1(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text)
+        rc = main(["simulate", "--cycles", "20", "--config", str(cfg),
+                   "-o", str(tmp_path / "c.csv")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestIngest:
     def test_events_round_trip_through_csvs(self, tmp_path, cycles_csv):
@@ -62,6 +76,15 @@ class TestIngest:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: line 5: not enough values to unpack (expected 4, got 3)\n"
+
+    def test_oversized_header_field_exits_1(self, tmp_path, capsys):
+        events_csv = tmp_path / "events.csv"
+        events_csv.write_text('"' + "t" * 200_000 + "\n1,1,p4,start\n")
+        rc = main(["ingest", "--events", str(events_csv), "-o", str(tmp_path / "out.csv")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 1: field larger than field limit (131072)\n"
 
 
 class TestFit:
@@ -182,6 +205,16 @@ class TestBadCycleCsv:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: line 3: {reason}\n"
+
+    def test_oversized_field_exits_1(self, tmp_path, capsys, cycles_csv):
+        lines = cycles_csv.read_text().splitlines()
+        lines[3] = '"' + "1" * 200_000
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--input", str(bad), "-o", str(tmp_path / "d.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: line 4: field larger than field limit (131072)\n"
 
 
 class TestEvaluate:

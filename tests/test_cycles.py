@@ -1,5 +1,7 @@
+import csv
 import datetime as dt
 import io
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
+import spatcast.cycles
 
 
 def _cycle_events(start_ms, ring1, ring2):
@@ -102,6 +105,23 @@ class TestStratify:
         twice = sc.stratify(once, 120)
         assert twice.records == once.records
 
+    def test_stratum_key_is_pythons_round(self, build_table):
+        # round(100.35, 1) is 100.3 and round(100.45, 1) is 100.5, where
+        # np.round gives 100.4 for both.
+        table = build_table([{"d4": 36, "d1": 0, "L": 100.35},
+                             {"d4": 41, "d1": 5, "L": 100.45}])
+        low, high = sc.stratify(table, 100.35), sc.stratify(table, 100.45)
+        assert [r.length_s for r in low] == [100.35]
+        assert [r.length_s for r in high] == [100.45]
+        assert (low.provenance, high.provenance) == ("L=100.3", "L=100.5")
+        with pytest.raises(sc.EmptyStratum, match="no cycles with L = 100.4 s"):
+            sc.stratify(table, 100.4)
+        with pytest.raises(sc.MixedStrata,
+                           match=r"^table mixes cycle lengths \[100.3, 100.5\]; stratify first$"):
+            sc.fit(table, "d4")
+        assert sc.fit(low, "d4").stratum == 100.3
+        assert sc.fit(high, "d4").stratum == 100.5
+
 
 def _one_cycle_per_day(first_day=1, last_day=30):
     """One 120 s cycle at the start of each day in [first_day, last_day]."""
@@ -141,6 +161,15 @@ class TestWindow:
         with pytest.raises(sc.EmptyStratum):
             sc.window(_one_cycle_per_day(), 1, 14)
 
+    @pytest.mark.parametrize("target, delta", [(10**30, 14), (30, 10**30), (-(10**30), 1)])
+    def test_days_beyond_int64_select_nothing_or_all(self, target, delta):
+        table = _one_cycle_per_day()
+        if delta > 14:
+            assert len(sc.window(table, target, delta)) == 29
+        else:
+            with pytest.raises(sc.EmptyStratum):
+                sc.window(table, target, delta)
+
     def test_date_objects_accepted(self):
         target = dt.date(1970, 1, 31)  # day index 30
         win = sc.window(_one_cycle_per_day(), target, 14)
@@ -165,6 +194,10 @@ class TestCsv:
         ("1,120000,inf,36.00,5.00,79.00,36.00,5.00,79.00", "length_s must be finite"),
         ("1,120000,120.00,36.00,nan,79.00,36.00,5.00,79.00", "d1 must be finite"),
         ("1,120000,120.00,36.00,x,79.00,36.00,5.00,79.00", "could not convert"),
+        (f"{2**63},120000,120.00,36.00,5.00,79.00,36.00,5.00,79.00",
+         f"cycle_index {2**63} does not fit in int64"),
+        (f"1,{-2**63 - 1},120.00,36.00,5.00,79.00,36.00,5.00,79.00",
+         f"cycle_start_ms {-2**63 - 1} does not fit in int64"),
     ])
     def test_cycle_csv_bad_row_names_its_line(self, build_table, row, reason):
         buf = io.StringIO()
@@ -426,3 +459,226 @@ def test_ingest_matches_per_event_loop(events, tolerance):
     sc.write_event_csv(events, buf)
     log = sc.read_event_csv(io.StringIO(buf.getvalue()))
     assert _outcome(sc.ingest_events, log, tolerance) == want
+
+
+# ---------------------------------------------------------------------------
+# read_cycle_csv and the table operations against the per-record paths they
+# replaced
+
+_CYCLE_HEADER = ["cycle_index", "cycle_start_ms", "L_s",
+                 "d4_s", "d1_s", "d2_s", "d8_s", "d5_s", "d6_s"]
+
+
+def _reference_parse_cycle_row(row, line):
+    if len(row) != len(_CYCLE_HEADER):
+        raise sc.MalformedRow(line, f"expected {len(_CYCLE_HEADER)} fields, got {len(row)}")
+    try:
+        ints = []
+        for name, text in zip(("cycle_index", "cycle_start_ms"), row):
+            value = int(text)
+            if not -(2**63) <= value < 2**63:
+                raise ValueError(f"{name} {value} does not fit in int64")
+            ints.append(value)
+        return sc.CycleRecord(*ints, *map(float, row[2:]))
+    except ValueError as exc:
+        raise sc.MalformedRow(line, str(exc)) from exc
+
+
+def _reference_read_cycle_csv(source, site_id=""):
+    """The per-row cycle CSV reader, kept as the oracle for read_cycle_csv."""
+    rows = csv.reader(source)
+    try:
+        header = next(rows, None)
+        if header != _CYCLE_HEADER:
+            raise ValueError(f"expected header {_CYCLE_HEADER}, got {header}")
+        records = [_reference_parse_cycle_row(row, rows.line_num) for row in rows]
+    except csv.Error as exc:
+        raise sc.MalformedRow(rows.line_num, str(exc)) from exc
+    starts = [r.cycle_start_ms for r in records]
+    if any(b <= a for a, b in zip(starts, starts[1:])):
+        raise ValueError("cycle_start_ms must be strictly increasing")
+    return sc.CycleTable(tuple(records), site_id=site_id)
+
+
+_DAY_MS = 86_400_000
+_DURATIONS = ("d4", "d1", "d2", "d8", "d5", "d6")
+
+
+@st.composite
+def _cycle_columns(draw):
+    """Columns of a valid table, in CycleRecord field order.
+
+    Starts increase by steps from 1 ms to days; lengths come from a few
+    plans, including 100.35 and 100.45 s, where Python's round and np.round
+    disagree; durations lie on the 0.01 s grid or are -0.0; barrier
+    identities are not kept.
+    """
+    n = draw(st.integers(0, 8))
+    start = draw(st.sampled_from([0, 5 * _DAY_MS, -_DAY_MS - 7]))
+    starts = []
+    for _ in range(n):
+        starts.append(start)
+        start += draw(st.sampled_from([1, 120_000, _DAY_MS, 3 * _DAY_MS + 1]))
+    if draw(st.booleans()):
+        index = list(range(n))
+    else:
+        index = [draw(st.integers(-(2**63), 2**63 - 1)) for _ in range(n)]
+    lengths = [draw(st.sampled_from([100.0, 100.35, 100.45, 120.0, 120.04])) for _ in range(n)]
+    centi = st.integers(0, 9000).map(lambda c: c / 100) | st.just(-0.0)
+    durations = [[draw(centi) for _ in range(n)] for _ in range(6)]
+    return [index, starts, lengths, *durations]
+
+
+_BAD_VALUES = [
+    "nan", "inf", "-inf", "1e999", "-1", "-0.01", "0", str(2**63), str(-(2**63) - 1),
+]
+_ODD_SPELLINGS = [
+    "-0.0", "x", "", '"36.0"', "1e2", " 36.0", "+5", "1_0", "0x10", "١٢", '"1\n"',
+    '"3', str(2**63 - 1), str(-(2**63)),
+]
+
+
+@st.composite
+def _cycle_csv_texts(draw):
+    """A cycle CSV from write_cycle_csv with up to three corruptions: rows
+    dropped, duplicated or swapped; short, long or blank rows; a field
+    replaced by an invalid value, another spelling or random text."""
+    buf = io.StringIO()
+    sc.write_cycle_csv(sc.CycleTable.from_columns(*draw(_cycle_columns())), buf)
+    lines = buf.getvalue().split("\r\n")[:-1]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        i = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))  # the header alone
+        op = draw(st.sampled_from(
+            ["drop", "duplicate", "swap", "short", "long", "blank"] + ["field"] * 4
+        ))
+        fields = lines[i].split(",")
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif op == "short":
+            lines[i] = ",".join(fields[:-1])
+        elif op == "long":
+            lines[i] += ",0"
+        elif op == "blank":
+            lines.insert(i, "")
+        elif op == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.one_of(
+                st.sampled_from(_BAD_VALUES),
+                st.sampled_from(_ODD_SPELLINGS),
+                st.text(alphabet="0123456789-+._ eExn\"", max_size=6),
+            ))
+            lines[i] = ",".join(fields)
+    sep = draw(st.sampled_from(["\r\n", "\n"]))
+    return sep.join(lines) + draw(st.sampled_from([sep, ""]))
+
+
+def _read_outcome(read, text):
+    try:
+        return read(io.StringIO(text, newline=""), site_id="s")
+    except (sc.SpatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_VALID_ROW = "0,0,120.00,36.00,0.00,84.00,36.00,0.00,84.00"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cycle_csv_texts())
+@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + '\n"' + "1" * 200_000 + "\n")
+@example(",".join(_CYCLE_HEADER) + '\n1,0,nan,0,0,0,0,0,0\n"' + "1" * 200_000 + "\n")
+@example('"' + "h" * 200_000 + "\n" + _VALID_ROW + "\n")
+@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + "\n" + _VALID_ROW + "\n")
+def test_read_cycle_csv_matches_per_row_reader(text):
+    want = _read_outcome(_reference_read_cycle_csv, text)
+    assert _read_outcome(sc.read_cycle_csv, text) == want
+    # The reader parses rows a chunk at a time; small chunks put a
+    # boundary next to every row.
+    for chunk_rows in (1, 2, 3):
+        with patch.object(spatcast.cycles, "_CHUNK_ROWS", chunk_rows):
+            assert _read_outcome(sc.read_cycle_csv, text) == want
+
+
+def _reference_write_cycle_csv(records):
+    """The per-record cycle CSV writer, kept as the oracle for write_cycle_csv."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(_CYCLE_HEADER)
+    for r in records:
+        w.writerow([r.cycle_index, r.cycle_start_ms,
+                    *(f"{getattr(r, name):.2f}" for name in ("length_s", *_DURATIONS))])
+    return buf.getvalue()
+
+
+def _reference_column(records, quantity):
+    out = np.zeros(len(records), dtype=float)
+    for p in quantity.split("+"):
+        out += np.array([getattr(r, p) for r in records], dtype=float)
+    return out
+
+
+def _sliced(table, slicer, *args):
+    try:
+        sub = slicer(table, *args)
+    except sc.EmptyStratum as exc:
+        return str(exc)
+    return sub.records, sub.site_id, sub.provenance
+
+
+def _fitted(table, quantity):
+    try:
+        dist = sc.fit(table, quantity)
+    except (sc.EmptyInput, sc.MixedStrata) as exc:
+        return type(exc), str(exc)
+    return dist.values.tolist(), dist.stratum, dist.provenance
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cycle_columns(), st.integers(-2, 8), st.integers(1, 4))
+def test_table_operations_match_record_tuple(columns, target, delta):
+    table = sc.CycleTable.from_columns(*columns, site_id="s")
+    records = tuple(sc.CycleRecord(*row) for row in zip(*columns))
+    ref = sc.CycleTable(records, site_id="s")
+    assert table.records == records
+    assert [repr(r) for r in table] == [repr(r) for r in records]  # -0.0 keeps its sign
+    assert [table[i] for i in range(len(records))] == list(records)
+    assert table == ref
+    assert table != sc.CycleTable(records, site_id="t")
+    if records:
+        assert table != sc.CycleTable(records[:-1], site_id="s")
+
+    buf = io.StringIO()
+    sc.write_cycle_csv(table, buf)
+    assert buf.getvalue() == _reference_write_cycle_csv(records)
+
+    for quantity in (*_DURATIONS, "d4+d1", "d8+d5"):
+        got = table.column(quantity)
+        assert np.array_equal(got, _reference_column(records, quantity))
+        got[:] = -1.0  # a fresh, writable array
+    assert np.array_equal(table.column("d4"), _reference_column(records, "d4"))
+    assert table.cycle_lengths().tolist() == [r.length_s for r in records]
+    assert table.day_indices().tolist() == [r.day_index for r in records]
+
+    for cycle_length in {100.0, 100.35, 100.4, 100.45, 100.5, 120.0, 110.0}:
+        key = round(cycle_length, 1)
+        kept = tuple(r for r in records if round(r.length_s, 1) == key)
+        want = (kept, "s", f"L={key:g}") if kept else f"no cycles with L = {key} s"
+        assert _sliced(table, sc.stratify, cycle_length) == want
+
+    day = (records[0].day_index if records else 0) + target
+    lo, hi = day - delta, day - 1
+    kept = tuple(r for r in records if lo <= r.day_index <= hi)
+    want = (kept, "s", f"days[{lo},{hi}]") if kept else f"no cycles in days [{lo}, {hi}]"
+    assert _sliced(table, sc.window, day, delta) == want
+
+    strata = {round(r.length_s, 1) for r in records}
+    for quantity in ("d4", "d4+d1"):
+        if not records:
+            want = sc.EmptyInput, "cannot fit on an empty table"
+        elif len(strata) > 1:
+            want = sc.MixedStrata, f"table mixes cycle lengths {sorted(strata)}; stratify first"
+        else:
+            want = sorted(_reference_column(records, quantity).tolist()), min(strata), None
+        assert _fitted(table, quantity) == want

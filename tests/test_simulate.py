@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +71,11 @@ class TestSimulate:
         assert probs[0] == probs.max()  # atom at the minimum green
         assert dist.support_max() > 36.0  # with a decaying tail above it
 
+    def test_start_beyond_int64_rejected(self):
+        start = 2**63 - 100_000  # the second cycle starts past int64
+        with pytest.raises(ValueError, match=f"^cycle_start_ms {start + 120_000} does not fit in int64$"):
+            sc.simulate(sc.TimingPlan(), flat_demand(), 2, start_ms=start)
+
     def test_infeasible_caps_rejected(self):
         plan = sc.TimingPlan(max_d4=100.0, max_d1=25.0)
         with pytest.raises(sc.InfeasiblePlan):
@@ -87,6 +95,25 @@ class TestSimulate:
             sc.TimingPlan(extension=0.0)
         with pytest.raises(ValueError):
             sc.DemandProfile(side_street_rate=((0.0, 24.0, -1.0),))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"schedule": ((0.0, 24.0, math.nan),)}, "schedule: cycle length must be finite, got nan"),
+        ({"schedule": ((0.0, 12.0, 120.0), (12.0, 24.0, math.inf))},
+         "schedule: cycle length must be finite, got inf"),
+        ({"extension": math.nan}, "extension must be finite, got nan"),
+        ({"min_green_p4": math.inf}, "min_green_p4 must be finite, got inf"),
+        ({"max_d4": -math.inf}, "max_d4 must be finite, got -inf"),
+        ({"max_d1": math.nan}, "max_d1 must be finite, got nan"),
+    ])
+    def test_non_finite_plan_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.TimingPlan(**kwargs)
+
+    @pytest.mark.parametrize("name", ["side_street_rate", "left_turn_rate"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, name, rate):
+        with pytest.raises(ValueError, match=f"^{name}: rates must be finite, got {rate}$"):
+            sc.DemandProfile(**{name: ((0.0, 6.0, 0.5), (6.0, 24.0, rate))})
 
 
 class TestEmitEvents:
@@ -133,6 +160,29 @@ class TestConfig:
     def test_malformed_segment_rejected(self):
         with pytest.raises(ValueError):
             sc.parse_config("schedule = 0-24\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1e3\n", "line 1: seed: invalid literal for int() with base 10: '1e3'"),
+        ("# plan\n\nextension = five\n",
+         "line 3: extension: could not convert string to float: 'five'"),
+        ("max_d4 = 50\nschedule = 0-24@x\n",
+         "line 2: schedule: could not convert string to float: 'x'"),
+        ("start_ms = 1.5\n", "line 1: start_ms: invalid literal for int() with base 10: '1.5'"),
+    ])
+    def test_bad_number_names_key_and_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.parse_config(text)
+
+    @pytest.mark.parametrize("text, message", [
+        # Each of these once made simulate loop forever or blame d2.
+        ("schedule = 0-24@nan\n", "schedule: cycle length must be finite, got nan"),
+        ("schedule = 0-24@inf\n", "schedule: cycle length must be finite, got inf"),
+        ("extension = nan\n", "extension must be finite, got nan"),
+        ("left_turn_rate = 0-24@nan\n", "left_turn_rate: rates must be finite, got nan"),
+    ])
+    def test_non_finite_config_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.parse_config(text)
 
 
 @settings(max_examples=25, deadline=None)
