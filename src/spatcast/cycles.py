@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import itertools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -369,8 +371,8 @@ class EventLog:
 
     @classmethod
     def _from_codes(cls, times: list[int], codes: list[int]) -> "EventLog":
-        code = np.array(codes, dtype=np.int8)
-        return cls(np.array(times, dtype=np.int64), code >> 3, code & 7)
+        code = np.asarray(codes, dtype=np.int8)
+        return cls(np.asarray(times, dtype=np.int64), code >> 3, code & 7)
 
 
 def ingest_events(
@@ -533,30 +535,166 @@ def write_event_csv(events: Iterable[PhaseEvent], target) -> None:
             w.writerow([ev.timestamp_ms, ev.ring, ev.phase, ev.kind])
 
 
+# Rows as write_event_csv writes them are parsed a block of about this many
+# bytes at a time, cut at a line end; blocks keep numpy's temporaries small.
+_BLOCK_BYTES = 1 << 16
+_EVENT_HEADER_BYTES = ",".join(_EVENT_HEADER).encode()
+_MAX_DIGITS = 18  # every timestamp of up to 18 digits fits in int64
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+# The twelve `ring,phase,kind` tails the per-row loop looks up directly,
+# sorted, with their lengths and event codes.
+_TAILS = sorted(",".join(key).encode() for key in _RAW_EVENT_CODE)
+_TAIL_WIDTH = max(map(len, _TAILS))
+_TAIL_KEYS = np.array(_TAILS, dtype=f"S{_TAIL_WIDTH}")
+_TAIL_LENGTHS = np.array([len(tail) for tail in _TAILS])
+_TAIL_CODES = np.array(
+    [_RAW_EVENT_CODE[tuple(tail.decode().split(","))] for tail in _TAILS], dtype=np.int8
+)
+
+
 def read_event_csv(source) -> EventLog:
-    """Read a phase-event CSV; a bad row raises MalformedRow with its line."""
+    """Read a phase-event CSV; a bad row raises MalformedRow with its line.
+
+    ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
+    whole.  After the header, rows in write_event_csv's form -- a timestamp
+    of 1 to 18 ASCII digits, one of the twelve ``ring,phase,kind``
+    spellings, and a line end of ``\\n`` or ``\\r\\n`` -- are parsed in numpy
+    blocks.  The first row in any other form, and every row after it, goes
+    through a per-row loop, which parses fields with ``int()`` and
+    ``PhaseEvent`` and so accepts other spellings (``01``, `` 2``, quotes).
+    A header in any other form sends the whole file through that loop.  A
+    byte that is not UTF-8 raises MalformedRow for the line holding it.
+    """
+    # The parts are joined once the file's bytes are freed.
+    times, codes = _read_event_parts(source)
+    return EventLog._from_codes(np.concatenate(times), np.concatenate(codes))
+
+
+def _read_event_parts(source) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """read_event_csv's timestamps and event codes, in parts."""
+    if hasattr(source, "read"):
+        text = source.read()
+        # A lone surrogate stays in the text for the per-row loop to reject.
+        data = text.encode("utf-8", "surrogatepass")
+    else:
+        text, data = None, Path(source).read_bytes()
+    times: list[np.ndarray] = []
+    codes: list[np.ndarray] = []
+    pos = line = 0
+    for eol in (b"\n", b"\r\n"):
+        if data.startswith(_EVENT_HEADER_BYTES + eol):
+            pos, line = len(_EVENT_HEADER_BYTES) + len(eol), 1
+    while line and pos < len(data):
+        end = data.find(b"\n", pos + _BLOCK_BYTES - 1) + 1 or len(data)
+        t, c, size = _parse_canonical(np.frombuffer(data, np.uint8, end - pos, pos))
+        times.append(t)
+        codes.append(c)
+        pos, line = pos + size, line + len(t)
+        if pos < end:
+            break
+    if pos < len(data) or not line:
+        if text is None:
+            lines = _decoded_lines(data[pos:], line)
+        else:
+            # The rest splits into lines as the handle splits them: at every
+            # line end when it reads universal newlines, else at "\n".
+            newline = "\n" if getattr(source, "newlines", None) is None else ""
+            lines = io.StringIO(text[pos:], newline=newline)  # the prefix is ASCII
+        t, c = _read_rows(lines, line)
+        times.append(np.array(t, dtype=np.int64))
+        codes.append(np.array(c, dtype=np.int8))
+    return times or [np.zeros(0, np.int64)], codes or [np.zeros(0, np.int8)]
+
+
+def _parse_canonical(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Timestamps and event codes of the leading canonical rows of ``buf``,
+    a block of whole lines, and the bytes those rows take."""
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    per_line = np.bincount(np.searchsorted(ends, commas), minlength=len(ends) + 1)
+    k = _first(per_line[:len(ends)] != 3)
+    ends = ends[:k]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first = commas[:3 * k:3]
+    width = first - starts
+    k = _first((width < 1) | (width > _MAX_DIGITS))
+    if k == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int8), 0
+    ends, starts, first, width = ends[:k], starts[:k], first[:k], width[:k]
+
+    # The timestamp: digit times its power of ten, summed per row.
+    offsets = np.cumsum(width) - width
+    at = np.arange(offsets[-1] + width[-1]) + np.repeat(starts - offsets, width)
+    digit = buf[at] - np.uint8(ord("0"))  # wraps: a non-digit reads >= 10
+    digits_ok = np.logical_and.reduceat(digit < 10, offsets)
+    power = _POW10[np.repeat(first - 1, width) - at]
+    stamps = np.add.reduceat(digit * power, offsets)
+
+    # The tail after the first comma, up to the line end, is one of the keys.
+    tail_len = ends - (buf[ends - 1] == ord("\r")) - first - 1
+    at = np.minimum(first[:, None] + 1 + np.arange(_TAIL_WIDTH), len(buf) - 1)
+    tails = buf[at]
+    tails[np.arange(_TAIL_WIDTH) >= tail_len[:, None]] = 0
+    tails = tails.view(_TAIL_KEYS.dtype).ravel()
+    key = np.searchsorted(_TAIL_KEYS, tails).clip(max=len(_TAILS) - 1)
+    tail_ok = (_TAIL_KEYS[key] == tails) & (_TAIL_LENGTHS[key] == tail_len)
+
+    k = _first(~(digits_ok & tail_ok))
+    return stamps[:k], _TAIL_CODES[key[:k]], int(ends[k - 1]) + 1 if k else 0
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or its length if none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _decoded_lines(data: bytes, line: int) -> Iterator[str]:
+    """The lines of ``data`` as a file opened with newline="" gives them.
+
+    ``line`` is the file line before ``data``.  An undecodable byte raises
+    MalformedRow for its line once the lines before it are read.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        fault = exc
+    else:
+        yield from io.StringIO(text, newline="")
+        return
+    cut = max(data.rfind(b"\n", 0, fault.start), data.rfind(b"\r", 0, fault.start)) + 1
+    before = io.StringIO(data[:cut].decode("utf-8"), newline="").readlines()
+    yield from before
+    in_line = UnicodeDecodeError(
+        fault.encoding, data[cut:fault.end], fault.start - cut, fault.end - cut, fault.reason
+    )
+    raise MalformedRow(line + len(before) + 1, str(in_line)) from fault
+
+
+def _read_rows(lines: Iterable[str], line: int) -> tuple[list[int], list[int]]:
+    """Parse rows one at a time; ``line`` is the file line before ``lines``,
+    which start with the header when it is 0."""
     times: list[int] = []
     codes: list[int] = []
-    with text_source(source) as f:
-        rows = csv.reader(f)
+    rows = csv.reader(lines)
+    if not line:
         header = _read_header(rows)
         if header != _EVENT_HEADER:
             raise ValueError(f"expected header {_EVENT_HEADER}, got {header}")
-        try:
-            for ts, ring, phase, kind in rows:
-                t = int(ts)
-                # Only a string of 19 or more characters can leave int64.
-                if len(ts) > 18 and not _INT64_MIN <= t <= _INT64_MAX:
-                    raise ValueError(f"timestamp {ts} ms does not fit in int64")
-                times.append(t)
-                code = _RAW_EVENT_CODE.get((ring, phase, kind))
-                if code is None:  # another spelling, or an invalid event
-                    ev = PhaseEvent(t, int(ring), phase, kind)
-                    code = _EVENT_CODE[ev.ring, ev.phase, ev.kind]
-                codes.append(code)
-        except (ValueError, csv.Error) as exc:
-            raise MalformedRow(rows.line_num, str(exc)) from exc
-    return EventLog._from_codes(times, codes)
+    try:
+        for ts, ring, phase, kind in rows:
+            t = int(ts)
+            # Only a string of 19 or more characters can leave int64.
+            if len(ts) > 18 and not _INT64_MIN <= t <= _INT64_MAX:
+                raise ValueError(f"timestamp {ts} ms does not fit in int64")
+            times.append(t)
+            code = _RAW_EVENT_CODE.get((ring, phase, kind))
+            if code is None:  # another spelling, or an invalid event
+                ev = PhaseEvent(t, int(ring), phase, kind)
+                code = _EVENT_CODE[ev.ring, ev.phase, ev.kind]
+            codes.append(code)
+    except (ValueError, csv.Error) as exc:
+        raise MalformedRow(line + rows.line_num, str(exc)) from exc
+    return times, codes
 
 
 def _read_header(rows) -> "list[str] | None":

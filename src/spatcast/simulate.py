@@ -74,6 +74,14 @@ class TimingPlan:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.extension <= 0:
             raise ValueError("extension must be positive")
+        for name in ("min_green_p4", "max_d1"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.max_d4 < self.min_green_p4:
+            raise ValueError(
+                f"max_d4 must be >= min_green_p4, got max_d4 = {self.max_d4} "
+                f"< min_green_p4 = {self.min_green_p4}"
+            )
         for _, _, length in self.schedule:
             if not math.isfinite(length):
                 raise ValueError(f"schedule: cycle length must be finite, got {length}")

@@ -1,6 +1,8 @@
 import csv
 import datetime as dt
 import io
+import tempfile
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -10,6 +12,18 @@ from hypothesis import strategies as st
 
 import spatcast as sc
 import spatcast.cycles
+from spatcast.cycles import (
+    _EVENT_CODE,
+    _EVENT_HEADER,
+    _INT64_MAX,
+    _INT64_MIN,
+    _RAW_EVENT_CODE,
+    EventLog,
+    MalformedRow,
+    PhaseEvent,
+    _read_header,
+)
+from spatcast.ioutil import text_source
 
 
 def _cycle_events(start_ms, ring1, ring2):
@@ -235,6 +249,28 @@ class TestCsv:
         line = buf.getvalue().count("\n") + 1
         with pytest.raises(sc.MalformedRow, match=f"^line {line}: {reason}") as exc:
             sc.read_event_csv(io.StringIO(buf.getvalue() + row + "\n"))
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("line, col, bad, reason", [
+        # A byte the decoder rejects names its own line, not the line where
+        # the decoder's chunk happened to end.
+        (2857, 0, b"\xff", "byte 0xff in position 0: invalid start byte"),
+        (101, 5, b"\xff", "byte 0xff in position 5: invalid start byte"),
+        (1, 13, b"\xff", "byte 0xff in position 13: invalid start byte"),
+        (6001, 1, b"\xe2(", "byte 0xe2 in position 1: invalid continuation byte"),
+    ])
+    def test_event_csv_undecodable_byte_names_its_line(self, tmp_path, line, col, bad, reason):
+        table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(2), 500)
+        buf = io.StringIO()
+        sc.write_event_csv(sc.emit_events(table), buf)
+        lines = buf.getvalue().encode().split(b"\r\n")
+        assert len(lines) == 6002  # 6,001 lines and the empty rest after the last
+        lines[line - 1] = lines[line - 1][:col] + bad + lines[line - 1][col:]
+        path = tmp_path / "events.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        message = f"^line {line}: 'utf-8' codec can't decode {reason}$"
+        with pytest.raises(sc.MalformedRow, match=message) as exc:
+            sc.read_event_csv(path)
         assert exc.value.line == line
 
 
@@ -682,3 +718,136 @@ def test_table_operations_match_record_tuple(columns, target, delta):
         else:
             want = sorted(_reference_column(records, quantity).tolist()), min(strata), None
         assert _fitted(table, quantity) == want
+
+
+# ---------------------------------------------------------------------------
+# read_event_csv against the per-row reader it replaced
+
+
+def _reference_read_event_csv(source) -> EventLog:
+    """Read a phase-event CSV; a bad row raises MalformedRow with its line."""
+    times: list[int] = []
+    codes: list[int] = []
+    with text_source(source) as f:
+        rows = csv.reader(f)
+        header = _read_header(rows)
+        if header != _EVENT_HEADER:
+            raise ValueError(f"expected header {_EVENT_HEADER}, got {header}")
+        try:
+            for ts, ring, phase, kind in rows:
+                t = int(ts)
+                # Only a string of 19 or more characters can leave int64.
+                if len(ts) > 18 and not _INT64_MIN <= t <= _INT64_MAX:
+                    raise ValueError(f"timestamp {ts} ms does not fit in int64")
+                times.append(t)
+                code = _RAW_EVENT_CODE.get((ring, phase, kind))
+                if code is None:  # another spelling, or an invalid event
+                    ev = PhaseEvent(t, int(ring), phase, kind)
+                    code = _EVENT_CODE[ev.ring, ev.phase, ev.kind]
+                codes.append(code)
+        except (ValueError, csv.Error) as exc:
+            raise MalformedRow(rows.line_num, str(exc)) from exc
+    return EventLog._from_codes(times, codes)
+
+
+_EVENT_SPELLINGS = [
+    " 2", "01", "+5", "1_0", "1:5", "2 ", '"1"', '"p4"', '"start"', '"0"', "", "p9", "END", "00",
+]
+_EDGE_STAMPS = [
+    "9" * 18, "0" * 18, "0" * 17 + "7", "1" + "0" * 18, "9" * 19, "9" * 20, "0" * 19,
+    str(_INT64_MAX), str(_INT64_MAX + 1), str(_INT64_MIN), str(_INT64_MIN - 1), "-0",
+]
+
+
+@st.composite
+def _event_csv_texts(draw):
+    """An event CSV from write_event_csv with up to three mutations: another
+    spelling of a field, a blank line, a lone \r, an edge timestamp, a NUL,
+    a BOM, the other line end, a 3-field row followed by a 5-field one, and
+    no final line end."""
+    start = draw(st.sampled_from([0, 1_500_000_000_000, 10**17 - 200_000, 10**18 - 200_000]))
+    table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(draw(st.integers(0, 9))),
+                        draw(st.integers(1, 3)), start_ms=start)
+    buf = io.StringIO()
+    sc.write_event_csv(sc.emit_events(table), buf)
+    lines = buf.getvalue().split("\r\n")[:-1]
+    sep = draw(st.sampled_from(["\r\n", "\n"]))
+    ends = [sep] * len(lines)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        i = draw(st.integers(1, len(lines) - 1))
+        fields = lines[i].split(",")
+        op = draw(st.sampled_from(
+            ["spelling", "stamp", "blank", "cr", "nul", "bom", "end", "split"]
+        ))
+        if op == "spelling":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_EVENT_SPELLINGS))
+            lines[i] = ",".join(fields)
+        elif op == "stamp":
+            lines[i] = ",".join([draw(st.sampled_from(_EDGE_STAMPS)), *fields[1:]])
+        elif op == "blank":
+            lines.insert(i, "")
+            ends.insert(i, sep)
+        elif op in ("cr", "nul", "bom"):
+            i = draw(st.integers(0, len(lines) - 1))  # the header too
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:at] + {"cr": "\r", "nul": "\0", "bom": "﻿"}[op] + lines[i][at:]
+        elif op == "end":
+            ends[i] = "\n" if ends[i] == "\r\n" else "\r\n"
+        elif op == "split" and i + 1 < len(lines):
+            lines[i] = ",".join(fields[:3])
+            lines[i + 1] += ",0"
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[:-len(ends[-1])]
+
+
+def _event_outcome(read, source):
+    try:
+        log = read(source)
+    except (sc.SpatError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(col.dtype.str, col.tolist()) for col in (log.timestamp_ms, log.ring, log.step)]
+
+
+_HEADER_LINE = ",".join(_EVENT_HEADER)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_event_csv_texts(), st.integers(1, 120))
+@example(_HEADER_LINE + "\n0,1,p4\n0,1,p4,start,x\n", 1)  # 3 + 5 fields: 6 commas
+@example(_HEADER_LINE + "\n0,1,p4\n0,1,p4,start,x\n", 64)
+@example("﻿" + _HEADER_LINE + "\r\n0,1,p4,start\r\n", 1)
+@example(_HEADER_LINE + "\r\n0,1,p4,start\r1,1,p4,end\r\n", 1)
+@example(_HEADER_LINE + "\r\n0,1,p4,start\r\n" + "9" * 19 + ",1,p4,end\r\n", 7)
+@example(_HEADER_LINE, 1)
+@example("", 1)
+def test_read_event_csv_matches_per_row_reader(text, block_bytes):
+    sources = {
+        "path": None,
+        "text": lambda: io.StringIO(text),
+        "universal": lambda: io.StringIO(text, newline=""),
+        "translated": lambda: io.StringIO(text, newline=None),
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        path.write_bytes(text.encode("utf-8"))
+        sources["path"] = lambda: path
+        for name, source in sources.items():
+            want = _event_outcome(_reference_read_event_csv, source())
+            # Small blocks put a block edge next to every line.
+            for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
+                with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                    assert _event_outcome(sc.read_event_csv, source()) == want, (name, size)
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\n"])
+def test_canonical_event_csv_skips_per_row_loop(tmp_path, sep):
+    table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(4), 30, start_ms=10**17)
+    events = sc.emit_events(table)
+    buf = io.StringIO()
+    sc.write_event_csv(events, buf)
+    path = tmp_path / "events.csv"
+    path.write_bytes(buf.getvalue().replace("\r\n", sep).encode())
+    with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
+        for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
+            with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                assert list(sc.read_event_csv(path)) == events

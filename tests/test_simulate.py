@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
+from spatcast.cli import main
 
 
 def flat_demand(side=0.0, left=0.0, seed=0):
@@ -181,6 +182,23 @@ class TestConfig:
         ("left_turn_rate = 0-24@nan\n", "left_turn_rate: rates must be finite, got nan"),
     ])
     def test_non_finite_config_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sc.parse_config(text)
+
+    @pytest.mark.parametrize("text, message", [
+        # Each of these once blamed d4 or d1, or simulated d4 below its minimum.
+        ("min_green_p4 = -50\n", "min_green_p4 must be >= 0, got -50.0"),
+        ("max_d1 = -5\n", "max_d1 must be >= 0, got -5.0"),
+        ("max_d4 = 10\n",
+         "max_d4 must be >= min_green_p4, got max_d4 = 10.0 < min_green_p4 = 36.0"),
+    ])
+    def test_contradictory_plan_config_exits_1(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(text)
+        rc = main(["simulate", "--cycles", "20", "--config", str(cfg),
+                   "-o", str(tmp_path / "c.csv")])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sc.parse_config(text)
 
