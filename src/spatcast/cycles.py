@@ -138,11 +138,6 @@ class CycleRecord:
         """Calendar day of the cycle start, counted in UTC days since epoch."""
         return self.cycle_start_ms // MS_PER_DAY
 
-    def duration(self, name: str) -> float:
-        if name not in DURATION_NAMES:
-            raise ValueError(f"unknown duration {name!r}")
-        return getattr(self, name)
-
     def barrier_residuals(self) -> dict[str, float]:
         """Absolute residuals of the four barrier identities."""
         return {
@@ -345,8 +340,9 @@ class EventLog:
 
     ``timestamp_ms`` is int64, ``ring`` and ``step`` are int8; ``step`` is
     the event's position 0-5 in its ring's pattern (p4 start, p4 end, p1
-    start, ... on ring 1).  Build one with ``read_event_csv`` or
-    ``from_events``, which validate each event.
+    start, ... on ring 1).  Build one with ``read_event_csv``,
+    ``simulate.emit_events``, or ``from_events``, which validates each
+    ``PhaseEvent`` given; iterating gives ``PhaseEvent``s back.
     """
 
     timestamp_ms: np.ndarray
@@ -376,23 +372,25 @@ class EventLog:
 
 
 def ingest_events(
-    stream: "EventLog | Iterable[PhaseEvent]",
+    log: EventLog,
     tolerance: float = DEFAULT_TOLERANCE_S,
     site_id: str = "",
 ) -> CycleTable:
-    """Reconstruct per-cycle duration records from a phase-event stream.
+    """Reconstruct per-cycle duration records from a phase-event log.
 
-    The stream must be sorted by timestamp and contain both rings.  One
-    record is produced per completed cycle; incomplete leading or trailing
-    cycles are dropped.  Durations are transition-timestamp differences
-    converted to seconds.
+    The log must be sorted by timestamp and contain both rings; wrap a
+    ``PhaseEvent`` list with ``EventLog.from_events``.  One record is
+    produced per completed cycle; incomplete leading or trailing cycles are
+    dropped.  Durations are transition-timestamp differences converted to
+    seconds.
 
     Raises OutOfOrderEvent on a timestamp regression, RingSequenceViolation
     when the phase order breaks a ring pattern (or the stream has a time
     gap), and BarrierViolation when the barrier identities fail beyond
     ``tolerance`` seconds.  Each names the first failing event or cycle.
     """
-    log = stream if isinstance(stream, EventLog) else EventLog.from_events(stream)
+    if not isinstance(log, EventLog):
+        raise TypeError(f"expected an EventLog, got {type(log).__name__}")
     ts = log.timestamp_ms
     back = np.flatnonzero(ts[1:] < ts[:-1])
     if back.size:
@@ -527,12 +525,22 @@ def window(table: CycleTable, target_day: "dt.date | int", delta_days: int) -> C
 # CSV interfaces
 
 
-def write_event_csv(events: Iterable[PhaseEvent], target) -> None:
+# Each event code's one `ring,phase,kind` spelling: write_event_csv writes
+# it, and the block parser below matches it.
+_SPELLING: dict[int, str] = {code: ",".join(key) for key, code in _RAW_EVENT_CODE.items()}
+_WRITE_EVENTS = 1 << 16  # events formatted per write
+
+
+def write_event_csv(log: EventLog, target) -> None:
+    """Write an event log as CSV, in the bytes ``csv.writer`` would write:
+    the header, then ``timestamp,ring,phase,kind`` rows ending in ``\r\n``."""
     with text_sink(target) as f:
-        w = csv.writer(f)
-        w.writerow(_EVENT_HEADER)
-        for ev in events:
-            w.writerow([ev.timestamp_ms, ev.ring, ev.phase, ev.kind])
+        f.write(",".join(_EVENT_HEADER) + "\r\n")
+        for lo in range(0, len(log), _WRITE_EVENTS):
+            part = slice(lo, lo + _WRITE_EVENTS)
+            times, codes = log.timestamp_ms[part], log.ring[part] * 8 + log.step[part]
+            f.write("".join([f"{t},{_SPELLING[c]}\r\n"
+                             for t, c in zip(times.tolist(), codes.tolist())]))
 
 
 # Rows as write_event_csv writes them are parsed a block of about this many
@@ -541,15 +549,12 @@ _BLOCK_BYTES = 1 << 16
 _EVENT_HEADER_BYTES = ",".join(_EVENT_HEADER).encode()
 _MAX_DIGITS = 18  # every timestamp of up to 18 digits fits in int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
-# The twelve `ring,phase,kind` tails the per-row loop looks up directly,
-# sorted, with their lengths and event codes.
-_TAILS = sorted(",".join(key).encode() for key in _RAW_EVENT_CODE)
-_TAIL_WIDTH = max(map(len, _TAILS))
-_TAIL_KEYS = np.array(_TAILS, dtype=f"S{_TAIL_WIDTH}")
-_TAIL_LENGTHS = np.array([len(tail) for tail in _TAILS])
-_TAIL_CODES = np.array(
-    [_RAW_EVENT_CODE[tuple(tail.decode().split(","))] for tail in _TAILS], dtype=np.int8
-)
+# The twelve spellings as row tails, sorted, with their lengths and codes.
+_TAILS = sorted((spelled.encode(), code) for code, spelled in _SPELLING.items())
+_TAIL_WIDTH = max(len(tail) for tail, _ in _TAILS)
+_TAIL_KEYS = np.array([tail for tail, _ in _TAILS], dtype=f"S{_TAIL_WIDTH}")
+_TAIL_LENGTHS = np.array([len(tail) for tail, _ in _TAILS])
+_TAIL_CODES = np.array([code for _, code in _TAILS], dtype=np.int8)
 
 
 def read_event_csv(source) -> EventLog:

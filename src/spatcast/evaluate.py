@@ -20,7 +20,7 @@ from .cycles import CycleTable
 from .distributions import EmpiricalDist, JointSamples
 from .errors import EmptyCondition, EmptyGrid
 from .ioutil import text_sink
-from .predict import DEFAULT_HOLD_S
+from .predict import hold
 
 PredictorLike = Callable  # a Method, or callable(dist_or_joint, t) -> float
 
@@ -104,7 +104,7 @@ def error_curve(
     The grid runs from 0 in steps of ``grid_step`` while at least one
     evaluation cycle survives (duration strictly greater than t).  When the
     training distribution is exhausted before the evaluation samples are
-    (possible out-of-sample), the broadcast fallback of t + DEFAULT_HOLD_S
+    (possible out-of-sample), the broadcast fallback ``predict.hold(t)``
     stands in for the prediction.  With ``leave_one_out`` each cycle's
     prediction leaves that cycle out of the training sample; this needs a
     Method predictor and ``eval_table`` holding exactly the training cycles.
@@ -137,7 +137,7 @@ def error_curve(
             except EmptyCondition:
                 cond = None
             if cond is None or (leave_one_out and cond.n == 1):
-                pred = t + DEFAULT_HOLD_S
+                pred = hold(t)
             elif leave_one_out:
                 pred = predictor.apply_loo(cond, x)
             else:

@@ -23,12 +23,7 @@ from typing import Mapping, TextIO
 from .cycles import CycleRecord, CycleTable
 from .distributions import EmpiricalDist, fit
 from .errors import EmptyCondition, SinkClosed
-from .predict import (
-    DEFAULT_HOLD_S,
-    PHASE_QUANTITY,
-    next_green_start,
-    predict_schedule,
-)
+from .predict import PHASE_QUANTITY, hold, next_green_start, predict_schedule
 
 _ORDER_EPS = 1e-9
 
@@ -102,7 +97,7 @@ def _conditional_stats(
     try:
         schedule = predict_schedule(dists, phase, t, horizon_cycles=2)
     except EmptyCondition:
-        held = t + DEFAULT_HOLD_S
+        held = hold(t)
         length = float(dists[PHASE_QUANTITY[phase]].stratum)
         return held, held, held, held, held + length, True
     likely = schedule[0].end_time

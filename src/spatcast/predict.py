@@ -31,6 +31,12 @@ from .errors import NonpositiveWeight
 
 DEFAULT_HOLD_S = 1.0  # broadcast fallback when history is exhausted
 
+
+def hold(t: float) -> float:
+    """The predicted end at elapsed time t once history is exhausted."""
+    return t + DEFAULT_HOLD_S
+
+
 # The quantity whose conditional distribution predicts each phase's end: the
 # opening phase's own duration, the opening+middle per-cycle sum for the
 # middle phase, and None for the coordination phase, which ends at the cycle
@@ -155,8 +161,7 @@ def predict(dist: EmpiricalDist, t: float, method: Method) -> Prediction:
     """Condition ``dist`` on running past t, then apply ``method``.
 
     EmptyCondition always propagates when t reaches every historical
-    sample; callers that must broadcast something hold at t +
-    ``DEFAULT_HOLD_S`` themselves.
+    sample; callers that must broadcast something predict ``hold(t)``.
     """
     return _predict_given(dist.condition_gt, dist.quantity, t, method)
 

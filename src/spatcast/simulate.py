@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import (
-    DURATION_KEY,
-    MS_PER_DAY,
-    RING_SEQUENCE,
-    CycleTable,
-    PhaseEvent,
-)
+from .cycles import DURATION_NAMES, MS_PER_DAY, CycleTable, EventLog
 from .errors import InfeasiblePlan
 
 Segments = tuple[tuple[float, float, float], ...]
@@ -68,7 +62,7 @@ class TimingPlan:
 
     def __post_init__(self) -> None:
         _check_segments(self.schedule, "schedule")
-        # A nan or inf here would leave simulate's d5 resample loop spinning.
+        # Checked here, so the error names the field and not a d6 in simulate.
         for name in ("min_green_p4", "extension", "max_d4", "max_d1"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -157,9 +151,10 @@ def simulate(
     """Generate ``n_cycles`` records under the actuation rule.
 
     Ring 2 mirrors ring 1 at the barrier (d8 = d4); its split of the
-    remaining time draws an independent left-turn count and is resampled in
-    the rare case the coordination phase d6 would not survive.  Identical
-    (plan, demand, n_cycles, start_ms) always produce an identical table.
+    remaining time draws an independent left-turn count.  Raises
+    InfeasiblePlan when the caps leave d2 <= 0, or when a cycle's
+    coordination phase d6 would not get positive time.  Identical (plan,
+    demand, n_cycles, start_ms) always produce an identical table.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -179,12 +174,10 @@ def simulate(
         side = int(rng.poisson(demand.side_rate_at(hour)))
         left = int(rng.poisson(demand.left_rate_at(hour)))
         d4, d1, d2 = ring1_durations(plan, length, side, left)
-        left_rate = demand.left_rate_at(hour)
-        while True:
-            d5 = min(plan.extension * int(rng.poisson(left_rate)), plan.max_d1)
-            d6 = d1 + d2 - d5
-            if d6 > 0:
-                break
+        d5 = min(plan.extension * int(rng.poisson(demand.left_rate_at(hour))), plan.max_d1)
+        d6 = d1 + d2 - d5
+        if not d6 > 0:  # only float rounding at a near-zero margin gets here
+            raise InfeasiblePlan(f"coordination phase d6 = {d6!r} <= 0 at L = {length}")
         starts.append(t_ms)
         lengths.append(length)
         durations.append((d4, d1, d2, d4, d5, d6))
@@ -194,26 +187,39 @@ def simulate(
     )
 
 
-def emit_events(table: CycleTable) -> list[PhaseEvent]:
-    """Serialize a table back into the phase-event stream that produced it.
+def emit_events(table: CycleTable) -> EventLog:
+    """Serialize a table back into the phase-event log that produced it.
 
-    Re-ingesting the result reproduces the table's durations to within the
-    1 ms timestamp quantization.  Zero-duration phases emit their start and
-    end at the same timestamp.
+    A phase starts and ends at the cycle start plus the rounded millisecond
+    of its ring's running duration sum before and after it.  Events are
+    sorted by time; ties keep cycle order, ring 1 before ring 2, then ring
+    pattern order.  Re-ingesting the log reproduces the durations to within
+    1 ms, and a zero-duration phase starts and ends at one timestamp.
+    Raises ValueError naming the cycle when an event time leaves int64.
     """
-    events: list[PhaseEvent] = []
-    for rec in table:
-        for ring, seq in RING_SEQUENCE.items():
-            elapsed = 0.0
-            for phase in seq:
-                dur = rec.duration(DURATION_KEY[phase])
-                start_ms = rec.cycle_start_ms + int(round(elapsed * 1000))
-                end_ms = rec.cycle_start_ms + int(round((elapsed + dur) * 1000))
-                events.append(PhaseEvent(start_ms, ring, phase, "start"))
-                events.append(PhaseEvent(end_ms, ring, phase, "end"))
-                elapsed += dur
-    events.sort(key=lambda ev: ev.timestamp_ms)  # stable: per-ring order kept
-    return events
+    n = len(table)
+    durations = np.stack([getattr(table, d) for d in DURATION_NAMES], axis=-1)
+    edges = np.zeros((n, 2, 4))  # per ring: 0, then the three running sums
+    with np.errstate(over="ignore"):  # an infinite time fails the int64 check below
+        np.cumsum(durations.reshape(n, 2, 3), axis=2, out=edges[:, :, 1:])
+        offsets = np.rint(edges * 1000)
+    # start + offset must fit in int64: offset <= INT64_MAX - start, which
+    # lies in [0, 2**64) and so is exact in uint64, as is any smaller offset.
+    last = offsets[:, :, 3].max(axis=1, initial=0.0)
+    room = np.uint64(2**63 - 1) - table.cycle_start_ms.view(np.uint64)
+    fits = last < 2.0**64
+    over = ~fits | (np.where(fits, last, 0).astype(np.uint64) > room)
+    if over.any():
+        i = int(over.argmax())
+        raise ValueError(f"cycle {table.cycle_index[i]}: an event time after its start "
+                         f"{table.cycle_start_ms[i]} ms does not fit in int64")
+    # The sum is exact modulo 2**64, and the result fits in int64.
+    stamps = table.cycle_start_ms.view(np.uint64)[:, None, None] + offsets.astype(np.uint64)
+    # A ring's six events, p4 start, p4 end, p1 start, ..., on its edges.
+    stamps = stamps[:, :, [0, 1, 1, 2, 2, 3]].view(np.int64).ravel()
+    order = np.argsort(stamps, kind="stable")
+    place = (order % 12).astype(np.int8)  # in its cycle: ring 1's six events, then ring 2's
+    return EventLog(stamps[order], place // 6 + 1, place % 6)
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,16 @@ def _cycle_events(start_ms, ring1, ring2):
     return sorted(events, key=lambda e: e.timestamp_ms)
 
 
+def _ingest(events, *args):
+    """ingest_events on a PhaseEvent list."""
+    return sc.ingest_events(EventLog.from_events(events), *args)
+
+
 class TestIngest:
     def test_single_cycle_with_zero_duration_left_turn(self):
         events = _cycle_events(0, (36, 0, 84), (36, 0, 84))
         assert len(events) == 12
-        table = sc.ingest_events(events)
+        table = _ingest(events)
         assert len(table) == 1
         rec = table[0]
         assert rec.p4_end == 36.0
@@ -64,13 +69,13 @@ class TestIngest:
         # d8 differs from d4 by a full second against a 0.05 s tolerance
         events = _cycle_events(0, (36, 0, 84), (37, 0, 83))
         with pytest.raises(sc.BarrierViolation):
-            sc.ingest_events(events, tolerance=0.05)
+            _ingest(events, 0.05)
 
     def test_out_of_order_event(self):
         events = _cycle_events(0, (36, 0, 84), (36, 0, 84))
         bad = [events[-1]] + events[:-1]  # timestamp regression up front
         with pytest.raises(sc.OutOfOrderEvent):
-            sc.ingest_events(bad)
+            _ingest(bad)
 
     def test_ring_sequence_violation(self):
         events = _cycle_events(0, (36, 5, 79), (36, 5, 79))
@@ -78,22 +83,22 @@ class TestIngest:
         events = [e for e in events
                   if not (e.ring == 1 and e.phase == "p1" and e.kind == "start")]
         with pytest.raises(sc.RingSequenceViolation):
-            sc.ingest_events(events)
+            _ingest(events)
 
     def test_time_gap_between_cycles_rejected(self, build_table):
         # second cycle starts 2 s after the first one ends
         first = build_table([(36, 0, 0)])
         second = build_table([(41, 5, 5)], start_ms=122_000)
-        events = sc.emit_events(first) + sc.emit_events(second)
+        events = [*sc.emit_events(first), *sc.emit_events(second)]
         with pytest.raises(sc.RingSequenceViolation):
-            sc.ingest_events(events)
+            _ingest(events)
 
     def test_incomplete_leading_and_trailing_cycles_dropped(self, build_table):
         table = build_table([(36, 0, 0), (41, 5, 10), (46, 10, 5)])
         events = sc.emit_events(table)
         # start mid-way through cycle 0 and cut cycle 2 short
         trimmed = [e for e in events if 40_000 <= e.timestamp_ms <= 300_000]
-        got = sc.ingest_events(trimmed)
+        got = _ingest(trimmed)
         assert len(got) == 1
         assert got[0].d4 == 41.0
         assert got[0].cycle_start_ms == 120_000
@@ -221,19 +226,19 @@ class TestCsv:
         assert exc.value.line == 3
 
     def test_event_csv_round_trip(self, build_table):
-        events = sc.emit_events(build_table([(36, 5, 5)]))
+        log = sc.emit_events(build_table([(36, 5, 5)]))
         buf = io.StringIO()
-        sc.write_event_csv(events, buf)
+        sc.write_event_csv(log, buf)
         back = sc.read_event_csv(io.StringIO(buf.getvalue()))
-        assert len(back) == len(events)
-        assert list(back) == events
+        assert len(back) == len(log)
+        assert list(back) == list(log)
 
     def test_event_csv_accepts_other_integer_spellings(self, build_table):
-        events = sc.emit_events(build_table([(36, 5, 5)]))
+        log = sc.emit_events(build_table([(36, 5, 5)]))
         buf = io.StringIO()
-        sc.write_event_csv(events, buf)
+        sc.write_event_csv(log, buf)
         text = buf.getvalue().replace(",1,p4,", ",01,p4,").replace(",2,p8,", ", 2,p8,")
-        assert list(sc.read_event_csv(io.StringIO(text))) == events
+        assert list(sc.read_event_csv(io.StringIO(text))) == list(log)
 
     @pytest.mark.parametrize("row, reason", [
         ("120000,1,p4", "not enough values to unpack"),
@@ -490,9 +495,9 @@ def _outcome(ingest, events, tolerance):
 )
 def test_ingest_matches_per_event_loop(events, tolerance):
     want = _outcome(_reference_ingest, events, tolerance)
-    assert _outcome(sc.ingest_events, events, tolerance) == want
+    assert _outcome(_ingest, events, tolerance) == want
     buf = io.StringIO()
-    sc.write_event_csv(events, buf)
+    sc.write_event_csv(EventLog.from_events(events), buf)
     log = sc.read_event_csv(io.StringIO(buf.getvalue()))
     assert _outcome(sc.ingest_events, log, tolerance) == want
 
@@ -850,4 +855,4 @@ def test_canonical_event_csv_skips_per_row_loop(tmp_path, sep):
     with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
         for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
             with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
-                assert list(sc.read_event_csv(path)) == events
+                assert list(sc.read_event_csv(path)) == list(events)
