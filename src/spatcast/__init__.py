@@ -44,7 +44,7 @@ from .errors import (
 from .evaluate import (
     ErrorCurve,
     compare,
-    loss_curve,
+    error_curve,
     mae_curve,
     mse_curve,
     write_comparison_csv,

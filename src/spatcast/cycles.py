@@ -476,6 +476,11 @@ def _ring_cycles(t: np.ndarray, step: np.ndarray, ring: int, tol_ms: int) -> np.
 # Slicing
 
 
+def stratum_key(length_s: float) -> float:
+    """The cycle length rounded to 0.1 s, which strata are matched and fitted by."""
+    return round(length_s, 1)  # not np.round: they disagree (100.35 -> 100.3 vs 100.4)
+
+
 def stratify(table: CycleTable, cycle_length: float) -> CycleTable:
     """Select exactly the records whose cycle length matches, order preserved.
 
@@ -484,10 +489,9 @@ def stratify(table: CycleTable, cycle_length: float) -> CycleTable:
     """
     if cycle_length <= 0:
         raise ValueError("cycle_length must be positive")
-    key = round(cycle_length, 1)
-    # Python's round, not np.round: they disagree (100.35 -> 100.3 vs 100.4).
+    key = stratum_key(cycle_length)
     lengths, inverse = np.unique(table.length_s, return_inverse=True)
-    keep = np.array([round(x, 1) == key for x in lengths.tolist()], dtype=bool)[inverse]
+    keep = np.array([stratum_key(x) == key for x in lengths.tolist()], dtype=bool)[inverse]
     if not keep.any():
         raise EmptyStratum(f"no cycles with L = {key} s")
     return table._select(keep, f"L={key:g}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import CycleTable
+from .cycles import CycleTable, stratum_key
 from .errors import EmptyCondition, EmptyInput, MixedStrata
 
 
@@ -192,8 +192,7 @@ class JointSamples:
 def _single_stratum(table: CycleTable) -> float:
     if len(table) == 0:
         raise EmptyInput("cannot fit on an empty table")
-    # Python's round, as in stratify; np.round disagrees (100.35 -> 100.4).
-    strata = {round(x, 1) for x in set(table.length_s.tolist())}
+    strata = {stratum_key(x) for x in set(table.length_s.tolist())}
     if len(strata) > 1:
         raise MixedStrata(
             f"table mixes cycle lengths {sorted(strata)}; stratify first"

@@ -20,9 +20,7 @@ from .cycles import CycleTable
 from .distributions import EmpiricalDist, JointSamples
 from .errors import EmptyCondition, EmptyGrid
 from .ioutil import text_sink
-from .predict import hold
-
-PredictorLike = Callable  # a Method, or callable(dist_or_joint, t) -> float
+from .predict import AsymmetricLoss, Method, hold
 
 
 @dataclass(frozen=True)
@@ -38,24 +36,30 @@ class ErrorCurve:
     def __post_init__(self) -> None:
         if np.any(np.diff(self.counts) > 0):
             raise ValueError("survivor counts must be non-increasing in t")
+        if not np.isfinite(self.values).all():  # finite inputs, so an overflow
+            raise ValueError(f"{self.metric} of {self.predictor} overflows to inf")
 
     def aggregate(self) -> float:
         """Unweighted mean of the curve over its defined grid."""
         return float(self.values.mean())
 
 
-def _mae_loss(err: np.ndarray) -> np.ndarray:
-    return np.abs(err)
-
-
-def _mse_loss(err: np.ndarray) -> np.ndarray:
-    return err * err
-
-
-def _asym_loss(c1: float, c2: float) -> Callable[[np.ndarray], np.ndarray]:
-    def loss(err: np.ndarray) -> np.ndarray:
-        return np.where(err < 0, c1 * np.abs(err), c2 * err)
-    return loss
+def _loss(metric: str) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
+    """(loss of prediction minus realization, output name) for ``mae``, ``mse``
+    or ``loss:c1:c2``, the loss ``AsymmetricLoss(c1, c2)`` minimizes."""
+    name, _, rest = metric.partition(":")
+    if name == "mae":
+        return np.abs, "mae"
+    if name == "mse":
+        return (lambda err: err * err), "mse"
+    if name == "loss":
+        try:
+            c1_s, c2_s = rest.split(":")
+            c1, c2 = float(c1_s), float(c2_s)
+        except ValueError as exc:
+            raise ValueError(f"loss metric must look like 'loss:c1:c2', got {metric!r}") from exc
+        return AsymmetricLoss(c1, c2).loss, f"loss({c1:g},{c2:g})"
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 def _eval_arrays(
@@ -89,36 +93,33 @@ def _require_in_sample(dist_or_joint, key: np.ndarray, target: np.ndarray) -> No
 
 
 def error_curve(
-    predictor: PredictorLike,
+    predictor: Method,
     dist_or_joint,
     eval_table: CycleTable,
-    loss: Callable[[np.ndarray], np.ndarray],
-    metric: str,
+    metric: str = "mae",
     *,
-    predictor_label: str | None = None,
     grid_step: float = 1.0,
     leave_one_out: bool = False,
 ) -> ErrorCurve:
-    """Average ``loss`` between predictions at each grid t and realizations.
+    """Average the ``metric`` loss (``mae``, ``mse`` or ``loss:c1:c2``)
+    between predictions at each grid t and realizations.
 
     The grid runs from 0 in steps of ``grid_step`` while at least one
     evaluation cycle survives (duration strictly greater than t).  When the
     training distribution is exhausted before the evaluation samples are
     (possible out-of-sample), the broadcast fallback ``predict.hold(t)``
     stands in for the prediction.  With ``leave_one_out`` each cycle's
-    prediction leaves that cycle out of the training sample; this needs a
-    Method predictor and ``eval_table`` holding exactly the training cycles.
-    A lone survivor then has no training data left and holds.
+    prediction leaves that cycle out of the training sample; this needs
+    ``eval_table`` holding exactly the training cycles.  A lone survivor
+    then has no training data left and holds.
     """
+    loss, name = _loss(metric)
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     key, target, condition = _eval_arrays(dist_or_joint, eval_table)
     if key.size == 0 or not np.any(key > 0):
         raise EmptyGrid("no evaluation sample survives any t >= 0")
-    is_method = hasattr(predictor, "apply")
     if leave_one_out:
-        if not hasattr(predictor, "apply_loo"):
-            raise ValueError("leave-one-out needs a refittable prediction method")
         _require_in_sample(dist_or_joint, key, target)
 
     ts = np.arange(0.0, float(key.max()), grid_step)
@@ -129,76 +130,44 @@ def error_curve(
         if n == 0:
             return None
         x = target[mask]
-        if not is_method:
-            pred = float(predictor(dist_or_joint, t))
+        try:
+            cond = condition(t)
+        except EmptyCondition:
+            cond = None
+        if cond is None or (leave_one_out and cond.n == 1):
+            pred = hold(t)
+        elif leave_one_out:
+            pred = predictor.apply_loo(cond, x)
         else:
-            try:
-                cond = condition(t)
-            except EmptyCondition:
-                cond = None
-            if cond is None or (leave_one_out and cond.n == 1):
-                pred = hold(t)
-            elif leave_one_out:
-                pred = predictor.apply_loo(cond, x)
-            else:
-                pred = float(predictor.apply(cond))
+            pred = float(predictor.apply(cond))
         return t, float(loss(pred - x).mean()), n
 
-    points = [p for p in map(at, ts) if p is not None]
+    with np.errstate(over="ignore"):  # ErrorCurve rejects an overflowed value
+        points = [p for p in map(at, ts) if p is not None]
     if not points:
         raise EmptyGrid("no grid point has surviving samples")
 
-    label = predictor_label or getattr(predictor, "label", repr(predictor))
     return ErrorCurve(
         ts=np.array([p[0] for p in points]),
         values=np.array([p[1] for p in points]),
         counts=np.array([p[2] for p in points], dtype=np.int64),
-        predictor=label,
-        metric=metric,
+        predictor=predictor.label,
+        metric=name,
     )
 
 
 def mae_curve(predictor, dist_or_joint, eval_table, **kwargs) -> ErrorCurve:
     """Mean absolute error versus elapsed time."""
-    return error_curve(predictor, dist_or_joint, eval_table, _mae_loss, "mae", **kwargs)
+    return error_curve(predictor, dist_or_joint, eval_table, "mae", **kwargs)
 
 
 def mse_curve(predictor, dist_or_joint, eval_table, **kwargs) -> ErrorCurve:
     """Mean squared error versus elapsed time."""
-    return error_curve(predictor, dist_or_joint, eval_table, _mse_loss, "mse", **kwargs)
-
-
-def loss_curve(predictor, dist_or_joint, eval_table, c1: float, c2: float, **kwargs) -> ErrorCurve:
-    """Asymmetric loss (c1 under, c2 over) versus elapsed time.
-
-    With c1 = c2 = 1 this reduces exactly to ``mae_curve``.
-    """
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("c1 and c2 must be > 0")
-    return error_curve(
-        predictor, dist_or_joint, eval_table,
-        _asym_loss(c1, c2), f"loss({c1:g},{c2:g})", **kwargs
-    )
-
-
-def _metric_curve(metric_spec: str, predictor, dist_or_joint, eval_table, **kwargs) -> ErrorCurve:
-    name, _, rest = metric_spec.partition(":")
-    if name == "mae":
-        return mae_curve(predictor, dist_or_joint, eval_table, **kwargs)
-    if name == "mse":
-        return mse_curve(predictor, dist_or_joint, eval_table, **kwargs)
-    if name == "loss":
-        try:
-            c1_s, c2_s = rest.split(":")
-            c1, c2 = float(c1_s), float(c2_s)
-        except ValueError as exc:
-            raise ValueError(f"loss metric must look like 'loss:c1:c2', got {metric_spec!r}") from exc
-        return loss_curve(predictor, dist_or_joint, eval_table, c1, c2, **kwargs)
-    raise ValueError(f"unknown metric {metric_spec!r}")
+    return error_curve(predictor, dist_or_joint, eval_table, "mse", **kwargs)
 
 
 def compare(
-    predictors: Sequence[tuple[str, PredictorLike]],
+    predictors: Sequence[tuple[str, Method]],
     dist_or_joint,
     eval_table: CycleTable,
     metrics: Sequence[str] = ("mae", "mse"),
@@ -209,13 +178,12 @@ def compare(
         raise ValueError("at least one predictor is required")
     if not metrics:
         raise ValueError("at least one metric is required")
+    for metric in metrics:
+        _loss(metric)  # a bad spec fails before any curve is computed
     rows = []
     for label, pred in predictors:
-        for metric_spec in metrics:
-            curve = _metric_curve(
-                metric_spec, pred, dist_or_joint, eval_table,
-                predictor_label=label, **kwargs,
-            )
+        for metric in metrics:
+            curve = error_curve(pred, dist_or_joint, eval_table, metric, **kwargs)
             rows.extend(
                 (float(t), label, curve.metric, float(v), int(n))
                 for t, v, n in zip(curve.ts, curve.values, curve.counts)

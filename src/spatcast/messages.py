@@ -20,14 +20,14 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, TextIO
 
-from .cycles import CycleRecord, CycleTable
+from .cycles import DURATION_KEY, PHASE_RING, RING_SEQUENCE, CycleRecord, CycleTable
 from .distributions import EmpiricalDist, fit
 from .errors import EmptyCondition, SinkClosed
 from .predict import PHASE_QUANTITY, hold, next_green_start, predict_schedule
 
 _ORDER_EPS = 1e-9
 
-MESSAGE_DIST_KEYS = ("d4", "d1", "d2", "d8", "d5", "d6", "d4+d1", "d8+d5")
+MESSAGE_DIST_KEYS = ("d4", "d1", "d8", "d5", "d4+d1", "d8+d5")
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,18 @@ def fit_message_dists(table: CycleTable) -> dict[str, EmpiricalDist]:
     return {key: fit(table, key) for key in MESSAGE_DIST_KEYS}
 
 
+def _cycle_length(dists: Mapping[str, EmpiricalDist], phase: str) -> float:
+    """The stratum L of the ring's opening-phase distribution."""
+    opening = DURATION_KEY[RING_SEQUENCE[PHASE_RING[phase]][0]]
+    return float(dists[opening].stratum)
+
+
+def _held(dists: Mapping[str, EmpiricalDist], phase: str, t: float) -> tuple:
+    """The degraded hold at t, next green one cycle length later."""
+    held = hold(t)
+    return held, held, held, held, held + _cycle_length(dists, phase), True
+
+
 def _conditional_stats(
     dists: Mapping[str, EmpiricalDist],
     phase: str,
@@ -97,9 +109,7 @@ def _conditional_stats(
     try:
         schedule = predict_schedule(dists, phase, t, horizon_cycles=2)
     except EmptyCondition:
-        held = hold(t)
-        length = float(dists[PHASE_QUANTITY[phase]].stratum)
-        return held, held, held, held, held + length, True
+        return _held(dists, phase, t)
     likely = schedule[0].end_time
     next_time = next_green_start(schedule, phase)
     quantity = PHASE_QUANTITY[phase]
@@ -177,7 +187,8 @@ def stream(
     ``speed`` of None replays as fast as possible; a positive value paces
     ticks at cadence/speed wall seconds (1.0 is real time).  Returns the
     number of messages written; a sink that stops accepting writes ends the
-    stream cleanly.
+    stream cleanly.  A coordination-phase tick at or past the stratum's L
+    (clock skew, or an L that rounds down to its 0.1 s key) holds, degraded.
     """
     if cadence_ms < 10:
         raise ValueError("cadence_ms must be >= 10 (the log clock resolution)")
@@ -197,7 +208,10 @@ def stream(
                 key = (phase, t_ms)
                 stats = cache.get(key)
                 if stats is None:
-                    stats = _conditional_stats(dists, phase, t, alpha)
+                    if PHASE_QUANTITY[phase] is None and t >= _cycle_length(dists, phase):
+                        stats = _held(dists, phase, t)  # a cycle outlasting its stratum's L
+                    else:
+                        stats = _conditional_stats(dists, phase, t, alpha)
                     cache[key] = stats
                 min_end, max_end, likely, conf, next_time, degraded = stats
                 msg = SpatMessage(

@@ -140,6 +140,10 @@ class AsymmetricLoss:
     def apply_loo(self, dist: EmpiricalDist, x: np.ndarray) -> np.ndarray:
         return dist.order_stat_without(x, lower_rank(dist.n - 1, self.ratio))
 
+    def loss(self, err: np.ndarray) -> np.ndarray:
+        """The loss this method minimizes, of prediction minus realization."""
+        return np.where(err < 0, self.c1 * np.abs(err), self.c2 * err)
+
 
 Method = Union[Expectation, Confidence, AsymmetricLoss]
 
@@ -216,7 +220,6 @@ def predict_schedule(
     current_phase: str,
     t: float,
     horizon_cycles: int,
-    method: Method = Expectation(),
 ) -> list[ScheduleEntry]:
     """Transition times for the active ring, current cycle plus future ones.
 
@@ -252,7 +255,7 @@ def predict_schedule(
             f"schedule from {current_phase} needs the {quantity!r} distribution"
         )
     else:
-        end = predict(dists[quantity], t, method).predicted_duration
+        end = predict(dists[quantity], t, Expectation()).predicted_duration
 
     idx = seq.index(current_phase)
     entries = [ScheduleEntry(current_phase, 0, end, 0.0 if idx == 0 else None)]

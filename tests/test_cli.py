@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -258,6 +260,23 @@ class TestEvaluate:
                    "-o", str(tmp_path / "x.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("metric, reason", [
+        ("loss:nan:1", "c1 and c2 must be > 0 and finite, got c1=nan, c2=1.0"),
+        ("loss:inf:1", "c1 and c2 must be > 0 and finite, got c1=inf, c2=1.0"),
+        ("loss:1:nan", "c1 and c2 must be > 0 and finite, got c1=1.0, c2=nan"),
+        ("loss:0:1", "c1 and c2 must be > 0 and finite, got c1=0.0, c2=1.0"),
+        ("mae,loss:1e308:1", "loss(1e+308,1) of expectation overflows to inf"),
+    ])
+    def test_bad_metric_writes_nothing(self, tmp_path, capsys, cycles_csv, metric, reason):
+        out_csv = tmp_path / "x.csv"
+        rc = main(["evaluate", "--input", str(cycles_csv), "--compare", "expectation",
+                   "--metric", metric, "-o", str(out_csv)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {reason}\n"
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize("spec, reason", [
         ("bogus", "unknown predictor 'bogus'"),
         ("confidence:1.5", "alpha must be in (0, 1)"),
@@ -288,6 +307,21 @@ class TestEmit:
         assert len(lines) == 2 * sum(int(r.length_s) for r in table)
         first = json.loads(lines[0])
         assert first["phase"] == "p4"
+
+    def test_cycle_length_off_the_stratum_grid(self, tmp_path):
+        # L = 100.03 s has stratum key 100.0 s, so every cycle's tick at
+        # t = 100.00 is past its stratum's L and holds on both rings.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("schedule = 0-24@100.03\n")
+        cycles, out = tmp_path / "c.csv", tmp_path / "spat.ndjson"
+        assert main(["simulate", "--config", str(cfg), "--cycles", "3",
+                     "-o", str(cycles)]) == 0
+        assert main(["emit", "--input", str(cycles), "-o", str(out)]) == 0
+        held = [json.loads(l) for l in out.read_text().splitlines()
+                if json.loads(l)["degraded"]]
+        assert [(m["cycle"], m["phase"], m["madeAt"], m["nextTime"]) for m in held] == [
+            (i, phase, 100.0, 201.0) for i in range(3) for phase in ("p2", "p6")
+        ]
 
     def test_cadence_usage_error(self, tmp_path, cycles_csv):
         with pytest.raises(SystemExit) as exc:
@@ -393,3 +427,59 @@ def test_ingest_survives_mutated_event_csv(text):
         else:
             assert err.getvalue() == ""
             sc.read_cycle_csv(cycles)
+
+
+_CYCLE_CSV = io.StringIO()
+sc.write_cycle_csv(sc.simulate(sc.TimingPlan(), sc.peaked_demand(4), 40), _CYCLE_CSV)
+_NUMBER_TEXT = st.sampled_from(
+    ["1", "3", "0.8", "0", "-1", "nan", "inf", "-inf", "1e308", "1e-320", "1e400", ""]
+)
+
+
+def _spec_list(good, names):
+    """Comma lists of specs: a good spec, a name and zero to two
+    colon-separated numbers, or free text."""
+    spec = st.one_of(
+        st.sampled_from(good),
+        st.tuples(st.sampled_from(names), st.lists(_NUMBER_TEXT, max_size=2)).map(
+            lambda parts: ":".join([parts[0], *parts[1]])
+        ),
+        st.text(alphabet="aceilmnopstx:.,-+e019", max_size=12),
+    )
+    return st.lists(spec, min_size=1, max_size=3).map(",".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _spec_list(["mae", "mse", "loss:3:1", "loss:1:3"], ["mae", "mse", "loss", "MAE", ""]),
+    _spec_list(["expectation", "confidence:0.8", "asymmetric:3:1"],
+               ["expectation", "confidence", "asymmetric", ""]),
+    st.booleans(),
+)
+def test_evaluate_survives_metric_and_compare_specs(metric, compare, leave_one_out):
+    with tempfile.TemporaryDirectory() as tmp:
+        cycles, result = Path(tmp) / "cycles.csv", Path(tmp) / "cmp.csv"
+        cycles.write_text(_CYCLE_CSV.getvalue())
+        argv = ["evaluate", "--input", str(cycles), "--metric", metric,
+                "--compare", compare, "-o", str(result)]
+        if leave_one_out:
+            argv.append("--leave-one-out")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        assert rc in (0, 1, 2)
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            assert err.getvalue() == ""
+            with open(result, newline="") as f:
+                values = [float(row["value"]) for row in csv.DictReader(f)]
+            assert values and all(math.isfinite(v) for v in values)
+        else:
+            assert not result.exists()
+        if rc == 1:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

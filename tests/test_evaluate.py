@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import spatcast as sc
 from spatcast.evaluate import (
-    compare, error_curve, loss_curve, mae_curve, mse_curve, write_comparison_csv,
+    compare, error_curve, mae_curve, mse_curve, write_comparison_csv,
 )
 from spatcast.predict import DEFAULT_HOLD_S
 
@@ -95,11 +95,11 @@ class TestCurves:
         assert np.all(curve.values == 0.0)
 
     def test_constant_predictor_hand_values(self, build_table):
+        # Trained on a point mass at 40, every method predicts 40 at t = 0.
         table = table_from_d4([30.0, 50.0], build_table)
-        dist = sc.fit(table, "d4")
-        constant = lambda d, t: 40.0
-        mae = mae_curve(constant, dist, table, predictor_label="const40")
-        mse = mse_curve(constant, dist, table, predictor_label="const40")
+        dist = dist_of([40.0])
+        mae = mae_curve(sc.Expectation(), dist, table)
+        mse = mse_curve(sc.Expectation(), dist, table)
         assert mae.values[0] == 10.0
         assert mse.values[0] == 100.0
         assert mae.counts[0] == 2
@@ -116,8 +116,20 @@ class TestCurves:
         table = table_from_d4([30.0, 36.0, 41.0, 55.0], build_table)
         dist = sc.fit(table, "d4")
         mae = mae_curve(sc.Expectation(), dist, table)
-        sym = loss_curve(sc.Expectation(), dist, table, 1, 1)
+        sym = error_curve(sc.Expectation(), dist, table, "loss:1:1")
         np.testing.assert_array_equal(mae.values, sym.values)
+
+    @pytest.mark.parametrize("metric, error, match", [
+        ("loss:nan:1", sc.NonpositiveWeight, "c1=nan, c2=1.0"),
+        ("loss:0:1", sc.NonpositiveWeight, "c1=0.0, c2=1.0"),
+        ("loss:3", ValueError, "must look like 'loss:c1:c2'"),
+        ("mad", ValueError, "unknown metric 'mad'"),
+        ("loss:1e308:1", ValueError, r"loss\(1e\+308,1\) of expectation overflows to inf"),
+    ])
+    def test_bad_metric_rejected(self, build_table, metric, error, match):
+        table = table_from_d4([30.0, 50.0], build_table)
+        with pytest.raises(error, match=match):
+            error_curve(sc.Expectation(), sc.fit(table, "d4"), table, metric)
 
     def test_empty_grid(self, build_table):
         table = table_from_d4([40.0], build_table)
@@ -135,12 +147,6 @@ class TestLeaveOneOut:
         assert loo.values[0] == 20.0
         insample = mae_curve(sc.Expectation(), dist, table)
         assert insample.values[0] == 10.0
-
-    def test_requires_refittable_predictor(self, build_table):
-        table = table_from_d4([30.0, 50.0], build_table)
-        dist = sc.fit(table, "d4")
-        with pytest.raises(ValueError):
-            mae_curve(lambda d, t: 40.0, dist, table, leave_one_out=True)
 
     def test_large_n_converges_to_in_sample(self, build_table):
         rng = np.random.default_rng(5)
@@ -192,9 +198,10 @@ class TestOptimality:
         table = table_from_d4(values.tolist(), build_table)
         dist = sc.fit(table, "d4")
         for c1, c2 in ((3, 1), (1, 3), (2, 5)):
-            best = loss_curve(sc.AsymmetricLoss(c1, c2), dist, table, c1, c2)
+            metric = f"loss:{c1}:{c2}"
+            best = error_curve(sc.AsymmetricLoss(c1, c2), dist, table, metric)
             for other in (sc.Expectation(), sc.Confidence(0.8)):
-                rival = loss_curve(other, dist, table, c1, c2)
+                rival = error_curve(other, dist, table, metric)
                 assert np.all(best.values <= rival.values + 1e-9)
 
     def test_weight_swap_changes_winner_on_skewed_data(self, build_table):
@@ -203,10 +210,10 @@ class TestOptimality:
         low = sc.AsymmetricLoss(1, 3)
         high = sc.AsymmetricLoss(3, 1)
         # each quantile wins strictly under its own loss at t = 0
-        low_under_low = loss_curve(low, dist, table, 1, 3).values[0]
-        high_under_low = loss_curve(high, dist, table, 1, 3).values[0]
-        low_under_high = loss_curve(low, dist, table, 3, 1).values[0]
-        high_under_high = loss_curve(high, dist, table, 3, 1).values[0]
+        low_under_low = error_curve(low, dist, table, "loss:1:3").values[0]
+        high_under_low = error_curve(high, dist, table, "loss:1:3").values[0]
+        low_under_high = error_curve(low, dist, table, "loss:3:1").values[0]
+        high_under_high = error_curve(high, dist, table, "loss:3:1").values[0]
         assert low_under_low < high_under_low
         assert high_under_high < low_under_high
 
@@ -220,8 +227,8 @@ class TestOptimality:
         a = sc.predict_asymmetric(dist, 0, 1, 3).predicted_duration
         b = sc.predict_asymmetric(dist, 0, 3, 1).predicted_duration
         assert a == b == 10.0
-        under_low = loss_curve(sc.AsymmetricLoss(1, 3), dist, table, 1, 3).values[0]
-        under_high = loss_curve(sc.AsymmetricLoss(3, 1), dist, table, 1, 3).values[0]
+        under_low = error_curve(sc.AsymmetricLoss(1, 3), dist, table, "loss:1:3").values[0]
+        under_high = error_curve(sc.AsymmetricLoss(3, 1), dist, table, "loss:1:3").values[0]
         assert under_low == under_high
 
     def test_error_decreases_with_elapsed_time_on_simulator_data(self):
@@ -242,6 +249,16 @@ class TestCompare:
         assert len(rows) == len(ts) * len(predictors) * 3
         t0_exp = [r for r in rows if r[0] == 0.0 and r[1] == "expectation"]
         assert {r[2] for r in t0_exp} == {"mae", "mse", "loss(2,1)"}
+
+    def test_bad_metric_rejected_before_any_curve(self, build_table, monkeypatch):
+        table = table_from_d4([30.0, 40.0], build_table)
+        curves = []
+        monkeypatch.setattr("spatcast.evaluate.error_curve",
+                            lambda *args, **kwargs: curves.append(args))
+        with pytest.raises(sc.NonpositiveWeight):
+            compare([("expectation", sc.Expectation())], sc.fit(table, "d4"), table,
+                    metrics=("mae", "loss:1:inf"))
+        assert curves == []
 
     def test_empty_predictors_rejected(self, build_table):
         table = table_from_d4([30.0], build_table)
@@ -327,7 +344,7 @@ def test_leave_one_out_matches_refit(cycles, method, quantity, grid_step, leave_
     oracle = refit_loo_errors if leave_one_out else point_prediction_errors
     points = oracle(method, fitted, key, target, grid_step)
     for loss, metric in ((np.abs, "mae"), (np.square, "mse")):
-        curve = error_curve(method, fitted, table, loss, metric,
+        curve = error_curve(method, fitted, table, metric,
                             grid_step=grid_step, leave_one_out=leave_one_out)
         np.testing.assert_array_equal(curve.ts, [t for t, _ in points])
         np.testing.assert_array_equal(curve.counts, [e.size for _, e in points])

@@ -160,6 +160,32 @@ class TestStream:
         degraded = [m for m in msgs if m["degraded"]]
         assert degraded, "expected degraded messages once history is exhausted"
 
+    def test_cycle_past_stratum_length_holds(self, build_table):
+        # 10 ms of clock skew in d2/d6 makes one cycle 120.01 s long: its
+        # stratum is still 120 s, so its tick at t = 120.00 holds, per ring.
+        rows = [(36.0, 0.0, 0.0), (41.0, 5.0, 10.0), (46.0, 10.0, 5.0)]
+        plain = build_table(rows)
+        skewed = build_table([rows[0], {"d4": 41.0, "d1": 5.0, "d5": 10.0, "L": 120.01},
+                              rows[2]])
+        lines = {}
+        for name, table in (("plain", plain), ("skewed", skewed)):
+            out = io.StringIO()
+            sc.stream(table, sc.fit_message_dists(table), out, cadence_ms=500)
+            lines[name] = out.getvalue().splitlines()
+        held = [
+            f'{{"site":"t","cycle":1,"phase":"{phase}","madeAt":120.00,'
+            f'"startTime":{start},"minEndTime":121.00,"maxEndTime":121.00,'
+            '"likelyTime":121.00,"confidenceAlpha":0.80,"confidenceValue":121.00,'
+            '"nextTime":241.00,"degraded":true}'
+            for phase, start in (("p2", "46.00"), ("p6", "51.00"))
+        ]
+        end_of_cycle_1 = 2 * 2 * 240  # two cycles of 240 ticks, two rings
+        assert lines["skewed"] == (lines["plain"][:end_of_cycle_1] + held
+                                   + lines["plain"][end_of_cycle_1:])
+        # A one-shot message at that t still refuses, as the schedule does.
+        with pytest.raises(ValueError, match="beyond the cycle length 120 s"):
+            sc.compose(sc.fit_message_dists(skewed), "p2", 120.0, 0.8)
+
     def test_sink_close_terminates_cleanly(self, build_table):
         table = build_table([(36.0, 0.0, 0.0)])
         dists = sc.fit_message_dists(table)

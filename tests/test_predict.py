@@ -82,6 +82,11 @@ class TestAsymmetric:
         assert low <= median <= high
         assert low < high
 
+    def test_loss_hand_values(self):
+        # c1 weighs an underestimate (negative error), c2 an overestimate.
+        loss = sc.AsymmetricLoss(3, 1).loss(np.array([-2.0, 0.0, 5.0]))
+        np.testing.assert_array_equal(loss, [6.0, 0.0, 5.0])
+
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(sc.NonpositiveWeight):
             sc.predict_asymmetric(dist_of([10]), 0, 0, 1)
