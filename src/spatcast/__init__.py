@@ -61,13 +61,10 @@ from .predict import (
     Prediction,
     ScheduleEntry,
     next_green_start,
+    parse_method,
     predict,
-    predict_asymmetric,
-    predict_confidence,
-    predict_expectation,
     predict_schedule,
     predict_sum_joint,
-    predict_sum_marginal,
 )
 from .simulate import (
     DemandProfile,

@@ -1,8 +1,9 @@
 """Operator command line: simulate, ingest, fit, predict, evaluate, emit.
 
-Flags mirror the model parameters by name (delta, alpha, c1/c2, cycle
-length) so runs are self-describing.  Usage errors exit 2; data and model
-errors exit 1 with a diagnostic on stderr.
+Flags mirror the model parameters by name (delta, alpha, cycle length) and
+a prediction method is one spec (confidence:0.8, asymmetric:3:1), so runs
+are self-describing.  Usage errors exit 2; data and model errors exit 1
+with a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .errors import SpatError
 from .ioutil import text_sink
 from .messages import compose, fit_message_dists, stream
 from .predict import (
-    AsymmetricLoss,
-    Confidence,
-    Expectation,
     PHASE_QUANTITY,
     Prediction,
+    parse_method,
     predict,
     predict_schedule,
     predict_sum_joint,
@@ -60,6 +59,13 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"expected a finite positive number, got {text}"
         )
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:  # nan fails too
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text}")
     return value
 
 
@@ -95,33 +101,6 @@ def _day_arg(text: str) -> "dt.date | int":
         raise argparse.ArgumentTypeError(
             f"expected a day index or ISO date, got {text!r}"
         ) from exc
-
-
-def _parse_predictor(spec: str):
-    name, _, rest = spec.partition(":")
-    if name == "expectation":
-        return Expectation()
-    if name == "confidence":
-        try:
-            alpha = float(rest)
-        except ValueError as exc:
-            raise ValueError(
-                f"predictor must look like 'confidence:alpha', got {spec!r}"
-            ) from exc
-        return Confidence(alpha)
-    if name == "asymmetric":
-        try:
-            c1_s, c2_s = rest.split(":")
-            c1, c2 = float(c1_s), float(c2_s)
-        except ValueError as exc:
-            raise ValueError(
-                f"predictor must look like 'asymmetric:c1:c2', got {spec!r}"
-            ) from exc
-        return AsymmetricLoss(c1, c2)
-    raise ValueError(
-        f"unknown predictor {spec!r}; expected expectation, "
-        "confidence:alpha or asymmetric:c1:c2"
-    )
 
 
 def _load_table(args, path=None):
@@ -186,13 +165,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     table = _load_table(args)
-    if args.method == "confidence":
-        method = Confidence(args.alpha)
-    elif args.method == "asymmetric":
-        method = AsymmetricLoss(args.c1, args.c2)
-    else:
-        method = Expectation()
-
+    method = parse_method(args.method)
     if args.message:
         dists = fit_message_dists(table)
         msg = compose(
@@ -223,7 +196,7 @@ def _cmd_evaluate(args) -> int:
     table = _load_table(args)
     train = _load_table(args, args.train_input) if args.train_input else table
     dist = fit(train, args.quantity)
-    predictors = [(spec, _parse_predictor(spec)) for spec in args.compare.split(",")]
+    predictors = [(spec, parse_method(spec)) for spec in args.compare.split(",")]
     metrics = args.metric.split(",")
     rows = ev.compare(
         predictors, dist, table, metrics,
@@ -311,18 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="print a prediction or SPaT message")
     p.add_argument("--input", required=True, help="cycle-record CSV")
     p.add_argument("--phase", choices=sorted(PHASE_QUANTITY), default="p4")
-    p.add_argument("--t", type=float, required=True, help="seconds into the cycle")
-    p.add_argument("--method", choices=["expectation", "confidence", "asymmetric"],
-                   default="expectation")
-    p.add_argument("--alpha", type=_alpha_arg, default=0.8)
-    p.add_argument("--c1", type=_positive_float, default=1.0)
-    p.add_argument("--c2", type=_positive_float, default=1.0)
+    p.add_argument("--t", type=_nonnegative_float, required=True,
+                   help="seconds into the cycle")
+    p.add_argument("--method", default="expectation",
+                   help="expectation, confidence:alpha or asymmetric:c1:c2, "
+                        "as in evaluate --compare")
+    p.add_argument("--alpha", type=_alpha_arg, default=0.8,
+                   help="confidence level of the --message bounds")
     p.add_argument("--approach", type=int, choices=[1, 2], default=1,
                    help="sum prediction route for p1/p5: marginal sums (1) "
                         "or joint pairs (2)")
     p.add_argument("--message", action="store_true",
                    help="print a full SPaT message instead of a prediction")
-    p.add_argument("--phase-start", type=float, default=0.0,
+    p.add_argument("--phase-start", type=_nonnegative_float, default=0.0,
                    help="realized start offset of the active phase (seconds)")
     add_common_slicing(p)
     p.set_defaults(func=_cmd_predict)

@@ -47,18 +47,14 @@ class ErrorCurve:
 def _loss(metric: str) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
     """(loss of prediction minus realization, output name) for ``mae``, ``mse``
     or ``loss:c1:c2``, the loss ``AsymmetricLoss(c1, c2)`` minimizes."""
-    name, _, rest = metric.partition(":")
+    name = metric.partition(":")[0]
     if name == "mae":
         return np.abs, "mae"
     if name == "mse":
         return (lambda err: err * err), "mse"
     if name == "loss":
-        try:
-            c1_s, c2_s = rest.split(":")
-            c1, c2 = float(c1_s), float(c2_s)
-        except ValueError as exc:
-            raise ValueError(f"loss metric must look like 'loss:c1:c2', got {metric!r}") from exc
-        return AsymmetricLoss(c1, c2).loss, f"loss({c1:g},{c2:g})"
+        weights = AsymmetricLoss.parse(metric, "loss metric")
+        return weights.loss, f"loss({weights.c1:g},{weights.c2:g})"
     raise ValueError(f"unknown metric {metric!r}")
 
 

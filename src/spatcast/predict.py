@@ -14,7 +14,8 @@ All predictors condition on "the phase is still running at elapsed time t"
 distribution snapshot and t, so callers may invoke them at any cadence and
 concurrently.  Each method's ``apply_loo(dist, x)`` is ``apply`` on ``dist``
 with one copy of each sample ``x`` left out, for all ``x`` at once; it needs
-``dist.n >= 2``.
+``dist.n >= 2``.  ``parse_method`` reads a method from its spec:
+``expectation``, ``confidence:alpha`` or ``asymmetric:c1:c2``.
 """
 
 from __future__ import annotations
@@ -125,6 +126,20 @@ class AsymmetricLoss:
             raise NonpositiveWeight(
                 f"c1 and c2 must be > 0 and finite, got c1={self.c1}, c2={self.c2}"
             )
+        if not 0 < self.ratio < 1:  # c1 + c2 overflows, or one weight swamps the other
+            raise NonpositiveWeight(
+                f"c1/(c1+c2) must be in (0, 1), got c1={self.c1}, c2={self.c2}"
+            )
+
+    @classmethod
+    def parse(cls, spec: str, kind: str) -> AsymmetricLoss:
+        """The weights of a ``name:c1:c2`` spec; ``kind`` names the spec in errors."""
+        name, _, rest = spec.partition(":")
+        try:
+            c1, c2 = (float(w) for w in rest.split(":"))
+        except ValueError as exc:
+            raise ValueError(f"{kind} must look like '{name}:c1:c2', got {spec!r}") from exc
+        return cls(c1, c2)
 
     @property
     def ratio(self) -> float:
@@ -148,6 +163,27 @@ class AsymmetricLoss:
 Method = Union[Expectation, Confidence, AsymmetricLoss]
 
 
+def parse_method(spec: str) -> Method:
+    """The method ``expectation``, ``confidence:alpha`` or ``asymmetric:c1:c2``."""
+    name, _, rest = spec.partition(":")
+    if name == "expectation":
+        return Expectation()
+    if name == "confidence":
+        try:
+            alpha = float(rest)
+        except ValueError as exc:
+            raise ValueError(
+                f"predictor must look like 'confidence:alpha', got {spec!r}"
+            ) from exc
+        return Confidence(alpha)
+    if name == "asymmetric":
+        return AsymmetricLoss.parse(spec, "predictor")
+    raise ValueError(
+        f"unknown predictor {spec!r}; expected expectation, "
+        "confidence:alpha or asymmetric:c1:c2"
+    )
+
+
 def _predict_given(condition, quantity: str, t: float, method: Method) -> Prediction:
     """Apply ``method`` to ``condition(t)``."""
     if t < 0:
@@ -168,32 +204,6 @@ def predict(dist: EmpiricalDist, t: float, method: Method) -> Prediction:
     sample; callers that must broadcast something predict ``hold(t)``.
     """
     return _predict_given(dist.condition_gt, dist.quantity, t, method)
-
-
-def predict_expectation(dist: EmpiricalDist, t: float) -> Prediction:
-    return predict(dist, t, Expectation())
-
-
-def predict_confidence(dist: EmpiricalDist, t: float, alpha: float) -> Prediction:
-    return predict(dist, t, Confidence(alpha))
-
-
-def predict_asymmetric(dist: EmpiricalDist, t: float, c1: float, c2: float) -> Prediction:
-    return predict(dist, t, AsymmetricLoss(c1, c2))
-
-
-def predict_sum_marginal(sum_dist: EmpiricalDist, t: float, method: Method) -> Prediction:
-    """Predict a two-phase end from the marginal sum samples.
-
-    Conditions on {sum > t}, which is implied by (but weaker than) the
-    leading phase still running; see ``predict_sum_joint`` for the exact
-    conditioning.
-    """
-    if "+" not in sum_dist.quantity:
-        raise ValueError(
-            f"expected a per-cycle sum distribution, got {sum_dist.quantity!r}"
-        )
-    return predict(sum_dist, t, method)
 
 
 def predict_sum_joint(joint: JointSamples, t: float, method: Method) -> Prediction:
@@ -234,6 +244,8 @@ def predict_schedule(
     advanced mid-cycle, so a schedule covers one ring; query the other ring
     with its own phase tag.
     """
+    if t < 0:
+        raise ValueError("t must be >= 0")
     if horizon_cycles < 1:
         raise ValueError("horizon_cycles must be >= 1")
     if current_phase not in PHASE_QUANTITY:

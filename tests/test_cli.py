@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -121,13 +122,42 @@ class TestPredict:
 
     def test_confidence_and_asymmetric_methods(self, capsys, cycles_csv):
         assert main(["predict", "--input", str(cycles_csv), "--t", "0",
-                     "--method", "confidence", "--alpha", "0.8"]) == 0
+                     "--method", "confidence:0.8"]) == 0
         conf = json.loads(capsys.readouterr().out)
         assert conf["method"] == "confidence(0.8)"
         assert main(["predict", "--input", str(cycles_csv), "--t", "0",
-                     "--method", "asymmetric", "--c1", "3", "--c2", "1"]) == 0
+                     "--method", "asymmetric:3:1"]) == 0
         asym = json.loads(capsys.readouterr().out)
         assert asym["method"] == "asymmetric(3,1)"
+
+    @pytest.mark.parametrize("spec, extra, reason", [
+        ("confidence", [], "predictor must look like 'confidence:alpha', got 'confidence'"),
+        ("asymmetric:nan:1", [], "c1 and c2 must be > 0 and finite, got c1=nan, c2=1.0"),
+        ("asymmetric:1:inf", [], "c1 and c2 must be > 0 and finite, got c1=1.0, c2=inf"),
+        ("asymmetric:nan:1", ["--message"],
+         "c1 and c2 must be > 0 and finite, got c1=nan, c2=1.0"),
+    ])
+    def test_bad_method_is_data_error(self, capsys, cycles_csv, spec, extra, reason):
+        rc = main(["predict", "--input", str(cycles_csv), "--t", "10",
+                   "--method", spec, *extra])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("flag, value, extra", [
+        ("--t", "-1", ["--phase", "p2"]),
+        ("--t", "-1", ["--phase", "p2", "--message"]),
+        ("--t", "-1", ["--message"]),
+        ("--phase-start", "-5", ["--t", "10", "--message"]),
+    ])
+    def test_negative_time_is_usage_error(self, capsys, cycles_csv, flag, value, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--input", str(cycles_csv), *extra, flag, value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: expected a finite number >= 0, got {value}" in err
 
     def test_sum_phase_routes(self, capsys, cycles_csv):
         assert main(["predict", "--input", str(cycles_csv), "--phase", "p1",
@@ -265,7 +295,8 @@ class TestEvaluate:
         ("loss:inf:1", "c1 and c2 must be > 0 and finite, got c1=inf, c2=1.0"),
         ("loss:1:nan", "c1 and c2 must be > 0 and finite, got c1=1.0, c2=nan"),
         ("loss:0:1", "c1 and c2 must be > 0 and finite, got c1=0.0, c2=1.0"),
-        ("mae,loss:1e308:1", "loss(1e+308,1) of expectation overflows to inf"),
+        ("loss:1e20:1", "c1/(c1+c2) must be in (0, 1), got c1=1e+20, c2=1.0"),
+        ("mae,loss:1e308:1e300", "loss(1e+308,1e+300) of expectation overflows to inf"),
     ])
     def test_bad_metric_writes_nothing(self, tmp_path, capsys, cycles_csv, metric, reason):
         out_csv = tmp_path / "x.csv"
@@ -281,6 +312,8 @@ class TestEvaluate:
         ("bogus", "unknown predictor 'bogus'"),
         ("confidence:1.5", "alpha must be in (0, 1)"),
         ("asymmetric:3", "predictor must look like 'asymmetric:c1:c2', got 'asymmetric:3'"),
+        ("asymmetric:3:1:1",
+         "predictor must look like 'asymmetric:c1:c2', got 'asymmetric:3:1:1'"),
         ("asymmetric:0:1", "c1 and c2 must be > 0"),
         ("asymmetric:nan:1", "c1 and c2 must be > 0 and finite, got c1=nan, c2=1.0"),
         ("asymmetric:1:inf", "c1 and c2 must be > 0 and finite, got c1=1.0, c2=inf"),
@@ -294,6 +327,18 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert err.startswith(f"error: {reason}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("extra", [[], ["--leave-one-out"]])
+    def test_weights_whose_ratio_rounds_to_0_exit_1(self, tmp_path, capsys, cycles_csv,
+                                                    extra):
+        out_csv = tmp_path / "x.csv"
+        rc = main(["evaluate", "--input", str(cycles_csv), "--compare",
+                   "asymmetric:1e308:1e308", *extra, "-o", str(out_csv)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: c1/(c1+c2) must be in (0, 1), got c1=1e+308, c2=1e+308\n"
+        assert not out_csv.exists()
 
 
 class TestEmit:
@@ -355,8 +400,8 @@ class TestEmit:
      "--step", "nan"],
     ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
      "--bin-width", "inf"],
-    ["predict", "--input", "c.csv", "--t", "10", "--c1", "nan"],
-    ["predict", "--input", "c.csv", "--t", "10", "--c2", "inf"],
+    ["predict", "--input", "c.csv", "--t", "nan"],
+    ["predict", "--input", "c.csv", "--t", "10", "--phase-start", "inf"],
     ["fit", "--input", "c.csv", "-o", "d.csv", "--cycle-length", "nan"],
 ])
 def test_non_finite_float_flag_is_usage_error(capsys, argv):
@@ -366,7 +411,8 @@ def test_non_finite_float_flag_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: spatcast")
-    assert f"argument {argv[-2]}: expected a finite positive number, got {argv[-1]}" in err
+    wanted = "number >= 0" if argv[-2] in ("--t", "--phase-start") else "positive number"
+    assert f"argument {argv[-2]}: expected a finite {wanted}, got {argv[-1]}" in err
 
 
 def _valid_event_lines():
@@ -449,6 +495,30 @@ def _spec_list(good, names):
     return st.lists(spec, min_size=1, max_size=3).map(",".join)
 
 
+def _run(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, after checking what every
+    run keeps to: exit 0, 1 or 2, no traceback, and one ``error:`` line on exit 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    return rc, out.getvalue(), err.getvalue()
+
+
+_NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-finite JSON constant {name}")
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     _spec_list(["mae", "mse", "loss:3:1", "loss:1:3"], ["mae", "mse", "loss", "MAE", ""]),
@@ -464,22 +534,155 @@ def test_evaluate_survives_metric_and_compare_specs(metric, compare, leave_one_o
                 "--compare", compare, "-o", str(result)]
         if leave_one_out:
             argv.append("--leave-one-out")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = exc.code
-        assert rc in (0, 1, 2)
-        assert out.getvalue() == ""
-        assert "Traceback" not in err.getvalue()
+        rc, out, err = _run(argv)
+        assert out == ""
         if rc == 0:
-            assert err.getvalue() == ""
+            assert err == ""
             with open(result, newline="") as f:
                 values = [float(row["value"]) for row in csv.DictReader(f)]
             assert values and all(math.isfinite(v) for v in values)
         else:
             assert not result.exists()
-        if rc == 1:
-            assert err.getvalue().startswith("error: ")
-            assert err.getvalue().count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _spec_list(["expectation", "confidence:0.8", "asymmetric:3:1"],
+               ["expectation", "confidence", "asymmetric", ""]),
+    st.sampled_from(["p4", "p1", "p2", "p5"]),
+    st.sampled_from(["1", "2"]),
+    st.sampled_from(["0", "10", "38.5", "200"]),
+    st.booleans(),
+)
+def test_predict_survives_method_specs(method, phase, approach, t, message):
+    with tempfile.TemporaryDirectory() as tmp:
+        cycles = Path(tmp) / "cycles.csv"
+        cycles.write_text(_CYCLE_CSV.getvalue())
+        argv = ["predict", "--input", str(cycles), "--phase", phase, "--t", t,
+                "--approach", approach, "--method", method]
+        rc, out, err = _run(argv + ["--message"] * message)
+        if rc == 0:
+            assert err == ""
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out == ""
+
+
+_SIX_CYCLES = io.StringIO()
+sc.write_cycle_csv(sc.simulate(sc.TimingPlan(), sc.peaked_demand(6), 6), _SIX_CYCLES)
+_CYCLE_FIELD_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e308", "-1", "-0.01", "0", "0.00",
+                     "36.00", "120.00", "1e3", "", str(2**63), "9" * 25]),
+    st.text(alphabet="0123456789-. e\"x", max_size=8),
+)
+
+
+@st.composite
+def _mutated_cycle_csv(draw):
+    """A valid 6-cycle CSV with one to three lines dropped, doubled, swapped,
+    blanked, given a new field (the likeliest) or given one more byte."""
+    lines = _SIX_CYCLES.getvalue().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["drop", "duplicate", "swap", "edit", "edit", "edit",
+                                   "blank", "byte"]))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap" and i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        elif op == "edit":
+            fields = lines[i].split(",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_CYCLE_FIELD_TEXT)
+            lines[i] = ",".join(fields)
+        elif op == "blank":
+            lines[i] = ""
+        elif op == "byte":
+            j = draw(st.integers(0, len(lines[i])))
+            byte = draw(st.sampled_from(['"', "\x00", "\r", ",", "9", "-", ".", "e"]))
+            lines[i] = lines[i][:j] + byte + lines[i][j:]
+    return "\n".join(lines) + "\n"
+
+
+_CSV_COMMANDS = [
+    ["fit", "--quantity", "d4+d1", "-o", "{out}"],
+    *(["evaluate", "--compare", "expectation,confidence:0.8,asymmetric:3:1",
+       "--metric", "mae,loss:3:1", *extra, "-o", "{out}"]
+      for extra in ([], ["--leave-one-out"], ["--target-day", "1", "--delta", "1"])),
+    ["emit", "--cadence-ms", "5000", "-o", "{out}"],
+    ["predict", "--phase", "p4", "--t", "10", "--message"],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_cycle_csv())
+def test_commands_survive_mutated_cycle_csv(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cycles, written = Path(tmp) / "cycles.csv", Path(tmp) / "out"
+        cycles.write_text(text)
+        for command, *rest in _CSV_COMMANDS:
+            written.unlink(missing_ok=True)
+            argv = [command, "--input", str(cycles),
+                    *(str(written) if a == "{out}" else a for a in rest)]
+            rc, out, err = _run(argv)
+            assert rc in (0, 1)
+            produced = out + (written.read_text() if written.exists() else "")
+            assert not _NON_FINITE.search(produced)
+            if rc == 0:
+                assert err == ""
+            else:
+                assert out == ""
+            if out:
+                json.loads(out, parse_constant=_reject_constant)
+
+
+_CONFIG_VALUES = {
+    "min_green_p4": ["20", "36", "50"],
+    "extension": ["2", "5", "7.5"],
+    "max_d4": ["45", "60", "90"],
+    "max_d1": ["10", "25"],
+    "schedule": ["0-24@120", "0-6@100, 6-24@120", "0-24@100.03", "0-24@150"],
+    "side_street_rate": ["0-24@0", "0-24@2.5", "0-7@1, 7-24@30"],
+    "left_turn_rate": ["0-24@0", "0-24@2.5", "0-7@1, 7-24@30"],
+    "seed": ["0", "7", "123456789"],
+    "start_ms": ["0", "86400000", "1700000000000"],
+}
+_CONFIG_JUNK = st.one_of(
+    _NUMBER_TEXT,
+    st.sampled_from([
+        "1e9", str(2**63), "9" * 25, "-5", "x", "0-24@0", "0-24@nan", "0-12@120",
+        "0-24@1e9", "0-24@1e308", "0-24@-1", "6-24@1", "0-24", "0-24@120,",
+    ]),
+    st.text(alphabet="0123456789-@,.e ", max_size=10),
+)
+
+
+@st.composite
+def _config_text(draw):
+    """Zero to five ``key = value`` lines; three values in four suit their key."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        key = draw(st.sampled_from([*_CONFIG_VALUES, "speed"]))
+        if key in _CONFIG_VALUES and draw(st.integers(0, 3)):
+            value = draw(st.sampled_from(_CONFIG_VALUES[key]))
+        else:
+            value = draw(_CONFIG_JUNK)
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_config_text())
+def test_simulate_survives_random_config(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, cycles = Path(tmp) / "sim.cfg", Path(tmp) / "cycles.csv"
+        cfg.write_text(text)
+        rc, out, err = _run(["simulate", "--cycles", "6", "--config", str(cfg),
+                             "-o", str(cycles)])
+        assert rc in (0, 1)
+        assert out == ""
+        if rc == 0:
+            assert err == ""
+            assert not _NON_FINITE.search(cycles.read_text())
+            sc.read_cycle_csv(cycles)

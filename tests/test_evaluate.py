@@ -124,7 +124,9 @@ class TestCurves:
         ("loss:0:1", sc.NonpositiveWeight, "c1=0.0, c2=1.0"),
         ("loss:3", ValueError, "must look like 'loss:c1:c2'"),
         ("mad", ValueError, "unknown metric 'mad'"),
-        ("loss:1e308:1", ValueError, r"loss\(1e\+308,1\) of expectation overflows to inf"),
+        ("loss:1e20:1", sc.NonpositiveWeight, r"c1/\(c1\+c2\) must be in \(0, 1\)"),
+        ("loss:1e308:1e300", ValueError,
+         r"loss\(1e\+308,1e\+300\) of expectation overflows to inf"),
     ])
     def test_bad_metric_rejected(self, build_table, metric, error, match):
         table = table_from_d4([30.0, 50.0], build_table)
@@ -224,8 +226,8 @@ class TestOptimality:
         # winner exists.
         table = table_from_d4([10.0, 10.0, 10.0, 50.0], build_table)
         dist = sc.fit(table, "d4")
-        a = sc.predict_asymmetric(dist, 0, 1, 3).predicted_duration
-        b = sc.predict_asymmetric(dist, 0, 3, 1).predicted_duration
+        a = sc.predict(dist, 0, sc.AsymmetricLoss(1, 3)).predicted_duration
+        b = sc.predict(dist, 0, sc.AsymmetricLoss(3, 1)).predicted_duration
         assert a == b == 10.0
         under_low = error_curve(sc.AsymmetricLoss(1, 3), dist, table, "loss:1:3").values[0]
         under_high = error_curve(sc.AsymmetricLoss(3, 1), dist, table, "loss:1:3").values[0]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,35 +18,35 @@ int_samples = st.lists(st.integers(0, 120), min_size=1, max_size=50)
 
 class TestExpectation:
     def test_point_mass(self):
-        p = sc.predict_expectation(dist_of([40, 40, 40]), 10)
+        p = sc.predict(dist_of([40, 40, 40]), 10, sc.Expectation())
         assert p.predicted_duration == 40.0
         assert p.residual == 30.0
         assert p.n_conditioning_samples == 3
         assert not p.degraded
 
     def test_survivor_mean(self):
-        p = sc.predict_expectation(dist_of([30, 40, 50]), 35)
+        p = sc.predict(dist_of([30, 40, 50]), 35, sc.Expectation())
         assert p.predicted_duration == pytest.approx(45.0)
         assert p.residual == pytest.approx(10.0)
         assert p.n_conditioning_samples == 2
 
     def test_empty_condition_propagates(self):
         with pytest.raises(sc.EmptyCondition):
-            sc.predict_expectation(dist_of([30]), 30)
+            sc.predict(dist_of([30]), 30, sc.Expectation())
 
 
 class TestConfidence:
     def test_point_mass(self):
-        p = sc.predict_confidence(dist_of([40]), 0, 0.8)
+        p = sc.predict(dist_of([40]), 0, sc.Confidence(0.8))
         assert p.predicted_duration == 40.0
 
     def test_unconditioned_scan(self):
-        p = sc.predict_confidence(dist_of([30, 30, 40, 50, 50]), 0, 0.8)
+        p = sc.predict(dist_of([30, 30, 40, 50, 50]), 0, sc.Confidence(0.8))
         assert p.predicted_duration == 30.0
 
     def test_conditioned_scan(self):
         # survivors past 31 are {40, 50, 50}: P(X>=40)=1, P(X>=50)=2/3
-        p = sc.predict_confidence(dist_of([30, 30, 40, 50, 50]), 31, 0.8)
+        p = sc.predict(dist_of([30, 30, 40, 50, 50]), 31, sc.Confidence(0.8))
         assert p.predicted_duration == 40.0
 
 
@@ -64,20 +65,20 @@ def grid_loss_minimizer(samples, c1, c2, lo, hi, step=0.01):
 
 class TestAsymmetric:
     def test_symmetric_weights_give_median(self):
-        p = sc.predict_asymmetric(dist_of([10, 20, 30, 40, 50]), 0, 1, 1)
+        p = sc.predict(dist_of([10, 20, 30, 40, 50]), 0, sc.AsymmetricLoss(1, 1))
         assert p.predicted_duration == 30.0
 
     def test_matches_grid_search(self):
         samples = [10, 20, 30, 40, 50]
         oracle = grid_loss_minimizer(samples, c1=3, c2=1, lo=10, hi=50)
         assert oracle == 40.0
-        p = sc.predict_asymmetric(dist_of(samples), 0, 3, 1)
+        p = sc.predict(dist_of(samples), 0, sc.AsymmetricLoss(3, 1))
         assert p.predicted_duration == oracle
 
     def test_swapping_weights_crosses_median(self):
         dist = dist_of([10, 10, 10, 50, 50])
-        low = sc.predict_asymmetric(dist, 0, 1, 3).predicted_duration
-        high = sc.predict_asymmetric(dist, 0, 3, 1).predicted_duration
+        low = sc.predict(dist, 0, sc.AsymmetricLoss(1, 3)).predicted_duration
+        high = sc.predict(dist, 0, sc.AsymmetricLoss(3, 1)).predicted_duration
         median = dist.quantile(0.5)
         assert low <= median <= high
         assert low < high
@@ -89,9 +90,9 @@ class TestAsymmetric:
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(sc.NonpositiveWeight):
-            sc.predict_asymmetric(dist_of([10]), 0, 0, 1)
+            sc.predict(dist_of([10]), 0, sc.AsymmetricLoss(0, 1))
         with pytest.raises(sc.NonpositiveWeight):
-            sc.predict_asymmetric(dist_of([10]), 0, 1, -2)
+            sc.predict(dist_of([10]), 0, sc.AsymmetricLoss(1, -2))
 
     @pytest.mark.parametrize("c1, c2, named", [
         (float("nan"), 1.0, "c1=nan, c2=1.0"),
@@ -102,6 +103,23 @@ class TestAsymmetric:
         with pytest.raises(sc.NonpositiveWeight, match=f"must be > 0 and finite, got {named}$"):
             sc.AsymmetricLoss(c1, c2)
 
+    @pytest.mark.parametrize("c1, c2", [(1e308, 1e308), (1e20, 1.0), (1e-300, 1e100)])
+    def test_weights_whose_ratio_rounds_to_0_or_1_rejected(self, c1, c2):
+        message = f"c1/(c1+c2) must be in (0, 1), got c1={c1}, c2={c2}"
+        with pytest.raises(sc.NonpositiveWeight, match=re.escape(message)):
+            sc.AsymmetricLoss(c1, c2)
+
+
+class TestParseMethod:
+    @pytest.mark.parametrize("spec, method", [
+        ("expectation", sc.Expectation()),
+        ("confidence:0.8", sc.Confidence(0.8)),
+        ("asymmetric:3:1", sc.AsymmetricLoss(3, 1)),
+        ("asymmetric:0.5:2e1", sc.AsymmetricLoss(0.5, 20)),
+    ])
+    def test_specs(self, spec, method):
+        assert sc.parse_method(spec) == method
+
 
 class TestSumPredictors:
     SUMS = [36.0, 41.0, 41.0, 51.0]
@@ -110,24 +128,20 @@ class TestSumPredictors:
 
     def test_marginal_expectation_conditions_on_sum(self):
         dist = dist_of(self.SUMS, quantity="d4+d1")
-        p = sc.predict_sum_marginal(dist, 38, sc.Expectation())
+        p = sc.predict(dist, 38, sc.Expectation())
         # survivors {41, 41, 51}
         assert p.predicted_duration == pytest.approx(133 / 3)
         assert p.n_conditioning_samples == 3
 
     def test_marginal_unconditioned(self):
         dist = dist_of(self.SUMS, quantity="d4+d1")
-        p = sc.predict_sum_marginal(dist, 0, sc.Expectation())
+        p = sc.predict(dist, 0, sc.Expectation())
         assert p.predicted_duration == pytest.approx(42.25)
 
     def test_marginal_confidence(self):
         dist = dist_of(self.SUMS, quantity="d4+d1")
-        p = sc.predict_sum_marginal(dist, 38, sc.Confidence(0.8))
+        p = sc.predict(dist, 38, sc.Confidence(0.8))
         assert p.predicted_duration == 41.0
-
-    def test_marginal_requires_sum_quantity(self):
-        with pytest.raises(ValueError):
-            sc.predict_sum_marginal(dist_of([36.0]), 0, sc.Expectation())
 
     def test_joint_conditions_on_lead(self):
         joint = sc.JointSamples(self.LEAD, self.FOLLOW)
@@ -138,7 +152,7 @@ class TestSumPredictors:
     def test_routes_agree_at_zero(self):
         joint = sc.JointSamples(self.LEAD, self.FOLLOW)
         marginal = dist_of(self.SUMS, quantity="d4+d1")
-        a = sc.predict_sum_marginal(marginal, 0, sc.Expectation())
+        a = sc.predict(marginal, 0, sc.Expectation())
         b = sc.predict_sum_joint(joint, 0, sc.Expectation())
         assert a.predicted_duration == b.predicted_duration
 
@@ -184,6 +198,10 @@ class TestSchedule:
         assert by_phase["p1"].end_time == 41.0
         assert by_phase["p1"].start_time is None
 
+    def test_negative_t_rejected(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            sc.predict_schedule(self.point_mass_dists(), "p2", -1.0, 1)
+
     def test_coordination_phase_is_deterministic(self):
         sched = sc.predict_schedule(self.point_mass_dists(), "p2", 60.0, 1)
         assert len(sched) == 1
@@ -209,7 +227,7 @@ def test_confidence_nonincreasing_in_alpha(samples, t):
     if dist.support_max() <= t:
         return
     alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
-    values = [sc.predict_confidence(dist, t, a).predicted_duration for a in alphas]
+    values = [sc.predict(dist, t, sc.Confidence(a)).predicted_duration for a in alphas]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -218,8 +236,8 @@ def test_residual_jumps_upward_on_bimodal_history():
     # the long cycle survives and the predicted residual grows.
     samples = [36.0] * 9 + [45.0]
     dist = dist_of(samples)
-    before = sc.predict_expectation(dist, 35.99)
-    after = sc.predict_expectation(dist, 36.0)
+    before = sc.predict(dist, 35.99, sc.Expectation())
+    after = sc.predict(dist, 36.0, sc.Expectation())
     mean_all = sum(Fraction(s) for s in samples) / len(samples)
     assert before.predicted_duration == pytest.approx(float(mean_all))
     assert after.predicted_duration == 45.0
