@@ -12,7 +12,7 @@ showing how much real-time conditioning buys as the phase runs.
 import argparse
 
 import spatcast as sc
-from spatcast.evaluate import compare, mae_curve, write_comparison_csv
+from spatcast.evaluate import compare, error_curve, write_comparison_csv
 
 
 def main() -> None:
@@ -40,7 +40,7 @@ def main() -> None:
     write_comparison_csv(rows, args.output)
     print(f"wrote {len(rows)} rows to {args.output}")
 
-    curve = mae_curve(sc.Expectation(), dist, table)
+    curve = error_curve(sc.Expectation(), dist, table, "mae")
     picks = [0, len(curve.ts) // 2, -1]
     for i in picks:
         print(f"  expectation MAE(t={curve.ts[i]:>5.1f}) = {curve.values[i]:.3f} s "

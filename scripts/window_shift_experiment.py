@@ -13,7 +13,7 @@ import argparse
 from dataclasses import replace
 
 import spatcast as sc
-from spatcast.evaluate import mae_curve
+from spatcast.evaluate import error_curve
 
 MS_PER_DAY = 86_400_000
 
@@ -55,7 +55,7 @@ def main() -> None:
         cells = []
         for delta in deltas:
             dist = sc.fit(sc.window(table, day, delta), "d4")
-            curve = mae_curve(sc.Expectation(), dist, eval_day)
+            curve = error_curve(sc.Expectation(), dist, eval_day, "mae")
             cells.append(f"  {curve.aggregate():>9.3f}")
         print(f"{day:>4d}" + "".join(cells))
 

@@ -45,8 +45,6 @@ from .evaluate import (
     ErrorCurve,
     compare,
     error_curve,
-    mae_curve,
-    mse_curve,
     write_comparison_csv,
     write_distribution_csv,
     write_plot_data,
@@ -59,8 +57,6 @@ from .predict import (
     Confidence,
     Expectation,
     Prediction,
-    ScheduleEntry,
-    next_green_start,
     parse_method,
     predict,
     predict_schedule,

@@ -31,6 +31,7 @@ from .ioutil import text_sink
 from .messages import compose, fit_message_dists, stream
 from .predict import (
     PHASE_QUANTITY,
+    Expectation,
     Prediction,
     parse_method,
     predict,
@@ -165,7 +166,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     table = _load_table(args)
-    method = parse_method(args.method)
     if args.message:
         dists = fit_message_dists(table)
         msg = compose(
@@ -175,10 +175,10 @@ def _cmd_predict(args) -> int:
         print(msg.to_ndjson())
         return 0
 
+    method = Expectation() if args.method is None else parse_method(args.method)
     quantity = PHASE_QUANTITY[args.phase]
     if quantity is None:
-        schedule = predict_schedule(fit_message_dists(table), args.phase, args.t, 1)
-        end = schedule[0].end_time
+        end, _ = predict_schedule(fit_message_dists(table), args.phase, args.t)
         p = Prediction(
             made_at=args.t, quantity="cycle_end", method="identity",
             predicted_duration=end, residual=end - args.t,
@@ -286,9 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phase", choices=sorted(PHASE_QUANTITY), default="p4")
     p.add_argument("--t", type=_nonnegative_float, required=True,
                    help="seconds into the cycle")
-    p.add_argument("--method", default="expectation",
-                   help="expectation, confidence:alpha or asymmetric:c1:c2, "
-                        "as in evaluate --compare")
+    p.add_argument("--method", default=None,
+                   help="expectation (the default), confidence:alpha or "
+                        "asymmetric:c1:c2, as in evaluate --compare; p2/p6 "
+                        "end at L whatever the method; not with --message, "
+                        "whose bounds take --alpha")
     p.add_argument("--alpha", type=_alpha_arg, default=0.8,
                    help="confidence level of the --message bounds")
     p.add_argument("--approach", type=int, choices=[1, 2], default=1,
@@ -337,6 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "predict" and args.message and args.method is not None:
+        parser.error("argument --method: not allowed with --message; "
+                     "set the message's confidence level with --alpha")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -152,16 +152,6 @@ def error_curve(
     )
 
 
-def mae_curve(predictor, dist_or_joint, eval_table, **kwargs) -> ErrorCurve:
-    """Mean absolute error versus elapsed time."""
-    return error_curve(predictor, dist_or_joint, eval_table, "mae", **kwargs)
-
-
-def mse_curve(predictor, dist_or_joint, eval_table, **kwargs) -> ErrorCurve:
-    """Mean squared error versus elapsed time."""
-    return error_curve(predictor, dist_or_joint, eval_table, "mse", **kwargs)
-
-
 def compare(
     predictors: Sequence[tuple[str, Method]],
     dist_or_joint,

@@ -23,7 +23,7 @@ from typing import Mapping, TextIO
 from .cycles import DURATION_KEY, PHASE_RING, RING_SEQUENCE, CycleRecord, CycleTable
 from .distributions import EmpiricalDist, fit
 from .errors import EmptyCondition, SinkClosed
-from .predict import PHASE_QUANTITY, hold, next_green_start, predict_schedule
+from .predict import PHASE_QUANTITY, hold, predict_schedule
 
 _ORDER_EPS = 1e-9
 
@@ -88,12 +88,6 @@ def _cycle_length(dists: Mapping[str, EmpiricalDist], phase: str) -> float:
     return float(dists[opening].stratum)
 
 
-def _held(dists: Mapping[str, EmpiricalDist], phase: str, t: float) -> tuple:
-    """The degraded hold at t, next green one cycle length later."""
-    held = hold(t)
-    return held, held, held, held, held + _cycle_length(dists, phase), True
-
-
 def _conditional_stats(
     dists: Mapping[str, EmpiricalDist],
     phase: str,
@@ -103,15 +97,14 @@ def _conditional_stats(
     """(min_end, max_end, likely, confidence_value, next_time, degraded).
 
     Pure in (dists, phase, t, alpha), which lets the streamer cache per
-    tick offset.  The likely end and next green come from the phase's
-    schedule; the other fields condition the same quantity on running past t.
+    tick offset.  The likely end and next green are ``predict_schedule``'s;
+    the other fields condition the same quantity on running past t.
     """
     try:
-        schedule = predict_schedule(dists, phase, t, horizon_cycles=2)
-    except EmptyCondition:
-        return _held(dists, phase, t)
-    likely = schedule[0].end_time
-    next_time = next_green_start(schedule, phase)
+        likely, next_time = predict_schedule(dists, phase, t)
+    except EmptyCondition:  # degraded: hold at t, next green a cycle later
+        held = hold(t)
+        return held, held, held, held, held + _cycle_length(dists, phase), True
     quantity = PHASE_QUANTITY[phase]
     if quantity is None:
         return likely, likely, likely, likely, next_time, False
@@ -133,10 +126,17 @@ def compose(
 ) -> SpatMessage:
     """Compose the broadcastable record for one phase at elapsed time t.
 
-    ``phase_start`` is the phase's realized start offset within the cycle;
-    a replaying streamer knows it, and it defaults to 0, which is exact for
-    the cycle-opening phases p4 and p8.
+    ``phase_start`` is the phase's realized start offset within the cycle,
+    at most t; a replaying streamer knows it, and it defaults to 0, which is
+    exact for the cycle-opening phases p4 and p8.  Once history is
+    exhausted (a coordination phase at t >= L included) the message holds,
+    degraded, as the stream's does.
     """
+    if phase_start > t:
+        raise ValueError(
+            f"phase_start = {phase_start:g} s is after t = {t:g} s; "
+            "the phase has not started yet"
+        )
     min_end, max_end, likely, conf, next_time, degraded = _conditional_stats(
         dists, current_phase, t, alpha
     )
@@ -187,8 +187,8 @@ def stream(
     ``speed`` of None replays as fast as possible; a positive value paces
     ticks at cadence/speed wall seconds (1.0 is real time).  Returns the
     number of messages written; a sink that stops accepting writes ends the
-    stream cleanly.  A coordination-phase tick at or past the stratum's L
-    (clock skew, or an L that rounds down to its 0.1 s key) holds, degraded.
+    stream cleanly.  Each line equals ``compose``'s for its cycle, phase,
+    t and phase start.
     """
     if cadence_ms < 10:
         raise ValueError("cadence_ms must be >= 10 (the log clock resolution)")
@@ -208,11 +208,7 @@ def stream(
                 key = (phase, t_ms)
                 stats = cache.get(key)
                 if stats is None:
-                    if PHASE_QUANTITY[phase] is None and t >= _cycle_length(dists, phase):
-                        stats = _held(dists, phase, t)  # a cycle outlasting its stratum's L
-                    else:
-                        stats = _conditional_stats(dists, phase, t, alpha)
-                    cache[key] = stats
+                    stats = cache[key] = _conditional_stats(dists, phase, t, alpha)
                 min_end, max_end, likely, conf, next_time, degraded = stats
                 msg = SpatMessage(
                     site_id=sid,

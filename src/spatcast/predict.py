@@ -16,6 +16,9 @@ concurrently.  Each method's ``apply_loo(dist, x)`` is ``apply`` on ``dist``
 with one copy of each sample ``x`` left out, for all ``x`` at once; it needs
 ``dist.n >= 2``.  ``parse_method`` reads a method from its spec:
 ``expectation``, ``confidence:alpha`` or ``asymmetric:c1:c2``.
+
+``predict_schedule`` answers the two times a SPaT message carries for the
+active phase: its predicted end and when it next turns green.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .cycles import DURATION_KEY, PHASE_RING, RING_SEQUENCE
 from .distributions import EmpiricalDist, JointSamples, lower_rank, upper_rank
-from .errors import NonpositiveWeight
+from .errors import EmptyCondition, NonpositiveWeight
 
 DEFAULT_HOLD_S = 1.0  # broadcast fallback when history is exhausted
 
@@ -212,42 +215,26 @@ def predict_sum_joint(joint: JointSamples, t: float, method: Method) -> Predicti
 
 
 # ---------------------------------------------------------------------------
-# Whole-cycle transition schedules
-
-
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """Predicted green end (and start, when determinable) for one phase."""
-
-    phase: str
-    cycle_offset: int
-    end_time: float
-    start_time: float | None
+# The active phase's end and next green
 
 
 def predict_schedule(
-    dists: Mapping[str, EmpiricalDist],
-    current_phase: str,
-    t: float,
-    horizon_cycles: int,
-) -> list[ScheduleEntry]:
-    """Transition times for the active ring, current cycle plus future ones.
+    dists: Mapping[str, EmpiricalDist], current_phase: str, t: float
+) -> tuple[float, float]:
+    """(end, next_green) of the active phase at elapsed time t.
 
-    The current cycle uses real-time conditioning: the opening phase
-    conditions its own duration on {d > t}; the middle phase conditions the
-    per-cycle sum on {sum > t}; the coordination phase ends at the cycle
-    length L exactly, so querying it at t >= L is a ValueError.  Cycles
-    n+1 .. n+horizon-1 stack unconditional expected durations at multiples
-    of the cycle length, since real-time information does not reach across
-    the cycle boundary.  Times are seconds from the current cycle start.
-    Knowing only (phase, t) says nothing about how far the opposite ring has
-    advanced mid-cycle, so a schedule covers one ring; query the other ring
-    with its own phase tag.
+    ``end`` is the conditional mean of the opening phase's duration, or of
+    the opening+middle sum for the middle phase, given it runs past t; the
+    coordination phase ends at the cycle length L.  ``next_green`` is
+    the phase's start in the next cycle, L, L + mean(opening) or
+    L + mean(opening) + mean(middle) along the ring: real-time information
+    does not reach across the cycle boundary.  Times are seconds from the
+    current cycle start.  EmptyCondition means history is exhausted: no
+    sample runs past t, or a coordination phase at t >= L (clock skew, or an
+    L that rounds down to its 0.1 s stratum key).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    if horizon_cycles < 1:
-        raise ValueError("horizon_cycles must be >= 1")
     if current_phase not in PHASE_QUANTITY:
         raise ValueError(f"unknown phase {current_phase!r}")
     seq = RING_SEQUENCE[PHASE_RING[current_phase]]
@@ -255,12 +242,11 @@ def predict_schedule(
     if first.stratum is None:
         raise ValueError("distributions must carry their cycle-length stratum")
     length = float(first.stratum)
-    mu_first, mu_mid = first.mean(), mid.mean()
 
     quantity = PHASE_QUANTITY[current_phase]
     if quantity is None:
         if not t < length:
-            raise ValueError(f"t = {t:g} s is beyond the cycle length {length:g} s")
+            raise EmptyCondition(f"t = {t:g} s is beyond the cycle length {length:g} s")
         end = length
     elif quantity not in dists:
         raise ValueError(
@@ -269,28 +255,7 @@ def predict_schedule(
     else:
         end = predict(dists[quantity], t, Expectation()).predicted_duration
 
-    idx = seq.index(current_phase)
-    entries = [ScheduleEntry(current_phase, 0, end, 0.0 if idx == 0 else None)]
-    for phase in seq[idx + 1:]:
-        start, end = end, (end + mu_mid if phase == seq[1] else length)
-        entries.append(ScheduleEntry(phase, 0, end, start))
-
-    for j in range(1, horizon_cycles):
-        base = j * length
-        entries.append(ScheduleEntry(seq[0], j, base + mu_first, base))
-        entries.append(
-            ScheduleEntry(seq[1], j, base + mu_first + mu_mid, base + mu_first)
-        )
-        entries.append(
-            ScheduleEntry(seq[2], j, (j + 1) * length, base + mu_first + mu_mid)
-        )
-    return entries
-
-
-def next_green_start(schedule: list[ScheduleEntry], phase: str) -> float:
-    """When the phase next turns green: its start in the following cycle."""
-    for entry in schedule:
-        if entry.phase == phase and entry.cycle_offset == 1:
-            assert entry.start_time is not None
-            return entry.start_time
-    raise ValueError(f"schedule has no cycle-offset-1 entry for {phase!r}")
+    next_green = length
+    for dist in (first, mid)[:seq.index(current_phase)]:
+        next_green += dist.mean()
+    return end, next_green

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import spatcast as sc
-from spatcast.evaluate import mae_curve, mse_curve
+from spatcast.evaluate import error_curve
 
 
 def _report(number: int, name: str) -> None:
@@ -143,15 +143,15 @@ def test_criterion_4_error_decrease_and_mse_optimality():
     table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(11), 5_000)
     dist = sc.fit(table, "d4")
 
-    exp_mae = mae_curve(sc.Expectation(), dist, table)
+    exp_mae = error_curve(sc.Expectation(), dist, table, "mae")
     assert exp_mae.values[0] > 0
     assert exp_mae.values[-1] < exp_mae.values[0]
 
-    exp_mse = mse_curve(sc.Expectation(), dist, table)
+    exp_mse = error_curve(sc.Expectation(), dist, table, "mse")
     rivals = (sc.Confidence(0.8), sc.Confidence(0.5),
               sc.AsymmetricLoss(3, 1), sc.AsymmetricLoss(1, 3))
     for rival in rivals:
-        rival_mse = mse_curve(rival, dist, table)
+        rival_mse = error_curve(rival, dist, table, "mse")
         assert np.array_equal(rival_mse.ts, exp_mse.ts)
         assert np.all(exp_mse.values <= rival_mse.values)
 
@@ -222,7 +222,7 @@ def test_criterion_6_sliding_window_tracks_demand_shift():
     for delta in (14, 120):
         train = sc.window(table, 75, delta)
         dist = sc.fit(train, "d4")
-        curve = mae_curve(sc.Expectation(), dist, eval_day)
+        curve = error_curve(sc.Expectation(), dist, eval_day, "mae")
         aggregates[delta] = curve.aggregate()
     assert aggregates[14] < aggregates[120]
     _report(6, f"day-75 MAE: delta=14 {aggregates[14]:.3f} < delta=120 {aggregates[120]:.3f}")

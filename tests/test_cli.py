@@ -134,7 +134,7 @@ class TestPredict:
         ("confidence", [], "predictor must look like 'confidence:alpha', got 'confidence'"),
         ("asymmetric:nan:1", [], "c1 and c2 must be > 0 and finite, got c1=nan, c2=1.0"),
         ("asymmetric:1:inf", [], "c1 and c2 must be > 0 and finite, got c1=1.0, c2=inf"),
-        ("asymmetric:nan:1", ["--message"],
+        ("asymmetric:nan:1", ["--phase", "p1", "--approach", "2"],
          "c1 and c2 must be > 0 and finite, got c1=nan, c2=1.0"),
     ])
     def test_bad_method_is_data_error(self, capsys, cycles_csv, spec, extra, reason):
@@ -184,17 +184,44 @@ class TestPredict:
 
     def test_coordination_phase_past_cycle_length_exits_1(self, capsys, cycles_csv):
         for t in ("120", "500"):
-            errs = []
-            for extra in ([], ["--message"]):
-                rc = main(["predict", "--input", str(cycles_csv), "--phase", "p2",
-                           "--t", t, *extra])
-                out, err = capsys.readouterr()
-                assert rc == 1
-                assert out == ""
-                errs.append(err)
-            assert errs[0] == errs[1] == (
-                f"error: t = {t} s is beyond the cycle length 120 s\n"
-            )
+            rc = main(["predict", "--input", str(cycles_csv), "--phase", "p2", "--t", t])
+            out, err = capsys.readouterr()
+            assert rc == 1
+            assert out == ""
+            assert err == f"error: t = {t} s is beyond the cycle length 120 s\n"
+
+    def test_coordination_phase_past_cycle_length_message_holds(self, capsys, cycles_csv):
+        # The one-shot message holds, degraded, as the stream does at such a t.
+        for t in ("120", "500"):
+            rc = main(["predict", "--input", str(cycles_csv), "--phase", "p2", "--t", t,
+                       "--message"])
+            out, err = capsys.readouterr()
+            assert rc == 0
+            assert err == ""
+            msg = json.loads(out)
+            assert msg["degraded"] is True
+            assert msg["likelyTime"] == float(t) + 1.0
+
+    def test_method_with_message_is_usage_error(self, capsys, cycles_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--input", str(cycles_csv), "--t", "10", "--message",
+                  "--method", "expectation"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --method: not allowed with --message" in err
+        assert "--alpha" in err
+
+    def test_phase_start_after_t_exits_1(self, capsys, cycles_csv):
+        argv = ["predict", "--input", str(cycles_csv), "--phase", "p4", "--t", "10",
+                "--message", "--phase-start"]
+        assert main([*argv, "30"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: phase_start = 30 s is after t = 10 s; "
+                       "the phase has not started yet\n")
+        assert main([*argv, "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["startTime"] == 10.0
 
     def test_coordination_phase_on_mixed_plan_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "plans.cfg"
@@ -547,8 +574,8 @@ def test_evaluate_survives_metric_and_compare_specs(metric, compare, leave_one_o
 
 @settings(max_examples=150, deadline=None)
 @given(
-    _spec_list(["expectation", "confidence:0.8", "asymmetric:3:1"],
-               ["expectation", "confidence", "asymmetric", ""]),
+    st.none() | _spec_list(["expectation", "confidence:0.8", "asymmetric:3:1"],
+                           ["expectation", "confidence", "asymmetric", ""]),
     st.sampled_from(["p4", "p1", "p2", "p5"]),
     st.sampled_from(["1", "2"]),
     st.sampled_from(["0", "10", "38.5", "200"]),
@@ -559,8 +586,12 @@ def test_predict_survives_method_specs(method, phase, approach, t, message):
         cycles = Path(tmp) / "cycles.csv"
         cycles.write_text(_CYCLE_CSV.getvalue())
         argv = ["predict", "--input", str(cycles), "--phase", phase, "--t", t,
-                "--approach", approach, "--method", method]
+                "--approach", approach]
+        if method is not None:
+            argv += ["--method", method]
         rc, out, err = _run(argv + ["--message"] * message)
+        if message and method is not None:
+            assert rc == 2
         if rc == 0:
             assert err == ""
             json.loads(out, parse_constant=_reject_constant)

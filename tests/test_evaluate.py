@@ -6,9 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
-from spatcast.evaluate import (
-    compare, error_curve, mae_curve, mse_curve, write_comparison_csv,
-)
+from spatcast.evaluate import compare, error_curve, write_comparison_csv
 from spatcast.predict import DEFAULT_HOLD_S
 
 
@@ -89,17 +87,17 @@ class TestCurves:
     def test_perfect_predictor_on_point_mass(self, build_table):
         table = table_from_d4([40.0] * 5, build_table)
         dist = sc.fit(table, "d4")
-        curve = mae_curve(sc.Expectation(), dist, table)
+        curve = error_curve(sc.Expectation(), dist, table, "mae")
         assert np.all(curve.values == 0.0)
-        curve = mse_curve(sc.Expectation(), dist, table)
+        curve = error_curve(sc.Expectation(), dist, table, "mse")
         assert np.all(curve.values == 0.0)
 
     def test_constant_predictor_hand_values(self, build_table):
         # Trained on a point mass at 40, every method predicts 40 at t = 0.
         table = table_from_d4([30.0, 50.0], build_table)
         dist = dist_of([40.0])
-        mae = mae_curve(sc.Expectation(), dist, table)
-        mse = mse_curve(sc.Expectation(), dist, table)
+        mae = error_curve(sc.Expectation(), dist, table, "mae")
+        mse = error_curve(sc.Expectation(), dist, table, "mse")
         assert mae.values[0] == 10.0
         assert mse.values[0] == 100.0
         assert mae.counts[0] == 2
@@ -107,7 +105,7 @@ class TestCurves:
     def test_survivor_counts_nonincreasing(self, build_table):
         table = table_from_d4([30.0, 40.0, 50.0, 50.0], build_table)
         dist = sc.fit(table, "d4")
-        curve = mae_curve(sc.Expectation(), dist, table)
+        curve = error_curve(sc.Expectation(), dist, table, "mae")
         assert np.all(np.diff(curve.counts) <= 0)
         assert curve.ts[0] == 0.0
         assert curve.ts[-1] < 50.0
@@ -115,7 +113,7 @@ class TestCurves:
     def test_symmetric_loss_equals_mae(self, build_table):
         table = table_from_d4([30.0, 36.0, 41.0, 55.0], build_table)
         dist = sc.fit(table, "d4")
-        mae = mae_curve(sc.Expectation(), dist, table)
+        mae = error_curve(sc.Expectation(), dist, table, "mae")
         sym = error_curve(sc.Expectation(), dist, table, "loss:1:1")
         np.testing.assert_array_equal(mae.values, sym.values)
 
@@ -137,7 +135,7 @@ class TestCurves:
         table = table_from_d4([40.0], build_table)
         dist = sc.fit(table, "d1")  # all zeros: nothing survives t = 0
         with pytest.raises(sc.EmptyGrid):
-            mae_curve(sc.Expectation(), dist, table)
+            error_curve(sc.Expectation(), dist, table, "mae")
 
 
 class TestLeaveOneOut:
@@ -145,9 +143,9 @@ class TestLeaveOneOut:
         # dropping 30 predicts 50 (error 20); dropping 50 predicts 30 (error 20)
         table = table_from_d4([30.0, 50.0], build_table)
         dist = sc.fit(table, "d4")
-        loo = mae_curve(sc.Expectation(), dist, table, leave_one_out=True)
+        loo = error_curve(sc.Expectation(), dist, table, "mae", leave_one_out=True)
         assert loo.values[0] == 20.0
-        insample = mae_curve(sc.Expectation(), dist, table)
+        insample = error_curve(sc.Expectation(), dist, table, "mae")
         assert insample.values[0] == 10.0
 
     def test_large_n_converges_to_in_sample(self, build_table):
@@ -155,8 +153,8 @@ class TestLeaveOneOut:
         values = (36 + 5 * rng.poisson(1.2, size=400)).astype(float)
         table = table_from_d4(values.tolist(), build_table)
         dist = sc.fit(table, "d4")
-        insample = mae_curve(sc.Expectation(), dist, table)
-        loo = mae_curve(sc.Expectation(), dist, table, leave_one_out=True)
+        insample = error_curve(sc.Expectation(), dist, table, "mae")
+        loo = error_curve(sc.Expectation(), dist, table, "mae", leave_one_out=True)
         assert np.max(np.abs(insample.values - loo.values)) < 0.2
 
     def test_out_of_sample_rejected(self, build_table):
@@ -164,21 +162,21 @@ class TestLeaveOneOut:
         dist = sc.fit(train, "d4")
         for other in ([36.0, 41.0, 41.0], [36.0, 41.0], [36.0, 41.0, 46.0, 46.0]):
             with pytest.raises(ValueError, match="in-sample"):
-                mae_curve(sc.Expectation(), dist, table_from_d4(other, build_table),
-                          leave_one_out=True)
+                error_curve(sc.Expectation(), dist, table_from_d4(other, build_table),
+                            "mae", leave_one_out=True)
 
     def test_joint_out_of_sample_rejected(self, build_table):
         # Same leads and same sums as a multiset, but paired differently.
         train = build_table([(36, 0, 0), (41, 5, 5)])
         other = build_table([(36, 5, 5), (41, 0, 0)])
         with pytest.raises(ValueError, match="in-sample"):
-            mae_curve(sc.Expectation(), sc.fit_joint(train, "d4", "d1"), other,
-                      leave_one_out=True)
+            error_curve(sc.Expectation(), sc.fit_joint(train, "d4", "d1"), other,
+                        "mae", leave_one_out=True)
 
     def test_joint_leave_one_out(self, build_table):
         table = build_table([(36, 0, 0), (36, 5, 5), (41, 0, 0), (41, 10, 10)])
         joint = sc.fit_joint(table, "d4", "d1")
-        loo = mae_curve(sc.Expectation(), joint, table, leave_one_out=True)
+        loo = error_curve(sc.Expectation(), joint, table, "mae", leave_one_out=True)
         assert loo.counts[0] == 4
         assert np.all(loo.values >= 0)
 
@@ -189,9 +187,9 @@ class TestOptimality:
         values = (36 + 5 * rng.poisson(1.0, size=200)).astype(float)
         table = table_from_d4(values.tolist(), build_table)
         dist = sc.fit(table, "d4")
-        best = mse_curve(sc.Expectation(), dist, table)
+        best = error_curve(sc.Expectation(), dist, table, "mse")
         for other in (sc.Confidence(0.8), sc.Confidence(0.5), sc.AsymmetricLoss(3, 1)):
-            rival = mse_curve(other, dist, table)
+            rival = error_curve(other, dist, table, "mse")
             assert np.all(best.values <= rival.values)
 
     def test_asymmetric_quantile_minimizes_its_own_loss(self, build_table):
@@ -236,7 +234,7 @@ class TestOptimality:
     def test_error_decreases_with_elapsed_time_on_simulator_data(self):
         table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(21), 800)
         dist = sc.fit(table, "d4")
-        curve = mae_curve(sc.Expectation(), dist, table)
+        curve = error_curve(sc.Expectation(), dist, table, "mae")
         assert curve.values[-1] < curve.values[0]
 
 
@@ -291,8 +289,8 @@ def test_expectation_mse_optimality_property(values):
         records.append(sc.CycleRecord(i, i * 120000, 120.0, d4=float(v), d1=0.0,
                                       d2=120.0 - v, d8=float(v), d5=0.0, d6=120.0 - v))
     table = sc.CycleTable(tuple(records))
-    best = mse_curve(sc.Expectation(), dist, table)
-    rival = mse_curve(sc.Confidence(0.5), dist, table)
+    best = error_curve(sc.Expectation(), dist, table, "mse")
+    rival = error_curve(sc.Confidence(0.5), dist, table, "mse")
     assert np.all(best.values <= rival.values)
 
 

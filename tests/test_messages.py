@@ -182,9 +182,10 @@ class TestStream:
         end_of_cycle_1 = 2 * 2 * 240  # two cycles of 240 ticks, two rings
         assert lines["skewed"] == (lines["plain"][:end_of_cycle_1] + held
                                    + lines["plain"][end_of_cycle_1:])
-        # A one-shot message at that t still refuses, as the schedule does.
-        with pytest.raises(ValueError, match="beyond the cycle length 120 s"):
-            sc.compose(sc.fit_message_dists(skewed), "p2", 120.0, 0.8)
+        # The one-shot message at that t holds the same way.
+        one_shot = sc.compose(sc.fit_message_dists(skewed), "p2", 120.0, 0.8,
+                              site_id="t", cycle_index=1, phase_start=46.0)
+        assert one_shot.to_ndjson() == held[0]
 
     def test_sink_close_terminates_cleanly(self, build_table):
         table = build_table([(36.0, 0.0, 0.0)])
@@ -227,31 +228,51 @@ duration_rows = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(duration_rows, st.floats(0.05, 0.95), st.integers(0, 119))
-def test_composed_messages_always_ordered(rows, alpha, t_int):
+def table_of(rows, skew_at=None):
+    """A contiguous 120 s table from (d4, d1, d5) rows, d8 = d4; cycle
+    ``skew_at`` (if any) runs 10 ms past its stratum's L, as clock skew does."""
     records = []
     t_ms = 0
     for i, (d4, d1, d5) in enumerate(rows):
-        d2 = 120.0 - d4 - d1
+        length = 120.01 if i == skew_at else 120.0
+        d2 = length - d4 - d1
         d6 = d1 + d2 - d5
-        records.append(sc.CycleRecord(i, t_ms, 120.0, d4=d4, d1=d1, d2=d2,
+        records.append(sc.CycleRecord(i, t_ms, length, d4=d4, d1=d1, d2=d2,
                                       d8=d4, d5=d5, d6=d6))
-        t_ms += 120_000
-    table = sc.CycleTable(tuple(records))
-    dists = sc.fit_message_dists(table)
+        t_ms += int(round(length * 1000))
+    return sc.CycleTable(tuple(records), site_id="t")
+
+
+@settings(max_examples=40, deadline=None)
+@given(duration_rows, st.floats(0.05, 0.95), st.integers(0, 119))
+def test_composed_messages_always_ordered(rows, alpha, t_int):
+    dists = sc.fit_message_dists(table_of(rows))
     t = float(t_int)
     for phase in sc.PHASES:
-        if phase in ("p2", "p6") and t >= 120.0:
-            continue
         msg = sc.compose(dists, phase, t, alpha)
         assert msg.start_time <= msg.min_end_time <= msg.likely_time <= msg.max_end_time
         assert msg.min_end_time >= msg.made_at
         assert msg.next_time > msg.likely_time
         if msg.degraded:
             with pytest.raises(sc.EmptyCondition):
-                sc.predict_schedule(dists, phase, t, 2)
+                sc.predict_schedule(dists, phase, t)
             continue
-        schedule = sc.predict_schedule(dists, phase, t, 2)
-        assert msg.likely_time == schedule[0].end_time
-        assert msg.next_time == sc.next_green_start(schedule, phase)
+        assert (msg.likely_time, msg.next_time) == sc.predict_schedule(dists, phase, t)
+
+
+@settings(max_examples=25, deadline=None)
+@given(duration_rows, st.none() | st.integers(0, 4), st.sampled_from([500, 1000, 5000]),
+       st.floats(0.05, 0.95))
+def test_stream_lines_equal_composed_messages(rows, skew_at, cadence_ms, alpha):
+    table = table_of(rows, skew_at)
+    dists = sc.fit_message_dists(table)
+    out = io.StringIO()
+    sc.stream(table, dists, out, cadence_ms=cadence_ms, alpha=alpha)
+    for line in out.getvalue().splitlines():
+        msg = json.loads(line)
+        rec = table.records[msg["cycle"]]
+        phase_start = {"p4": 0.0, "p1": rec.d4, "p2": rec.d4 + rec.d1,
+                       "p8": 0.0, "p5": rec.d8, "p6": rec.d8 + rec.d5}[msg["phase"]]
+        one_shot = sc.compose(dists, msg["phase"], msg["madeAt"], alpha, site_id="t",
+                              cycle_index=msg["cycle"], phase_start=phase_start)
+        assert one_shot.to_ndjson() == line

@@ -171,41 +171,23 @@ class TestSchedule:
         return dists
 
     def test_point_mass_transitions(self):
-        sched = sc.predict_schedule(self.point_mass_dists(), "p4", 0.0, 1)
-        by_phase = {e.phase: e for e in sched}
-        assert by_phase["p4"].end_time == 36.0
-        assert by_phase["p1"].end_time == 41.0
-        assert by_phase["p2"].end_time == 120.0
-        assert all(e.cycle_offset == 0 for e in sched)
-
-    def test_next_cycle_stacks_cycle_length(self):
-        sched = sc.predict_schedule(self.point_mass_dists(), "p4", 10.0, 2)
-        current = {e.phase: e.end_time for e in sched if e.cycle_offset == 0}
-        future = {e.phase: e.end_time for e in sched if e.cycle_offset == 1}
-        for phase in ("p4", "p1", "p2"):
-            assert future[phase] == pytest.approx(current[phase] + 120.0)
-        assert sc.next_green_start(sched, "p4") == 120.0
-
-    def test_horizon_one_has_no_future_cycles(self):
-        sched = sc.predict_schedule(self.point_mass_dists(), "p4", 0.0, 1)
-        assert {e.cycle_offset for e in sched} == {0}
+        # p4 ends with its point mass and next turns green at the next cycle start.
+        assert sc.predict_schedule(self.point_mass_dists(), "p4", 0.0) == (36.0, 120.0)
 
     def test_mid_phase_uses_sum_distribution(self):
-        dists = self.point_mass_dists()
-        sched = sc.predict_schedule(dists, "p1", 38.0, 1)
-        by_phase = {e.phase: e for e in sched}
-        assert set(by_phase) == {"p1", "p2"}
-        assert by_phase["p1"].end_time == 41.0
-        assert by_phase["p1"].start_time is None
+        # p1 ends with the d4+d1 sum; its next green follows next cycle's p4.
+        assert sc.predict_schedule(self.point_mass_dists(), "p1", 38.0) == (41.0, 156.0)
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError, match="t must be >= 0"):
-            sc.predict_schedule(self.point_mass_dists(), "p2", -1.0, 1)
+            sc.predict_schedule(self.point_mass_dists(), "p2", -1.0)
 
     def test_coordination_phase_is_deterministic(self):
-        sched = sc.predict_schedule(self.point_mass_dists(), "p2", 60.0, 1)
-        assert len(sched) == 1
-        assert sched[0].end_time == 120.0
+        assert sc.predict_schedule(self.point_mass_dists(), "p2", 60.0) == (120.0, 161.0)
+
+    def test_coordination_phase_past_cycle_length_is_exhausted(self):
+        with pytest.raises(sc.EmptyCondition, match="beyond the cycle length 120 s"):
+            sc.predict_schedule(self.point_mass_dists(), "p2", 120.0)
 
 
 @settings(max_examples=100, deadline=None)
