@@ -23,7 +23,6 @@ import csv
 import datetime as dt
 import io
 import itertools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -84,9 +83,8 @@ class PhaseEvent:
 class CycleRecord:
     """One cycle's start time, length, and per-phase green durations.
 
-    Phase end times are cumulative sums of durations along each ring and
-    are exposed as properties; they are measured in seconds from the cycle
-    start.
+    A view of one row of a ``CycleTable``, which checks its cycles; a
+    record built by hand is checked once a table is built from it.
     """
 
     cycle_index: int
@@ -99,61 +97,10 @@ class CycleRecord:
     d5: float
     d6: float
 
-    def __post_init__(self) -> None:
-        # Written so that nan fails too: every comparison with nan is False.
-        for name in DURATION_NAMES:
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
-        if not 0 < self.length_s < math.inf:
-            raise ValueError("length_s must be finite and positive")
-
-    # Ring 1 end times.
-    @property
-    def p4_end(self) -> float:
-        return self.d4
-
-    @property
-    def p1_end(self) -> float:
-        return self.d4 + self.d1
-
-    @property
-    def p2_end(self) -> float:
-        return self.d4 + self.d1 + self.d2
-
-    # Ring 2 end times.
-    @property
-    def p8_end(self) -> float:
-        return self.d8
-
-    @property
-    def p5_end(self) -> float:
-        return self.d8 + self.d5
-
-    @property
-    def p6_end(self) -> float:
-        return self.d8 + self.d5 + self.d6
-
     @property
     def day_index(self) -> int:
         """Calendar day of the cycle start, counted in UTC days since epoch."""
         return self.cycle_start_ms // MS_PER_DAY
-
-    def barrier_residuals(self) -> dict[str, float]:
-        """Absolute residuals of the four barrier identities."""
-        return {
-            "ring1_sum": abs(self.d4 + self.d1 + self.d2 - self.length_s),
-            "ring2_sum": abs(self.d8 + self.d5 + self.d6 - self.length_s),
-            "cross_sum": abs((self.d1 + self.d2) - (self.d5 + self.d6)),
-            "lead": abs(self.d4 - self.d8),
-        }
-
-    def validate(self, tolerance: float = DEFAULT_TOLERANCE_S) -> None:
-        bad = {k: v for k, v in self.barrier_residuals().items() if v > tolerance}
-        if bad:
-            raise BarrierViolation(
-                f"cycle {self.cycle_index}: barrier residuals {bad} exceed "
-                f"tolerance {tolerance}"
-            )
 
 
 # CycleRecord's fields in order, one column each in a CycleTable.
@@ -169,8 +116,9 @@ class CycleTable:
     read-only, one entry per cycle.  ``records``, iteration and indexing
     give ``CycleRecord`` views, built on first use and then kept.
 
-    Build a table from records, or with ``from_columns``; both check every
-    cycle as ``CycleRecord`` does, and that starts strictly increase.
+    Build a table from records, or with ``from_columns``; both check that
+    the integer columns hold integers in int64, that durations are finite
+    and >= 0 and lengths finite and > 0, and that starts strictly increase.
     Tables straight out of ingestion or simulation are contiguous in time
     (each cycle starts where the previous one ended); slices produced by
     ``stratify`` or ``window`` keep order but not contiguity.
@@ -200,15 +148,10 @@ class CycleTable:
         return table
 
     def _set(self, columns, site_id, provenance, records) -> None:
-        arrays = [
-            _int64_array(values, name) if name in _INT_FIELDS else np.array(values, dtype=float)
-            for name, values in zip(_FIELDS, columns)
-        ]
-        if any(arr.shape != arrays[0].shape or arr.ndim != 1 for arr in arrays):
-            raise ValueError("columns must be one-dimensional and of equal length")
-        bad = _invalid(arrays[2], arrays[3:])
-        if bad.any():
-            _record_at(arrays, int(bad.argmax()))  # raises CycleRecord's error
+        arrays, fault = _check(columns)
+        if fault is not None:
+            raise fault[1]
+        arrays = [np.array(arr) for arr in arrays]  # copies, which the table owns
         starts = arrays[1]
         if (starts[1:] <= starts[:-1]).any():
             raise ValueError("cycle_start_ms must be strictly increasing")
@@ -272,13 +215,9 @@ class CycleTable:
 
     def validate(self, tolerance: float = DEFAULT_TOLERANCE_S) -> None:
         """Raise BarrierViolation for the first cycle breaking an identity."""
-        durations = [getattr(self, d) for d in DURATION_NAMES]
-        over = np.zeros(len(self), dtype=bool)
-        for r in _barrier_residuals(self.length_s, *durations):
-            over |= r > tolerance
-        if over.any():
-            columns = [getattr(self, name) for name in _FIELDS]
-            _record_at(columns, int(over.argmax())).validate(tolerance)
+        fault = _check([getattr(self, name) for name in _FIELDS], tolerance)[1]
+        if fault is not None:
+            raise fault[1]
 
     def _select(self, keep: np.ndarray, tag: str) -> "CycleTable":
         prov = tag if self.provenance is None else f"{self.provenance},{tag}"
@@ -288,32 +227,78 @@ class CycleTable:
         )
 
 
-def _record_at(columns, i: int) -> CycleRecord:
-    return CycleRecord(*(col[i].item() for col in columns))
+def _check(
+    columns, tolerance: float | None = None
+) -> tuple[list[np.ndarray], "tuple[int, Exception] | None"]:
+    """The nine columns as arrays, and the first cycle breaking a rule.
+
+    Returns ``(arrays, fault)``, where ``fault`` is ``(index, error)`` for
+    the first failing cycle, or None.  A cycle's rules are checked in this
+    order: ``cycle_index`` and ``cycle_start_ms`` hold integers in int64;
+    the durations, in field order, are finite and >= 0, then ``length_s``
+    is finite and > 0; with a ``tolerance``, no barrier residual exceeds
+    it (BarrierViolation).
+    """
+    ints = [_int64_column(values, name) for name, values in zip(_INT_FIELDS, columns)]
+    floats = [np.asarray(values, dtype=float) for values in columns[2:]]
+    arrays = [arr for arr, _ in ints] + floats
+    if any(arr.shape != arrays[0].shape or arr.ndim != 1 for arr in arrays):
+        raise ValueError("columns must be one-dimensional and of equal length")
+    faults = [fault for _, fault in ints if fault is not None]
+    length, durations = floats[0], floats[1:]
+    valid = [(f"{name} must be finite and >= 0", (d >= 0) & (d < np.inf))
+             for name, d in zip(DURATION_NAMES, durations)]
+    valid.append(("length_s must be finite and positive", (length > 0) & (length < np.inf)))
+    faults += [(int(ok.argmin()), ValueError(text)) for text, ok in valid if not ok.all()]
+    if tolerance is not None:
+        residuals = _barrier_residuals(length, *durations)
+        over = np.logical_or.reduce([r > tolerance for r in residuals.values()])
+        if over.any():
+            i = int(over.argmax())
+            bad = {k: r[i].item() for k, r in residuals.items() if r[i] > tolerance}
+            faults.append((i, BarrierViolation(
+                f"cycle {arrays[0][i]}: barrier residuals {bad} exceed tolerance {tolerance}"
+            )))
+    # min keeps the first of equal indices, so rules keep their order in a cycle.
+    return arrays, min(faults, key=lambda fault: fault[0], default=None)
 
 
-def _int64_array(values, name: str) -> np.ndarray:
+def _int64_column(values, name: str) -> tuple[np.ndarray, "tuple[int, ValueError] | None"]:
+    """``values`` as int64, and the first value that is not an integer in
+    int64 as ``(index, error)``, or None."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "bi" or raw.dtype.kind == "u" and raw.dtype.itemsize < 8:
+        return raw.astype(np.int64, copy=False), None
+    # Anything else one value at a time, as given: a list mixing large
+    # integers with floats would lose digits as a float array.
+    if not isinstance(values, np.ndarray):
+        raw = np.array(values, dtype=object)
+    given = raw.ravel().tolist()
+    whole = [_whole(v) for v in given]
+    fits = [w is not None and _INT64_MIN <= w <= _INT64_MAX for w in whole]
+    arr = np.array([w if f else 0 for w, f in zip(whole, fits)], dtype=np.int64)
+    if all(fits):
+        return arr.reshape(raw.shape), None
+    i = fits.index(False)
+    why = "is not an integer" if whole[i] is None else "does not fit in int64"
+    return arr.reshape(raw.shape), (i, ValueError(f"{name} {given[i]} {why}"))
+
+
+def _whole(value) -> "int | None":
+    """``value`` as an int when it is a whole number, else None."""
     try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        bad = next(v for v in values if not _INT64_MIN <= v <= _INT64_MAX)
-        raise ValueError(f"{name} {bad} does not fit in int64") from None
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):  # nan and inf are not whole
+        return None
+    return i if i == value else None
 
 
-def _invalid(length: np.ndarray, durations) -> np.ndarray:
-    """Per cycle, whether CycleRecord rejects it; nan fails as it does there."""
-    ok = (length > 0) & (length < np.inf)
-    for d in durations:
-        ok &= (d >= 0) & (d < np.inf)
-    return ~ok
-
-
-def _barrier_residuals(length, d4, d1, d2, d8, d5, d6) -> tuple[np.ndarray, ...]:
-    """Per-cycle residuals in ``CycleRecord.barrier_residuals``' operations and order."""
-    return (
-        abs(d4 + d1 + d2 - length), abs(d8 + d5 + d6 - length),
-        abs((d1 + d2) - (d5 + d6)), abs(d4 - d8),
-    )
+def _barrier_residuals(length, d4, d1, d2, d8, d5, d6) -> dict[str, np.ndarray]:
+    """Per-cycle absolute residuals of the four barrier identities, by name."""
+    return {
+        "ring1_sum": abs(d4 + d1 + d2 - length), "ring2_sum": abs(d8 + d5 + d6 - length),
+        "cross_sum": abs((d1 + d2) - (d5 + d6)), "lead": abs(d4 - d8),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +407,15 @@ def ingest_events(
     length = np.asarray((r1[:, 5] - r1[:, 0]) / 1000.0, dtype=float)
     ends_minus_starts = np.hstack([r1[:, 1::2] - r1[:, ::2], r2[:, 1::2] - r2[:, ::2]])
     durs = np.asarray(ends_minus_starts / 1000.0, dtype=float).T
-    suspect = (apart > tol_ms) | _invalid(length, durs)  # CycleRecord rejects L = 0
-    for r in _barrier_residuals(length, *durs):
-        suspect |= r > tolerance
-    if suspect.any():  # raise for the first failing cycle, as checked one by one
-        idx = int(suspect.argmax())
-        if apart[idx] > tol_ms:
-            raise BarrierViolation(f"cycle {idx}: rings open {apart[idx]} ms apart")
-        rec = CycleRecord(idx, int(r1[idx, 0]), length[idx].item(), *durs[:, idx].tolist())
-        rec.validate(tolerance)
-    return CycleTable.from_columns(
-        np.arange(len(length)), r1[:, 0], length, *durs, site_id=site_id
-    )
+    columns = (np.arange(len(length)), r1[:, 0], length, *durs)
+    # The first failing cycle raises; rings opening apart is its first rule.
+    fault = _check(columns, tolerance)[1]
+    far = np.flatnonzero(apart > tol_ms)
+    if far.size and (fault is None or far[0] <= fault[0]):
+        raise BarrierViolation(f"cycle {far[0]}: rings open {apart[far[0]]} ms apart")
+    if fault is not None:
+        raise fault[1]
+    return CycleTable.from_columns(*columns, site_id=site_id)
 
 
 def _ring_cycles(t: np.ndarray, step: np.ndarray, ring: int, tol_ms: int) -> np.ndarray:
@@ -746,7 +728,7 @@ def read_cycle_csv(source, site_id: str = "") -> CycleTable:
 
     Fields are parsed with ``int()`` and ``float()``.  The first bad row
     raises MalformedRow with its file line: a wrong field count, a field
-    that does not parse, an integer outside int64, or values CycleRecord
+    that does not parse, an integer outside int64, or values ``CycleTable``
     rejects.  Barrier identities are not checked.
     """
     chunks = []
@@ -791,24 +773,15 @@ def _parse_cycle_rows(rows, lines, fault) -> list[np.ndarray]:
     columns = []
     for name, texts in zip(_FIELDS, zip(*rows[:n]) if n else [()] * width):
         values, bad, exc = _parse_column(texts[:n], int if name in _INT_FIELDS else float)
-        if name in _INT_FIELDS and values and (
-            min(values) < _INT64_MIN or max(values) > _INT64_MAX
-        ):
-            bad = next(i for i, v in enumerate(values) if not _INT64_MIN <= v <= _INT64_MAX)
-            exc = ValueError(f"{name} {values[bad]} does not fit in int64")
+        if name in _INT_FIELDS:  # an integer past int64 fails as its row is read
+            values, int_fault = _int64_column(values, name)
+            bad, exc = int_fault or (bad, exc)
         if bad < n:
             n, fault = bad, (bad, exc)
         columns.append(values)
-    columns = [np.array(values[:n], dtype=np.int64 if name in _INT_FIELDS else float)
-               for name, values in zip(_FIELDS, columns)]
-
-    bad = _invalid(columns[2], columns[3:])
-    if bad.any():  # a parsed row CycleRecord rejects comes before any later fault
-        i = int(bad.argmax())
-        try:
-            _record_at(columns, i)
-        except ValueError as exc:
-            raise MalformedRow(lines[i], str(exc)) from exc
+    columns, checked = _check([values[:n] for values in columns])
+    # A parsed row that breaks a rule comes before any later fault.
+    fault = checked or fault
     if fault is not None:
         i, exc = fault
         raise MalformedRow(lines[i], str(exc)) from exc

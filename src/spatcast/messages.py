@@ -20,10 +20,10 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, TextIO
 
-from .cycles import DURATION_KEY, PHASE_RING, RING_SEQUENCE, CycleRecord, CycleTable
+from .cycles import CycleRecord, CycleTable
 from .distributions import EmpiricalDist, fit
 from .errors import EmptyCondition, SinkClosed
-from .predict import PHASE_QUANTITY, hold, predict_schedule
+from .predict import PHASE_QUANTITY, cycle_length, hold, predict_schedule
 
 _ORDER_EPS = 1e-9
 
@@ -82,12 +82,6 @@ def fit_message_dists(table: CycleTable) -> dict[str, EmpiricalDist]:
     return {key: fit(table, key) for key in MESSAGE_DIST_KEYS}
 
 
-def _cycle_length(dists: Mapping[str, EmpiricalDist], phase: str) -> float:
-    """The stratum L of the ring's opening-phase distribution."""
-    opening = DURATION_KEY[RING_SEQUENCE[PHASE_RING[phase]][0]]
-    return float(dists[opening].stratum)
-
-
 def _conditional_stats(
     dists: Mapping[str, EmpiricalDist],
     phase: str,
@@ -104,7 +98,7 @@ def _conditional_stats(
         likely, next_time = predict_schedule(dists, phase, t)
     except EmptyCondition:  # degraded: hold at t, next green a cycle later
         held = hold(t)
-        return held, held, held, held, held + _cycle_length(dists, phase), True
+        return held, held, held, held, held + cycle_length(dists, phase), True
     quantity = PHASE_QUANTITY[phase]
     if quantity is None:
         return likely, likely, likely, likely, next_time, False

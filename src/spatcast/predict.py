@@ -218,6 +218,14 @@ def predict_sum_joint(joint: JointSamples, t: float, method: Method) -> Predicti
 # The active phase's end and next green
 
 
+def cycle_length(dists: Mapping[str, EmpiricalDist], phase: str) -> float:
+    """The stratum L of the opening-phase distribution on the phase's ring."""
+    opening = dists[DURATION_KEY[RING_SEQUENCE[PHASE_RING[phase]][0]]]
+    if opening.stratum is None:
+        raise ValueError("distributions must carry their cycle-length stratum")
+    return float(opening.stratum)
+
+
 def predict_schedule(
     dists: Mapping[str, EmpiricalDist], current_phase: str, t: float
 ) -> tuple[float, float]:
@@ -239,9 +247,7 @@ def predict_schedule(
         raise ValueError(f"unknown phase {current_phase!r}")
     seq = RING_SEQUENCE[PHASE_RING[current_phase]]
     first, mid = (dists[DURATION_KEY[p]] for p in seq[:2])
-    if first.stratum is None:
-        raise ValueError("distributions must carry their cycle-length stratum")
-    length = float(first.stratum)
+    length = cycle_length(dists, current_phase)
 
     quantity = PHASE_QUANTITY[current_phase]
     if quantity is None:

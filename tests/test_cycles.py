@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import math
 import tempfile
 from pathlib import Path
 from unittest.mock import patch
@@ -51,9 +52,9 @@ class TestIngest:
         table = _ingest(events)
         assert len(table) == 1
         rec = table[0]
-        assert rec.p4_end == 36.0
-        assert rec.p1_end == 36.0
-        assert rec.p2_end == 120.0
+        assert rec.d4 == 36.0
+        assert rec.d4 + rec.d1 == 36.0
+        assert rec.d4 + rec.d1 + rec.d2 == 120.0
         assert rec.length_s == 120.0
         assert rec.d1 == 0.0
 
@@ -327,6 +328,60 @@ def test_stratify_returns_subset_and_is_idempotent(lengths):
 
 
 # ---------------------------------------------------------------------------
+# The cycle rules one row at a time, for the per-row references below; they
+# share no code with the column check in src.
+
+_DURATIONS = ("d4", "d1", "d2", "d8", "d5", "d6")
+
+
+def _reference_check_int(name, value):
+    try:
+        whole = int(value) == value
+    except (ValueError, OverflowError):  # nan, inf
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} {value} is not an integer")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{name} {value} does not fit in int64")
+
+
+def _reference_check_row(row, tolerance=None):
+    """Raise for the first rule a row in CycleRecord field order breaks:
+    the integer fields, each duration, the length, then with a tolerance
+    the barrier identities."""
+    index, start, length, d4, d1, d2, d8, d5, d6 = row
+    _reference_check_int("cycle_index", index)
+    _reference_check_int("cycle_start_ms", start)
+    for name, value in zip(_DURATIONS, row[3:]):
+        if math.isnan(value) or value < 0 or math.isinf(value):
+            raise ValueError(f"{name} must be finite and >= 0")
+    if math.isnan(length) or length <= 0 or math.isinf(length):
+        raise ValueError("length_s must be finite and positive")
+    if tolerance is None:
+        return
+    residuals = {
+        "ring1_sum": abs(d4 + d1 + d2 - length),
+        "ring2_sum": abs(d8 + d5 + d6 - length),
+        "cross_sum": abs((d1 + d2) - (d5 + d6)),
+        "lead": abs(d4 - d8),
+    }
+    bad = {k: v for k, v in residuals.items() if v > tolerance}
+    if bad:
+        raise sc.BarrierViolation(
+            f"cycle {index}: barrier residuals {bad} exceed tolerance {tolerance}"
+        )
+
+
+def _raised(fn, *args):
+    """The type and text of what ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except (sc.SpatError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # ingest_events against the per-event loop it replaced
 
 
@@ -401,11 +456,9 @@ def _reference_ingest(stream, tolerance=sc.DEFAULT_TOLERANCE_S, site_id=""):
             sc.DURATION_KEY[phase]: (end - start) / 1000.0
             for phase, start, end in (*c1, *c2)
         }
-        rec = sc.CycleRecord(
-            cycle_index=idx, cycle_start_ms=cycle_start, length_s=length, **durs
-        )
-        rec.validate(tolerance)
-        records.append(rec)
+        row = (idx, cycle_start, length, *(durs[name] for name in _DURATIONS))
+        _reference_check_row(row, tolerance)
+        records.append(sc.CycleRecord(*row))
     return sc.CycleTable(tuple(records), site_id=site_id)
 
 
@@ -472,6 +525,20 @@ def _event_streams(draw):
     return events
 
 
+def _drifting_events(ring1, ring2):
+    """Sorted events of cycles that follow on one another along each ring;
+    ``ring1`` and ``ring2`` hold each cycle's three durations in ms."""
+    events = []
+    for ring, cycles in ((1, ring1), (2, ring2)):
+        t = 0
+        for durs in cycles:
+            for phase, d in zip(sc.RING_SEQUENCE[ring], durs):
+                events += [sc.PhaseEvent(t, ring, phase, "start"),
+                           sc.PhaseEvent(t + d, ring, phase, "end")]
+                t += d
+    return sorted(events, key=lambda ev: ev.timestamp_ms)
+
+
 def _outcome(ingest, events, tolerance):
     try:
         return ingest(events, tolerance, "s")
@@ -488,6 +555,10 @@ def _outcome(ingest, events, tolerance):
     0.05,
 )
 @example(_cycle_events(0, (36, 0, 84), (37, 0, 83)), 0.05)  # barrier violation
+@example(  # ring 2 drifts 30 ms a cycle: in cycle 2 the rings open apart and break a barrier
+    _drifting_events([(36_000, 0, 84_000)] * 3, [(36_000, 0, 84_030)] * 2 + [(37_000, 0, 83_000)]),
+    0.05,
+)
 @example(  # p4 at the int64 minimum: the gap to p1 start exceeds int64
     [sc.PhaseEvent(-(2**63), 1, "p4", kind) for kind in ("start", "end")]
     + [ev for ev in _cycle_events(0, (36, 0, 84), (36, 0, 84)) if ev.phase != "p4"],
@@ -516,11 +587,11 @@ def _reference_parse_cycle_row(row, line):
     try:
         ints = []
         for name, text in zip(("cycle_index", "cycle_start_ms"), row):
-            value = int(text)
-            if not -(2**63) <= value < 2**63:
-                raise ValueError(f"{name} {value} does not fit in int64")
-            ints.append(value)
-        return sc.CycleRecord(*ints, *map(float, row[2:]))
+            ints.append(int(text))
+            _reference_check_int(name, ints[-1])
+        values = (*ints, *map(float, row[2:]))
+        _reference_check_row(values)
+        return sc.CycleRecord(*values)
     except ValueError as exc:
         raise sc.MalformedRow(line, str(exc)) from exc
 
@@ -542,7 +613,6 @@ def _reference_read_cycle_csv(source, site_id=""):
 
 
 _DAY_MS = 86_400_000
-_DURATIONS = ("d4", "d1", "d2", "d8", "d5", "d6")
 
 
 @st.composite
@@ -680,7 +750,10 @@ def _fitted(table, quantity):
 @given(_cycle_columns(), st.integers(-2, 8), st.integers(1, 4))
 def test_table_operations_match_record_tuple(columns, target, delta):
     table = sc.CycleTable.from_columns(*columns, site_id="s")
-    records = tuple(sc.CycleRecord(*row) for row in zip(*columns))
+    rows = list(zip(*columns))
+    for row in rows:
+        _reference_check_row(row)
+    records = tuple(sc.CycleRecord(*row) for row in rows)
     ref = sc.CycleTable(records, site_id="s")
     assert table.records == records
     assert [repr(r) for r in table] == [repr(r) for r in records]  # -0.0 keeps its sign
@@ -701,6 +774,9 @@ def test_table_operations_match_record_tuple(columns, target, delta):
     assert np.array_equal(table.column("d4"), _reference_column(records, "d4"))
     assert table.cycle_lengths().tolist() == [r.length_s for r in records]
     assert table.day_indices().tolist() == [r.day_index for r in records]
+    for tolerance in (-1.0, 0.0, 0.05, 30.0):
+        barrier = (_raised(_reference_check_row, row, tolerance) for row in rows)
+        assert _raised(table.validate, tolerance) == next(filter(None, barrier), None)
 
     for cycle_length in {100.0, 100.35, 100.4, 100.45, 100.5, 120.0, 110.0}:
         key = round(cycle_length, 1)
@@ -723,6 +799,59 @@ def test_table_operations_match_record_tuple(columns, target, delta):
         else:
             want = sorted(_reference_column(records, quantity).tolist()), min(strata), None
         assert _fitted(table, quantity) == want
+
+
+_BAD_INTS = [0.9, 1.5, -0.5, math.nan, math.inf, -math.inf, 2**63, -(2**63) - 1, 1e19]
+_BAD_FLOATS = [math.nan, math.inf, -math.inf, -1.0, -0.01]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cycle_columns(), st.data())
+def test_from_columns_rejects_bad_values_as_the_per_row_check(columns, data):
+    """One to three bad values placed anywhere, so that rules meet in a row."""
+    if not columns[0]:
+        columns = [[0], [0], [120.0], *[[0.0]] * 6]
+    columns = [list(col) for col in columns]
+    for _ in range(data.draw(st.integers(1, 3))):
+        field = data.draw(st.integers(0, 8))
+        row = data.draw(st.integers(0, len(columns[0]) - 1))
+        columns[field][row] = data.draw(st.sampled_from(
+            _BAD_INTS if field < 2 else _BAD_FLOATS + [0.0, -0.0] * (field == 2)
+        ))
+    if data.draw(st.booleans()):  # as numpy arrays, which numpy's promotion types
+        columns = [np.array(col) for col in columns]
+    rows = list(zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns)))
+    want = next(filter(None, (_raised(_reference_check_row, r) for r in rows)))
+    assert _raised(sc.CycleTable.from_columns, *columns) == want
+    records = [sc.CycleRecord(*r) for r in zip(*columns)]
+    assert _raised(sc.CycleTable, records) == want
+
+
+_ONE_CYCLE = ([120.0], [36.0], [0.0], [84.0], [36.0], [0.0], [84.0])
+
+
+@pytest.mark.parametrize("index, start, reason", [
+    ([0], [1.5], "cycle_start_ms 1.5 is not an integer"),
+    ([0.9], [0], "cycle_index 0.9 is not an integer"),
+    ([0], np.array([2**63], dtype=np.uint64), f"cycle_start_ms {2**63} does not fit in int64"),
+    ([0], [-(2**63) - 1], f"cycle_start_ms {-(2**63) - 1} does not fit in int64"),
+])
+def test_integer_columns_reject_non_integers_and_values_past_int64(index, start, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        sc.CycleTable.from_columns(index, start, *_ONE_CYCLE)
+    record = sc.CycleRecord(index[0], start[0], *(col[0] for col in _ONE_CYCLE))
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        sc.CycleTable([record])
+
+
+def test_integer_columns_take_whole_floats_and_int64_arrays():
+    big = 2**62 + 1  # not a float64: a list mixing it with floats keeps its digits
+    two_cycles = [col * 2 for col in _ONE_CYCLE]
+    table = sc.CycleTable.from_columns([0.0, 1], [big, 2.0**62 * 1.5], *two_cycles)
+    assert table.cycle_start_ms.tolist() == [big, 3 * 2**61]
+    again = sc.CycleTable.from_columns(table.cycle_index, table.cycle_start_ms, *two_cycles)
+    assert again == table
+    assert [c.dtype for c in (again.cycle_index, again.cycle_start_ms)] == [np.int64] * 2
 
 
 # ---------------------------------------------------------------------------

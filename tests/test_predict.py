@@ -189,6 +189,16 @@ class TestSchedule:
         with pytest.raises(sc.EmptyCondition, match="beyond the cycle length 120 s"):
             sc.predict_schedule(self.point_mass_dists(), "p2", 120.0)
 
+    def test_distributions_without_a_stratum_rejected(self):
+        dists = {k: sc.EmpiricalDist(d.values, d.quantity)
+                 for k, d in self.point_mass_dists().items()}
+        for phase, t in (("p1", 38.0), ("p2", 60.0)):
+            with pytest.raises(ValueError, match="^distributions must carry their "
+                                                 "cycle-length stratum$"):
+                sc.predict_schedule(dists, phase, t)
+        with pytest.raises(ValueError, match="cycle-length stratum"):
+            sc.compose(dists, "p4", 50.0, 0.8)  # past all history: the hold needs L too
+
 
 @settings(max_examples=100, deadline=None)
 @given(int_samples, st.floats(0, 119), st.floats(0.05, 0.95))
