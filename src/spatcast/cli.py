@@ -28,7 +28,7 @@ from .cycles import (
 from .distributions import fit, fit_joint
 from .errors import SpatError
 from .ioutil import text_sink
-from .messages import compose, fit_message_dists, stream
+from .messages import MESSAGE_DIST_KEYS, compose, fit_message_dists, stream
 from .predict import (
     PHASE_QUANTITY,
     Expectation,
@@ -45,6 +45,9 @@ from .simulate import (
     peaked_demand,
     simulate,
 )
+
+
+_DEFAULT_ALPHA = 0.8  # confidence level of a message's bounds
 
 
 def _alpha_arg(text: str) -> float:
@@ -88,6 +91,13 @@ def _cadence_arg(text: str) -> int:
     value = int(text)
     if value < 10:
         raise argparse.ArgumentTypeError("cadence_ms must be >= 10")
+    return value
+
+
+def _step_arg(text: str) -> float:
+    value = float(text)
+    if not 0.01 <= value < math.inf:  # 0.01 s is the log clock resolution; nan fails too
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0.01, got {text}")
     return value
 
 
@@ -169,8 +179,8 @@ def _cmd_predict(args) -> int:
     if args.message:
         dists = fit_message_dists(table)
         msg = compose(
-            dists, args.phase, args.t, args.alpha,
-            site_id=args.site, phase_start=args.phase_start,
+            dists, args.phase, args.t, args.alpha or _DEFAULT_ALPHA,
+            site_id=args.site, phase_start=args.phase_start or 0.0,
         )
         print(msg.to_ndjson())
         return 0
@@ -178,13 +188,15 @@ def _cmd_predict(args) -> int:
     method = Expectation() if args.method is None else parse_method(args.method)
     quantity = PHASE_QUANTITY[args.phase]
     if quantity is None:
-        end, _ = predict_schedule(fit_message_dists(table), args.phase, args.t)
+        # Not fit_message_dists: the phase ends at L on a table that cannot stream too.
+        dists = {key: fit(table, key) for key in MESSAGE_DIST_KEYS}
+        end, _ = predict_schedule(dists, args.phase, args.t)
         p = Prediction(
             made_at=args.t, quantity="cycle_end", method="identity",
             predicted_duration=end, residual=end - args.t,
             n_conditioning_samples=len(table),
         )
-    elif "+" in quantity and args.approach == 2:
+    elif args.approach == 2:
         p = predict_sum_joint(fit_joint(table, *quantity.split("+")), args.t, method)
     else:
         p = predict(fit(table, quantity), args.t, method)
@@ -291,15 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "asymmetric:c1:c2, as in evaluate --compare; p2/p6 "
                         "end at L whatever the method; not with --message, "
                         "whose bounds take --alpha")
-    p.add_argument("--alpha", type=_alpha_arg, default=0.8,
-                   help="confidence level of the --message bounds")
-    p.add_argument("--approach", type=int, choices=[1, 2], default=1,
-                   help="sum prediction route for p1/p5: marginal sums (1) "
-                        "or joint pairs (2)")
+    p.add_argument("--alpha", type=_alpha_arg, default=None,
+                   help=f"confidence level of the --message bounds (default "
+                        f"{_DEFAULT_ALPHA}); only with --message")
+    p.add_argument("--approach", type=int, choices=[1, 2], default=None,
+                   help="sum prediction route for p1/p5: marginal sums (1, the "
+                        "default) or joint pairs (2); not with --message")
     p.add_argument("--message", action="store_true",
                    help="print a full SPaT message instead of a prediction")
-    p.add_argument("--phase-start", type=_nonnegative_float, default=0.0,
-                   help="realized start offset of the active phase (seconds)")
+    p.add_argument("--phase-start", type=_nonnegative_float, default=None,
+                   help="realized start offset of the active phase (seconds, "
+                        "default 0); only with --message")
     add_common_slicing(p)
     p.set_defaults(func=_cmd_predict)
 
@@ -312,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: expectation,confidence:0.8,asymmetric:3:1")
     p.add_argument("--metric", default="mae",
                    help="comma list of mae, mse, loss:c1:c2")
-    p.add_argument("--step", type=_positive_float, default=1.0,
-                   help="t grid step in seconds (down to 0.1)")
+    p.add_argument("--step", type=_step_arg, default=1.0,
+                   help="t grid step in seconds (down to 0.01)")
     p.add_argument("--leave-one-out", action="store_true")
     p.add_argument("--plot-data", default=None,
                    help="prefix for binned pdf/cdf CSVs of the training dist")
@@ -327,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-input", default=None,
                    help="separate training CSV (default: in-sample)")
     p.add_argument("--cadence-ms", type=_cadence_arg, default=100)
-    p.add_argument("--alpha", type=_alpha_arg, default=0.8)
+    p.add_argument("--alpha", type=_alpha_arg, default=_DEFAULT_ALPHA)
     p.add_argument("--speed", type=_speed_arg, default="max",
                    help="max, realtime, or a finite positive multiplier")
     add_common_slicing(p)
@@ -336,12 +350,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unused_predict_flag(args) -> "str | None":
+    """Why a predict flag given would change nothing, or None."""
+    sum_phases = sorted(p for p, q in PHASE_QUANTITY.items() if q and "+" in q)
+    if args.message:
+        if args.method is not None:
+            return ("argument --method: not allowed with --message; "
+                    "set the message's confidence level with --alpha")
+        if args.approach is not None:
+            return "argument --approach: not allowed with --message"
+        return None
+    if args.alpha is not None:
+        return ("argument --alpha: only with --message; "
+                "a prediction's confidence level is --method confidence:alpha")
+    if args.phase_start is not None:
+        return "argument --phase-start: only with --message"
+    if args.approach is not None and args.phase not in sum_phases:
+        return f"argument --approach: only for the sum phases {', '.join(sum_phases)}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "predict" and args.message and args.method is not None:
-        parser.error("argument --method: not allowed with --message; "
-                     "set the message's confidence level with --alpha")
+    if args.command == "predict" and (unused := _unused_predict_flag(args)):
+        parser.error(unused)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -327,7 +327,8 @@ class EventLog:
     the event's position 0-5 in its ring's pattern (p4 start, p4 end, p1
     start, ... on ring 1).  Build one with ``read_event_csv``,
     ``simulate.emit_events``, or ``from_events``, which validates each
-    ``PhaseEvent`` given; iterating gives ``PhaseEvent``s back.
+    ``PhaseEvent`` given and raises ValueError for a timestamp that is not
+    an integer in int64; iterating gives ``PhaseEvent``s back.
     """
 
     timestamp_ms: np.ndarray
@@ -345,10 +346,11 @@ class EventLog:
     @classmethod
     def from_events(cls, events: Iterable[PhaseEvent]) -> "EventLog":
         events = list(events)
-        return cls._from_codes(
-            [ev.timestamp_ms for ev in events],
-            [_EVENT_CODE[ev.ring, ev.phase, ev.kind] for ev in events],
-        )
+        times, fault = _int64_column([ev.timestamp_ms for ev in events], "timestamp_ms")
+        if fault is not None:
+            raise fault[1]
+        codes = [_EVENT_CODE[ev.ring, ev.phase, ev.kind] for ev in events]
+        return cls._from_codes(times, codes)
 
     @classmethod
     def _from_codes(cls, times: list[int], codes: list[int]) -> "EventLog":

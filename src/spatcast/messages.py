@@ -20,14 +20,18 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, TextIO
 
-from .cycles import CycleRecord, CycleTable
+from .cycles import DURATION_KEY, RING_SEQUENCE, CycleTable
 from .distributions import EmpiricalDist, fit
 from .errors import EmptyCondition, SinkClosed
 from .predict import PHASE_QUANTITY, cycle_length, hold, predict_schedule
 
 _ORDER_EPS = 1e-9
 
-MESSAGE_DIST_KEYS = ("d4", "d1", "d8", "d5", "d4+d1", "d8+d5")
+# Per ring: the opening and middle durations, then their per-cycle sum.
+MESSAGE_DIST_KEYS = (
+    *(DURATION_KEY[p] for seq in RING_SEQUENCE.values() for p in seq[:2]),
+    *(PHASE_QUANTITY[seq[1]] for seq in RING_SEQUENCE.values()),
+)
 
 
 @dataclass(frozen=True)
@@ -78,8 +82,31 @@ class SpatMessage:
 
 
 def fit_message_dists(table: CycleTable) -> dict[str, EmpiricalDist]:
-    """Fit every distribution message composition needs, for both rings."""
-    return {key: fit(table, key) for key in MESSAGE_DIST_KEYS}
+    """Fit every distribution message composition needs, for both rings.
+
+    Raises ValueError, naming the first bad cycle, for a table whose
+    messages could not keep nextTime after likelyTime: on a ring, an
+    opening+middle sum not below the stratum L (a phase would likely end at
+    or past its next green), or sums that are 0 in every cycle (the
+    coordination phase's next green would be the L it ends at).
+    """
+    dists = {key: fit(table, key) for key in MESSAGE_DIST_KEYS}
+    for seq in RING_SEQUENCE.values():
+        quantity = PHASE_QUANTITY[seq[1]]
+        sums, length = table.column(quantity), dists[quantity].stratum
+        late = ~(sums < length)
+        if late.any():
+            i = late.argmax()
+            raise ValueError(
+                f"cycle {table.cycle_index[i]}: {quantity} = {sums[i]:g} s is not "
+                f"below the cycle length {length:g} s; cannot stream this table"
+            )
+        if not sums.any():
+            raise ValueError(
+                f"cycle {table.cycle_index[0]}: {quantity} is 0 s in every cycle; "
+                "cannot stream this table"
+            )
+    return dists
 
 
 def _conditional_stats(
@@ -108,6 +135,28 @@ def _conditional_stats(
     return min_end, cond.support_max(), likely, conf, next_time, False
 
 
+def _message(
+    site_id: str, cycle_index: int, phase: str, t: float, phase_start: float,
+    alpha: float, stats: tuple[float, float, float, float, float, bool],
+) -> SpatMessage:
+    """The message for one phase at t, from ``_conditional_stats``' tuple."""
+    min_end, max_end, likely, conf, next_time, degraded = stats
+    return SpatMessage(
+        site_id=site_id,
+        cycle_index=cycle_index,
+        phase=phase,
+        made_at=t,
+        start_time=phase_start,
+        min_end_time=min_end,
+        max_end_time=max_end,
+        likely_time=likely,
+        confidence_alpha=alpha,
+        confidence_value=conf,
+        next_time=next_time,
+        degraded=degraded,
+    )
+
+
 def compose(
     dists: Mapping[str, EmpiricalDist],
     current_phase: str,
@@ -131,38 +180,8 @@ def compose(
             f"phase_start = {phase_start:g} s is after t = {t:g} s; "
             "the phase has not started yet"
         )
-    min_end, max_end, likely, conf, next_time, degraded = _conditional_stats(
-        dists, current_phase, t, alpha
-    )
-    return SpatMessage(
-        site_id=site_id,
-        cycle_index=cycle_index,
-        phase=current_phase,
-        made_at=t,
-        start_time=phase_start,
-        min_end_time=min_end,
-        max_end_time=max_end,
-        likely_time=likely,
-        confidence_alpha=alpha,
-        confidence_value=conf,
-        next_time=next_time,
-        degraded=degraded,
-    )
-
-
-def _active_phase(rec: CycleRecord, ring: int, t: float) -> tuple[str, float]:
-    """(phase, realized start offset) active on a ring at cycle time t."""
-    if ring == 1:
-        if t < rec.d4:
-            return "p4", 0.0
-        if t < rec.d4 + rec.d1:
-            return "p1", rec.d4
-        return "p2", rec.d4 + rec.d1
-    if t < rec.d8:
-        return "p8", 0.0
-    if t < rec.d8 + rec.d5:
-        return "p5", rec.d8
-    return "p6", rec.d8 + rec.d5
+    stats = _conditional_stats(dists, current_phase, t, alpha)
+    return _message(site_id, cycle_index, current_phase, t, phase_start, alpha, stats)
 
 
 def stream(
@@ -190,34 +209,32 @@ def stream(
         raise ValueError("speed must be positive")
     sid = table.site_id if site_id is None else site_id
     pace = None if speed is None else (cadence_ms / 1000.0) / speed
+    # Per ring: its three phases, and its opening and middle durations by cycle.
+    rings = [
+        (seq, *(getattr(table, DURATION_KEY[p]).tolist() for p in seq[:2]))
+        for seq in RING_SEQUENCE.values()
+    ]
 
     cache: dict[tuple[str, int], tuple] = {}
     emitted = 0
-    for rec in table:
-        length_ms = int(round(rec.length_s * 1000))
-        for t_ms in range(0, length_ms, cadence_ms):
+    columns = (table.cycle_index.tolist(), table.length_s.tolist())
+    for i, (cycle_index, length_s) in enumerate(zip(*columns)):
+        # Per ring: its phases, and where its opening and middle phases end.
+        ends = [(seq, opening[i], opening[i] + middle[i]) for seq, opening, middle in rings]
+        for t_ms in range(0, int(round(length_s * 1000)), cadence_ms):
             t = t_ms / 1000.0
-            for ring in (1, 2):
-                phase, phase_start = _active_phase(rec, ring, t)
+            for (first, mid, last), opening_end, middle_end in ends:
+                if t < opening_end:
+                    phase, phase_start = first, 0.0
+                elif t < middle_end:
+                    phase, phase_start = mid, opening_end
+                else:
+                    phase, phase_start = last, middle_end
                 key = (phase, t_ms)
                 stats = cache.get(key)
                 if stats is None:
                     stats = cache[key] = _conditional_stats(dists, phase, t, alpha)
-                min_end, max_end, likely, conf, next_time, degraded = stats
-                msg = SpatMessage(
-                    site_id=sid,
-                    cycle_index=rec.cycle_index,
-                    phase=phase,
-                    made_at=t,
-                    start_time=phase_start,
-                    min_end_time=min_end,
-                    max_end_time=max_end,
-                    likely_time=likely,
-                    confidence_alpha=alpha,
-                    confidence_value=conf,
-                    next_time=next_time,
-                    degraded=degraded,
-                )
+                msg = _message(sid, cycle_index, phase, t, phase_start, alpha, stats)
                 try:
                     out.write(msg.to_ndjson() + "\n")
                 except (SinkClosed, BrokenPipeError, ValueError):

@@ -212,6 +212,24 @@ class TestPredict:
         assert "argument --method: not allowed with --message" in err
         assert "--alpha" in err
 
+    @pytest.mark.parametrize("argv, flag, reason", [
+        (["--t", "10", "--phase-start", "5"], "--phase-start", "only with --message"),
+        (["--t", "10", "--alpha", "0.3"], "--alpha", "only with --message"),
+        (["--t", "10", "--approach", "2"], "--approach", "only for the sum phases p1, p5"),
+        (["--phase", "p2", "--t", "10", "--approach", "1"], "--approach",
+         "only for the sum phases p1, p5"),
+        (["--phase", "p1", "--t", "10", "--message", "--approach", "2"], "--approach",
+         "not allowed with --message"),
+    ])
+    def test_flag_that_changes_nothing_is_usage_error(self, capsys, argv, flag, reason):
+        # Each of these once printed the same line as the run without the flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--input", "c.csv", *argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}: {reason}" in err
+
     def test_phase_start_after_t_exits_1(self, capsys, cycles_csv):
         argv = ["predict", "--input", str(cycles_csv), "--phase", "p4", "--t", "10",
                 "--message", "--phase-start"]
@@ -395,6 +413,34 @@ class TestEmit:
             (i, phase, 100.0, 201.0) for i in range(3) for phase in ("p2", "p6")
         ]
 
+    def test_table_that_cannot_stream_exits_1_before_writing(self, tmp_path, capsys,
+                                                             cycles_csv):
+        # d4 = 130 s in a 120 s cycle: p4's likely end would pass its next
+        # green at L, so emit stops before its first line.
+        lines = cycles_csv.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "130.00"
+        lines[2] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        reason = ("error: cycle 1: d4+d1 = 130 s is not below the cycle length 120 s; "
+                  "cannot stream this table\n")
+        out_file = tmp_path / "m.ndjson"
+        for argv in (["emit", "--input", str(bad), "--cadence-ms", "1000",
+                      "-o", str(out_file)],
+                     ["emit", "--input", str(bad)],
+                     ["predict", "--input", str(bad), "--phase", "p4", "--t", "119",
+                      "--message"]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", reason)
+        assert not out_file.exists()
+        # fit, evaluate and a p2 prediction (which ends at L) still load the table.
+        assert main(["fit", "--input", str(bad), "-o", str(tmp_path / "d.csv")]) == 0
+        assert main(["evaluate", "--input", str(bad), "--compare", "expectation",
+                     "-o", str(tmp_path / "e.csv")]) == 0
+        assert main(["predict", "--input", str(bad), "--phase", "p2", "--t", "70"]) == 0
+        assert json.loads(capsys.readouterr().out)["predictedDuration"] == 120.0
+
     def test_cadence_usage_error(self, tmp_path, cycles_csv):
         with pytest.raises(SystemExit) as exc:
             main(["emit", "--input", str(cycles_csv), "--cadence-ms", "5",
@@ -430,6 +476,11 @@ class TestEmit:
     ["predict", "--input", "c.csv", "--t", "nan"],
     ["predict", "--input", "c.csv", "--t", "10", "--phase-start", "inf"],
     ["fit", "--input", "c.csv", "-o", "d.csv", "--cycle-length", "nan"],
+    # A grid finer than the 0.01 s log clock resolution (1e-9 once asked numpy for 343 GiB).
+    ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
+     "--step", "1e-9"],
+    ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
+     "--step", "0.009"],
 ])
 def test_non_finite_float_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -438,7 +489,8 @@ def test_non_finite_float_flag_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: spatcast")
-    wanted = "number >= 0" if argv[-2] in ("--t", "--phase-start") else "positive number"
+    wanted = {"--t": "number >= 0", "--phase-start": "number >= 0",
+              "--step": "number >= 0.01"}.get(argv[-2], "positive number")
     assert f"argument {argv[-2]}: expected a finite {wanted}, got {argv[-1]}" in err
 
 
@@ -577,7 +629,7 @@ def test_evaluate_survives_metric_and_compare_specs(metric, compare, leave_one_o
     st.none() | _spec_list(["expectation", "confidence:0.8", "asymmetric:3:1"],
                            ["expectation", "confidence", "asymmetric", ""]),
     st.sampled_from(["p4", "p1", "p2", "p5"]),
-    st.sampled_from(["1", "2"]),
+    st.none() | st.sampled_from(["1", "2"]),
     st.sampled_from(["0", "10", "38.5", "200"]),
     st.booleans(),
 )
@@ -585,12 +637,15 @@ def test_predict_survives_method_specs(method, phase, approach, t, message):
     with tempfile.TemporaryDirectory() as tmp:
         cycles = Path(tmp) / "cycles.csv"
         cycles.write_text(_CYCLE_CSV.getvalue())
-        argv = ["predict", "--input", str(cycles), "--phase", phase, "--t", t,
-                "--approach", approach]
+        argv = ["predict", "--input", str(cycles), "--phase", phase, "--t", t]
+        if approach is not None:
+            argv += ["--approach", approach]
         if method is not None:
             argv += ["--method", method]
         rc, out, err = _run(argv + ["--message"] * message)
-        if message and method is not None:
+        # --approach applies to the sum phases only, and not to a message.
+        unused_approach = approach is not None and (message or phase not in ("p1", "p5"))
+        if message and method is not None or unused_approach:
             assert rc == 2
         if rc == 0:
             assert err == ""

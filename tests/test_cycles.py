@@ -844,6 +844,18 @@ def test_integer_columns_reject_non_integers_and_values_past_int64(index, start,
         sc.CycleTable([record])
 
 
+@pytest.mark.parametrize("timestamp, reason", [
+    (1.5, "timestamp_ms 1.5 is not an integer"),
+    (2**63, f"timestamp_ms {2**63} does not fit in int64"),
+    (float("nan"), "timestamp_ms nan is not an integer"),
+])
+def test_event_log_rejects_timestamps_that_are_not_int64(timestamp, reason):
+    # Once stored 1.5 as 1 ms, or escaped as OverflowError or a numpy cast error.
+    events = [PhaseEvent(0, 1, "p4", "start"), PhaseEvent(timestamp, 1, "p4", "end")]
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        EventLog.from_events(events)
+
+
 def test_integer_columns_take_whole_floats_and_int64_arrays():
     big = 2**62 + 1  # not a float64: a list mixing it with floats keeps its digits
     two_cycles = [col * 2 for col in _ONE_CYCLE]

@@ -1,12 +1,14 @@
 import io
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
 from spatcast.errors import SinkClosed
+from spatcast.messages import _conditional_stats
 
 
 def dists_from_rows(rows, build):
@@ -93,6 +95,39 @@ class TestCompose:
             t = {"p8": 10.0, "p5": 42.0, "p6": 80.0}[phase]
             msg = sc.compose(dists, phase, t, 0.8, phase_start=0.0)
             assert msg.phase == phase
+
+
+class TestFitMessageDists:
+    @pytest.mark.parametrize("rows, reason", [
+        # Each keeps the barrier identities, yet would break nextTime > likelyTime:
+        # p4 likely ends at its next green, L, or p2's next green is the L it ends at.
+        ([(120.0, 0.0, 0.0)] * 2,
+         "cycle 0: d4+d1 = 120 s is not below the cycle length 120 s"),
+        ([(0.0, 0.0, 0.0)] * 2, "cycle 0: d4+d1 is 0 s in every cycle"),
+        ([(36.0, 0.0, 0.0), (120.0, 0.0, 0.0)],
+         "cycle 1: d4+d1 = 120 s is not below the cycle length 120 s"),
+    ])
+    def test_tables_that_cannot_stream_are_rejected(self, build_table, rows, reason):
+        table = build_table(rows)
+        table.validate()
+        text = f"{reason}; cannot stream this table"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            sc.fit_message_dists(table)
+
+    def test_ring_2_is_checked_too(self):
+        # d8 = d5 = 0 on ring 2 while ring 1 streams (a lead mismatch fit still loads).
+        table = sc.CycleTable.from_columns([0], [0], [120.0], [36.0], [0.0], [84.0],
+                                           [0.0], [0.0], [120.0])
+        with pytest.raises(ValueError, match=re.escape("cycle 0: d8+d5 is 0 s in every cycle")):
+            sc.fit_message_dists(table)
+
+    def test_same_tables_fail_midway_without_the_check(self, build_table):
+        # What the check prevents: the stream raised from its first bad message.
+        for rows in ([(120.0, 0.0, 0.0)], [(0.0, 0.0, 0.0)]):
+            table = build_table(rows)
+            dists = {key: sc.fit(table, key) for key in sc.messages.MESSAGE_DIST_KEYS}
+            with pytest.raises(ValueError, match="nextTime must follow likelyTime"):
+                sc.stream(table, dists, io.StringIO(), cadence_ms=1000)
 
 
 class TestNdjson:
@@ -260,14 +295,77 @@ def test_composed_messages_always_ordered(rows, alpha, t_int):
         assert (msg.likely_time, msg.next_time) == sc.predict_schedule(dists, phase, t)
 
 
+def _active_phase(rec, ring, t):
+    """(phase, realized start offset) active on a ring at cycle time t."""
+    if ring == 1:
+        if t < rec.d4:
+            return "p4", 0.0
+        if t < rec.d4 + rec.d1:
+            return "p1", rec.d4
+        return "p2", rec.d4 + rec.d1
+    if t < rec.d8:
+        return "p8", 0.0
+    if t < rec.d8 + rec.d5:
+        return "p5", rec.d8
+    return "p6", rec.d8 + rec.d5
+
+
+def _reference_stream(table, dists, out, *, cadence_ms, alpha):
+    """The stream one record and one SpatMessage at a time, ring phases by name."""
+    emitted = 0
+    for rec in table.records:
+        for t_ms in range(0, int(round(rec.length_s * 1000)), cadence_ms):
+            t = t_ms / 1000.0
+            for ring in (1, 2):
+                phase, phase_start = _active_phase(rec, ring, t)
+                min_end, max_end, likely, conf, next_time, degraded = _conditional_stats(
+                    dists, phase, t, alpha)
+                msg = sc.SpatMessage(
+                    site_id=table.site_id, cycle_index=rec.cycle_index, phase=phase,
+                    made_at=t, start_time=phase_start, min_end_time=min_end,
+                    max_end_time=max_end, likely_time=likely, confidence_alpha=alpha,
+                    confidence_value=conf, next_time=next_time, degraded=degraded,
+                )
+                try:
+                    out.write(msg.to_ndjson() + "\n")
+                except SinkClosed:
+                    return emitted
+                emitted += 1
+    return emitted
+
+
+class _ClosingSink:
+    """Keeps what it is given, and closes after ``limit`` writes."""
+
+    def __init__(self, limit):
+        self.limit, self.lines = limit, []
+
+    def write(self, text):
+        if len(self.lines) >= self.limit:
+            raise SinkClosed("sink full")
+        self.lines.append(text)
+
+
 @settings(max_examples=25, deadline=None)
 @given(duration_rows, st.none() | st.integers(0, 4), st.sampled_from([500, 1000, 5000]),
-       st.floats(0.05, 0.95))
-def test_stream_lines_equal_composed_messages(rows, skew_at, cadence_ms, alpha):
+       st.floats(0.05, 0.95), st.integers(0, 2000))
+# A tick on each phase boundary: d4 = 40.0 and d4 + d1 = 45.5 at 500 ms, and
+# zero-length middle phases (d5 = 0 here, d1 = 0 in the second cycle).
+@example([(40.0, 5.5, 0.0), (36.5, 0.0, 12.5)], None, 500, 0.8, 700)
+@example([(40.0, 0.0, 0.0)], 0, 500, 0.5, 0)
+def test_stream_lines_equal_composed_messages(rows, skew_at, cadence_ms, alpha, close_after):
     table = table_of(rows, skew_at)
     dists = sc.fit_message_dists(table)
-    out = io.StringIO()
-    sc.stream(table, dists, out, cadence_ms=cadence_ms, alpha=alpha)
+    out, ref = io.StringIO(), io.StringIO()
+    emitted = sc.stream(table, dists, out, cadence_ms=cadence_ms, alpha=alpha)
+    assert emitted == _reference_stream(table, dists, ref, cadence_ms=cadence_ms, alpha=alpha)
+    assert out.getvalue() == ref.getvalue()
+    # A sink that closes stops both at the same line.
+    sink, ref_sink = _ClosingSink(close_after), _ClosingSink(close_after)
+    assert (sc.stream(table, dists, sink, cadence_ms=cadence_ms, alpha=alpha)
+            == _reference_stream(table, dists, ref_sink, cadence_ms=cadence_ms, alpha=alpha)
+            == min(close_after, emitted))
+    assert sink.lines == ref_sink.lines
     for line in out.getvalue().splitlines():
         msg = json.loads(line)
         rec = table.records[msg["cycle"]]
