@@ -28,7 +28,7 @@ from .cycles import (
 from .distributions import fit, fit_joint
 from .errors import SpatError
 from .ioutil import text_sink
-from .messages import MESSAGE_DIST_KEYS, compose, fit_message_dists, stream
+from .messages import _fit_dists, compose, fit_message_dists, stream
 from .predict import (
     PHASE_QUANTITY,
     Expectation,
@@ -188,9 +188,8 @@ def _cmd_predict(args) -> int:
     method = Expectation() if args.method is None else parse_method(args.method)
     quantity = PHASE_QUANTITY[args.phase]
     if quantity is None:
-        # Not fit_message_dists: the phase ends at L on a table that cannot stream too.
-        dists = {key: fit(table, key) for key in MESSAGE_DIST_KEYS}
-        end, _ = predict_schedule(dists, args.phase, args.t)
+        # Unchecked: the phase ends at L on a table that cannot stream too.
+        end, _ = predict_schedule(_fit_dists(table), args.phase, args.t)
         p = Prediction(
             made_at=args.t, quantity="cycle_end", method="identity",
             predicted_duration=end, residual=end - args.t,

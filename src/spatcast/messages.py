@@ -85,28 +85,41 @@ def fit_message_dists(table: CycleTable) -> dict[str, EmpiricalDist]:
     """Fit every distribution message composition needs, for both rings.
 
     Raises ValueError, naming the first bad cycle, for a table whose
-    messages could not keep nextTime after likelyTime: on a ring, an
-    opening+middle sum not below the stratum L (a phase would likely end at
-    or past its next green), or sums that are 0 in every cycle (the
-    coordination phase's next green would be the L it ends at).
+    messages could not keep nextTime after likelyTime.  On a ring that is
+    an opening duration not below the stratum L (the opening phase would
+    likely end at or past its next green, L), an opening+middle sum not
+    below L + mean(opening) (the middle phase's next green), or sums that
+    are 0 in every cycle (the coordination phase's next green would be the
+    L it ends at).
     """
-    dists = {key: fit(table, key) for key in MESSAGE_DIST_KEYS}
-    for seq in RING_SEQUENCE.values():
-        quantity = PHASE_QUANTITY[seq[1]]
-        sums, length = table.column(quantity), dists[quantity].stratum
-        late = ~(sums < length)
-        if late.any():
-            i = late.argmax()
-            raise ValueError(
-                f"cycle {table.cycle_index[i]}: {quantity} = {sums[i]:g} s is not "
-                f"below the cycle length {length:g} s; cannot stream this table"
-            )
-        if not sums.any():
+    dists = _fit_dists(table)
+    for first, mid, _ in RING_SEQUENCE.values():
+        opening, quantity = DURATION_KEY[first], PHASE_QUANTITY[mid]
+        length = cycle_length(dists, first)
+        mid_green = length + dists[opening].mean()
+        for key, bound, what in (
+            (opening, length, f"the cycle length {length:g} s"),
+            (quantity, mid_green, f"{mid}'s next green, L + mean({opening}) = {mid_green:g} s"),
+        ):
+            values = table.column(key)
+            late = ~(values < bound)
+            if late.any():
+                i = late.argmax()
+                raise ValueError(
+                    f"cycle {table.cycle_index[i]}: {key} = {values[i]:g} s is not "
+                    f"below {what}; cannot stream this table"
+                )
+        if not table.column(quantity).any():
             raise ValueError(
                 f"cycle {table.cycle_index[0]}: {quantity} is 0 s in every cycle; "
                 "cannot stream this table"
             )
     return dists
+
+
+def _fit_dists(table: CycleTable) -> dict[str, EmpiricalDist]:
+    """``fit_message_dists`` without the check that the table can stream."""
+    return {key: fit(table, key) for key in MESSAGE_DIST_KEYS}
 
 
 def _conditional_stats(

@@ -423,7 +423,7 @@ class TestEmit:
         lines[2] = ",".join(fields)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
-        reason = ("error: cycle 1: d4+d1 = 130 s is not below the cycle length 120 s; "
+        reason = ("error: cycle 1: d4 = 130 s is not below the cycle length 120 s; "
                   "cannot stream this table\n")
         out_file = tmp_path / "m.ndjson"
         for argv in (["emit", "--input", str(bad), "--cadence-ms", "1000",

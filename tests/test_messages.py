@@ -101,11 +101,10 @@ class TestFitMessageDists:
     @pytest.mark.parametrize("rows, reason", [
         # Each keeps the barrier identities, yet would break nextTime > likelyTime:
         # p4 likely ends at its next green, L, or p2's next green is the L it ends at.
-        ([(120.0, 0.0, 0.0)] * 2,
-         "cycle 0: d4+d1 = 120 s is not below the cycle length 120 s"),
+        ([(120.0, 0.0, 0.0)] * 2, "cycle 0: d4 = 120 s is not below the cycle length 120 s"),
         ([(0.0, 0.0, 0.0)] * 2, "cycle 0: d4+d1 is 0 s in every cycle"),
         ([(36.0, 0.0, 0.0), (120.0, 0.0, 0.0)],
-         "cycle 1: d4+d1 = 120 s is not below the cycle length 120 s"),
+         "cycle 1: d4 = 120 s is not below the cycle length 120 s"),
     ])
     def test_tables_that_cannot_stream_are_rejected(self, build_table, rows, reason):
         table = build_table(rows)
@@ -121,10 +120,33 @@ class TestFitMessageDists:
         with pytest.raises(ValueError, match=re.escape("cycle 0: d8+d5 is 0 s in every cycle")):
             sc.fit_message_dists(table)
 
+    def test_sum_past_the_middle_phase_next_green_is_rejected(self):
+        # Off the barrier identities (fit still loads it): p1 would likely end
+        # at 140 s, past its next green at L + mean(d4) = 130 s.
+        table = sc.CycleTable.from_columns([0], [0], [120.0], [10.0], [130.0], [0.0],
+                                           [10.0], [130.0], [0.0])
+        text = ("cycle 0: d4+d1 = 140 s is not below p1's next green, "
+                "L + mean(d4) = 130 s; cannot stream this table")
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            sc.fit_message_dists(table)
+
+    @pytest.mark.parametrize("odd", [(100.0, 20.0, 20.0), (119.5, 0.5, 0.5)])
+    def test_cycle_with_a_zero_coordination_phase_streams(self, build_table, odd):
+        # d2 = d6 = 0 in one cycle: its sum reaches L, but p1 ends before
+        # its next green (L + mean(d4)) and p4 before L, so the table streams.
+        table = build_table([(36.0, 10.0, 12.0)] * 5 + [odd])
+        table.validate()
+        out = io.StringIO()
+        assert sc.stream(table, sc.fit_message_dists(table), out, cadence_ms=100) == 14400
+        for line in out.getvalue().splitlines():
+            check_message_line(line)
+
     def test_same_tables_fail_midway_without_the_check(self, build_table):
         # What the check prevents: the stream raised from its first bad message.
-        for rows in ([(120.0, 0.0, 0.0)], [(0.0, 0.0, 0.0)]):
-            table = build_table(rows)
+        tables = [build_table(rows) for rows in ([(120.0, 0.0, 0.0)], [(0.0, 0.0, 0.0)])]
+        tables.append(sc.CycleTable.from_columns([0], [0], [120.0], [10.0], [130.0], [0.0],
+                                                 [10.0], [130.0], [0.0]))
+        for table in tables:
             dists = {key: sc.fit(table, key) for key in sc.messages.MESSAGE_DIST_KEYS}
             with pytest.raises(ValueError, match="nextTime must follow likelyTime"):
                 sc.stream(table, dists, io.StringIO(), cadence_ms=1000)
