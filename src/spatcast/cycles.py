@@ -36,7 +36,7 @@ from .errors import (
     OutOfOrderEvent,
     RingSequenceViolation,
 )
-from .ioutil import text_sink, text_source
+from .ioutil import text_sink
 
 RING_SEQUENCE: dict[int, tuple[str, str, str]] = {
     1: ("p4", "p1", "p2"),
@@ -516,7 +516,7 @@ def window(table: CycleTable, target_day: "dt.date | int", delta_days: int) -> C
 # Each event code's one `ring,phase,kind` spelling: write_event_csv writes
 # it, and the block parser below matches it.
 _SPELLING: dict[int, str] = {code: ",".join(key) for key, code in _RAW_EVENT_CODE.items()}
-_WRITE_EVENTS = 1 << 16  # events formatted per write
+_WRITE_ROWS = 1 << 16  # rows formatted per write
 
 
 def write_event_csv(log: EventLog, target) -> None:
@@ -524,18 +524,17 @@ def write_event_csv(log: EventLog, target) -> None:
     the header, then ``timestamp,ring,phase,kind`` rows ending in ``\r\n``."""
     with text_sink(target) as f:
         f.write(",".join(_EVENT_HEADER) + "\r\n")
-        for lo in range(0, len(log), _WRITE_EVENTS):
-            part = slice(lo, lo + _WRITE_EVENTS)
+        for lo in range(0, len(log), _WRITE_ROWS):
+            part = slice(lo, lo + _WRITE_ROWS)
             times, codes = log.timestamp_ms[part], log.ring[part] * 8 + log.step[part]
             f.write("".join([f"{t},{_SPELLING[c]}\r\n"
                              for t, c in zip(times.tolist(), codes.tolist())]))
 
 
-# Rows as write_event_csv writes them are parsed a block of about this many
+# Rows as the writers write them are parsed a block of about this many
 # bytes at a time, cut at a line end; blocks keep numpy's temporaries small.
 _BLOCK_BYTES = 1 << 16
-_EVENT_HEADER_BYTES = ",".join(_EVENT_HEADER).encode()
-_MAX_DIGITS = 18  # every timestamp of up to 18 digits fits in int64
+_MAX_DIGITS = 18  # every integer of up to 18 digits fits in int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 # The twelve spellings as row tails, sorted, with their lengths and codes.
 _TAILS = sorted((spelled.encode(), code) for code, spelled in _SPELLING.items())
@@ -559,31 +558,41 @@ def read_event_csv(source) -> EventLog:
     byte that is not UTF-8 raises MalformedRow for the line holding it.
     """
     # The parts are joined once the file's bytes are freed.
-    times, codes = _read_event_parts(source)
-    return EventLog._from_codes(np.concatenate(times), np.concatenate(codes))
+    parts = _read_blocks(source, _EVENT_HEADER, _parse_event_block, _read_rows)
+    times, codes = map(np.concatenate, zip(*parts))
+    return EventLog._from_codes(times, codes)
 
 
-def _read_event_parts(source) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """read_event_csv's timestamps and event codes, in parts."""
+def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list[np.ndarray]]:
+    """The columns of a CSV file's rows, in parts, one part per block.
+
+    ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
+    whole.  After ``header`` and a ``\\n`` or ``\\r\\n``, blocks of whole
+    lines go to ``parse_block(buf) -> (columns, size)``, which parses the
+    leading rows of ``buf`` in the writer's form and gives the bytes they
+    take.  The first row it leaves, and every row after it, goes to
+    ``read_rows(lines, line) -> columns``; ``line`` is the file line before
+    ``lines``, which start with the header when it is 0.
+    """
     if hasattr(source, "read"):
         text = source.read()
         # A lone surrogate stays in the text for the per-row loop to reject.
         data = text.encode("utf-8", "surrogatepass")
     else:
         text, data = None, Path(source).read_bytes()
-    times: list[np.ndarray] = []
-    codes: list[np.ndarray] = []
+    head = ",".join(header).encode()
+    parts = []
     pos = line = 0
     for eol in (b"\n", b"\r\n"):
-        if data.startswith(_EVENT_HEADER_BYTES + eol):
-            pos, line = len(_EVENT_HEADER_BYTES) + len(eol), 1
-    while line and pos < len(data):
+        if data.startswith(head + eol):
+            pos, line = len(head) + len(eol), 1
+    # One block at least, which gives a file without rows its typed columns.
+    while line:
         end = data.find(b"\n", pos + _BLOCK_BYTES - 1) + 1 or len(data)
-        t, c, size = _parse_canonical(np.frombuffer(data, np.uint8, end - pos, pos))
-        times.append(t)
-        codes.append(c)
-        pos, line = pos + size, line + len(t)
-        if pos < end:
+        columns, size = parse_block(np.frombuffer(data, np.uint8, end - pos, pos))
+        parts.append(columns)
+        pos, line = pos + size, line + len(columns[0])
+        if pos < end or pos == len(data):
             break
     if pos < len(data) or not line:
         if text is None:
@@ -593,13 +602,11 @@ def _read_event_parts(source) -> tuple[list[np.ndarray], list[np.ndarray]]:
             # line end when it reads universal newlines, else at "\n".
             newline = "\n" if getattr(source, "newlines", None) is None else ""
             lines = io.StringIO(text[pos:], newline=newline)  # the prefix is ASCII
-        t, c = _read_rows(lines, line)
-        times.append(np.array(t, dtype=np.int64))
-        codes.append(np.array(c, dtype=np.int8))
-    return times or [np.zeros(0, np.int64)], codes or [np.zeros(0, np.int8)]
+        parts.append(read_rows(lines, line))
+    return parts
 
 
-def _parse_canonical(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _parse_event_block(buf: np.ndarray) -> tuple[list[np.ndarray], int]:
     """Timestamps and event codes of the leading canonical rows of ``buf``,
     a block of whole lines, and the bytes those rows take."""
     ends = np.flatnonzero(buf == ord("\n"))
@@ -612,7 +619,7 @@ def _parse_canonical(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     width = first - starts
     k = _first((width < 1) | (width > _MAX_DIGITS))
     if k == 0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int8), 0
+        return [np.zeros(0, np.int64), np.zeros(0, np.int8)], 0
     ends, starts, first, width = ends[:k], starts[:k], first[:k], width[:k]
 
     # The timestamp: digit times its power of ten, summed per row.
@@ -633,7 +640,7 @@ def _parse_canonical(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     tail_ok = (_TAIL_KEYS[key] == tails) & (_TAIL_LENGTHS[key] == tail_len)
 
     k = _first(~(digits_ok & tail_ok))
-    return stamps[:k], _TAIL_CODES[key[:k]], int(ends[k - 1]) + 1 if k else 0
+    return [stamps[:k], _TAIL_CODES[key[:k]]], int(ends[k - 1]) + 1 if k else 0
 
 
 def _first(mask: np.ndarray) -> int:
@@ -663,7 +670,7 @@ def _decoded_lines(data: bytes, line: int) -> Iterator[str]:
     raise MalformedRow(line + len(before) + 1, str(in_line)) from fault
 
 
-def _read_rows(lines: Iterable[str], line: int) -> tuple[list[int], list[int]]:
+def _read_rows(lines: Iterable[str], line: int) -> list[np.ndarray]:
     """Parse rows one at a time; ``line`` is the file line before ``lines``,
     which start with the header when it is 0."""
     times: list[int] = []
@@ -687,7 +694,7 @@ def _read_rows(lines: Iterable[str], line: int) -> tuple[list[int], list[int]]:
             codes.append(code)
     except (ValueError, csv.Error) as exc:
         raise MalformedRow(line + rows.line_num, str(exc)) from exc
-    return times, codes
+    return [np.array(times, dtype=np.int64), np.array(codes, dtype=np.int8)]
 
 
 def _read_header(rows) -> "list[str] | None":
@@ -698,12 +705,18 @@ def _read_header(rows) -> "list[str] | None":
 
 
 def write_cycle_csv(table: CycleTable, target) -> None:
+    """Write a cycle table as CSV, in the bytes ``csv.writer`` would write:
+    the header, then rows of the two integers and the seven durations to
+    0.01 s, ending in ``\\r\\n``."""
     columns = [table.cycle_index.tolist(), table.cycle_start_ms.tolist()]
     columns += [_per_distinct(getattr(table, name), "{:.2f}".format) for name in _FIELDS[2:]]
+    rows = zip(*columns)
     with text_sink(target) as f:
-        w = csv.writer(f)
-        w.writerow(_CYCLE_HEADER)
-        w.writerows(zip(*columns))
+        f.write(",".join(_CYCLE_HEADER) + "\r\n")
+        for _ in range(0, len(table), _WRITE_ROWS):
+            part = itertools.islice(rows, _WRITE_ROWS)
+            f.write("".join([f"{i},{start},{length},{d4},{d1},{d2},{d8},{d5},{d6}\r\n"
+                             for i, start, length, d4, d1, d2, d8, d5, d6 in part]))
 
 
 def _per_distinct(values: np.ndarray, fn=None) -> list:
@@ -722,48 +735,119 @@ def _per_distinct(values: np.ndarray, fn=None) -> list:
     return list(map(dict(zip(distinct, found)).__getitem__, keys))
 
 
-_CHUNK_ROWS = 256
-
-
 def read_cycle_csv(source, site_id: str = "") -> CycleTable:
     """Read a cycle-record CSV into a table.
 
-    Fields are parsed with ``int()`` and ``float()``.  The first bad row
-    raises MalformedRow with its file line: a wrong field count, a field
-    that does not parse, an integer outside int64, or values ``CycleTable``
-    rejects.  Barrier identities are not checked.
+    ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
+    whole.  After the header, rows in write_cycle_csv's form -- two integers
+    of 1 to 18 ASCII digits, seven durations of 1 to 13 digits, a point and
+    two digits, and a line end of ``\\n`` or ``\\r\\n`` -- are parsed in
+    numpy blocks.  The first row in any other form, and every row after it,
+    goes through a per-row loop, which parses fields with ``int()`` and
+    ``float()``.  The first bad row raises MalformedRow with its file line:
+    a wrong field count, a field that does not parse, an integer outside
+    int64, values ``CycleTable`` rejects, or a byte that is not UTF-8.
+    Barrier identities are not checked.
     """
-    chunks = []
-    with text_source(source) as f:
-        reader = csv.reader(f)
+    parts = _read_blocks(source, _CYCLE_HEADER, _parse_cycle_block, _read_cycle_rows)
+    return CycleTable.from_columns(*map(np.concatenate, zip(*parts)), site_id=site_id)
+
+
+# A duration of up to 13 digits before its point is exact in float64 as a
+# count of hundredths, so that count / 100 rounds the decimal once, as
+# float() does.
+_MAX_UNITS = 13
+# Each field's powers of ten, from its last byte back; a point has none.
+_FIELD_POW10 = [_POW10] * 2 + [np.concatenate(([1, 10, 0], _POW10[2:_MAX_UNITS + 2]))] * 7
+_MIN_WIDTH = np.array([1] * 2 + [4] * 7)
+_MAX_WIDTH = np.array([len(power) for power in _FIELD_POW10])
+# A row in form holds digits but for its eight commas, seven points and
+# "\n" (and a "\r" before that).
+_ROW_NON_DIGITS = 8 + 7 + 1
+
+
+def _parse_cycle_block(buf: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """The columns of the leading rows of ``buf``, a block of whole lines,
+    that are in write_cycle_csv's form and pass ``_check``, and the bytes
+    those rows take.  A row that breaks a rule is left to the per-row loop,
+    which reports it."""
+    ends = np.flatnonzero(buf == ord("\n"))
+    commas = np.flatnonzero(buf == ord(","))
+    k = _first(np.diff(np.searchsorted(commas, ends), prepend=0) != 8)
+    ends = ends[:k]
+    cr = buf[ends - 1] == ord("\r")
+    # Field j of a row lies strictly between the row's separators j and
+    # j + 1: the line end before the row, its commas, and its "\r" or "\n".
+    sep = np.empty((k, 10), np.int64)
+    sep[:, 0] = np.concatenate(([-1], ends[:-1]))
+    sep[:, 1:9] = commas[:8 * k].reshape(k, 8)
+    sep[:, 9] = ends - cr
+    width = np.diff(sep) - 1
+    digit = buf - np.uint8(ord("0"))  # wraps: a non-digit reads >= 10
+    non_digits = np.flatnonzero(digit >= 10)
+    per_line = np.diff(np.searchsorted(non_digits, ends, side="right"), prepend=0)
+    in_form = (
+        ((width >= _MIN_WIDTH) & (width <= _MAX_WIDTH)).all(axis=1)
+        & (buf[sep[:, 3:] - 3] == ord(".")).all(axis=1)
+        & (per_line == _ROW_NON_DIGITS + cr)
+    )
+    k = _first(~in_form)
+    sep, width = sep[:k], width[:k]
+
+    # Each field's digits times their powers of ten.  A field's bytes are
+    # read from its last back; before its first, the separator before it,
+    # which like a point reads 0, as does index -1.
+    value = np.append(digit * (digit < 10), np.uint8(0))
+    columns = []
+    for j, power in enumerate(_FIELD_POW10):
+        back = np.arange(width[:, j].max(initial=0))
+        at = np.maximum(sep[:, j + 1, None] - 1 - back, sep[:, j, None])
+        columns.append(value[at] @ power[:len(back)])
+    columns[2:] = [hundredths / 100 for hundredths in columns[2:]]
+    columns, fault = _check(columns)
+    if fault is not None:
+        k = fault[0]
+        columns = [values[:k] for values in columns]
+    return columns, int(ends[k - 1]) + 1 if k else 0
+
+
+_CHUNK_ROWS = 256
+
+
+def _read_cycle_rows(lines: Iterable[str], line: int) -> list[np.ndarray]:
+    """Parse rows a chunk at a time; ``line`` is the file line before
+    ``lines``, which start with the header when it is 0."""
+    reader = csv.reader(lines)
+    if not line:
         header = _read_header(reader)
         if header != _CYCLE_HEADER:
             raise ValueError(f"expected header {_CYCLE_HEADER}, got {header}")
-        # Rows are parsed a chunk at a time, so their strings never all
-        # stay in memory at once.
-        while True:
-            rows: list[list[str]] = []
-            lines: list[int] = []
-            fault = None  # a row that fails to parse, as (row index, error)
-            try:
-                for row in itertools.islice(reader, _CHUNK_ROWS):
-                    rows.append(row)
-                    lines.append(reader.line_num)
-            except csv.Error as exc:
-                fault = len(rows), exc
-                lines.append(reader.line_num)
-            chunks.append(_parse_cycle_rows(rows, lines, fault))
-            if len(rows) < _CHUNK_ROWS:
-                break
-    columns = (np.concatenate(parts) for parts in zip(*chunks))
-    return CycleTable.from_columns(*columns, site_id=site_id)
+    chunks = []
+    # Rows are parsed a chunk at a time, so their strings never all stay in
+    # memory at once.
+    while True:
+        rows: list[list[str]] = []
+        lines_at: list[int] = []
+        fault = None  # a row that fails to read, as (row index, error)
+        try:
+            for row in itertools.islice(reader, _CHUNK_ROWS):
+                rows.append(row)
+                lines_at.append(line + reader.line_num)
+        except (csv.Error, MalformedRow) as exc:
+            fault = len(rows), exc
+            lines_at.append(line + reader.line_num)
+        chunks.append(_parse_cycle_rows(rows, lines_at, fault))
+        if len(rows) < _CHUNK_ROWS:
+            break
+    return list(map(np.concatenate, zip(*chunks)))
 
 
 def _parse_cycle_rows(rows, lines, fault) -> list[np.ndarray]:
     """Columns of the rows, or MalformedRow for the first bad one.
 
     ``lines`` holds each row's file line, and one more for ``fault``, a row
-    that failed to read.
+    that failed to read; an undecodable byte's MalformedRow already names
+    its line.
     """
     n = len(rows)
     width = len(_CYCLE_HEADER)
@@ -786,6 +870,8 @@ def _parse_cycle_rows(rows, lines, fault) -> list[np.ndarray]:
     fault = checked or fault
     if fault is not None:
         i, exc = fault
+        if isinstance(exc, MalformedRow):
+            raise exc
         raise MalformedRow(lines[i], str(exc)) from exc
     return columns
 

@@ -1,4 +1,4 @@
-"""Small helpers for functions that accept either a path or an open file."""
+"""A helper for functions that write to either a path or an open file."""
 
 from __future__ import annotations
 
@@ -15,12 +15,3 @@ def text_sink(target):
         with open(Path(target), "w", encoding="utf-8", newline="") as handle:
             yield handle
 
-
-@contextmanager
-def text_source(target):
-    """Yield a readable text handle for a path or an already-open file."""
-    if hasattr(target, "read"):
-        yield target
-    else:
-        with open(Path(target), "r", encoding="utf-8", newline="") as handle:
-            yield handle

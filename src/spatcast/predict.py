@@ -259,7 +259,10 @@ def predict_schedule(
             f"schedule from {current_phase} needs the {quantity!r} distribution"
         )
     else:
-        end = predict(dists[quantity], t, Expectation()).predicted_duration
+        cond = dists[quantity].condition_gt(t)
+        # The float mean of equal samples can miss their value by an ulp;
+        # a message's likely end stays within the samples past t.
+        end = min(max(cond.mean(), cond.support_min()), cond.support_max())
 
     next_green = length
     for dist in (first, mid)[:seq.index(current_phase)]:

@@ -3,6 +3,7 @@ import datetime as dt
 import io
 import math
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 from unittest.mock import patch
 
@@ -24,7 +25,17 @@ from spatcast.cycles import (
     PhaseEvent,
     _read_header,
 )
-from spatcast.ioutil import text_source
+
+
+@contextmanager
+def _opened(source):
+    """``source`` when it is an open handle, else the file it names, opened
+    as UTF-8 text with newline=""."""
+    if hasattr(source, "read"):
+        yield source
+    else:
+        with open(source, encoding="utf-8", newline="") as f:
+            yield f
 
 
 def _cycle_events(start_ms, ring1, ring2):
@@ -277,6 +288,27 @@ class TestCsv:
         message = f"^line {line}: 'utf-8' codec can't decode {reason}$"
         with pytest.raises(sc.MalformedRow, match=message) as exc:
             sc.read_event_csv(path)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("line, col, bad, reason", [
+        (1201, 0, b"\xff", "byte 0xff in position 0: invalid start byte"),
+        (101, 5, b"\xff", "byte 0xff in position 5: invalid start byte"),
+        (1, 13, b"\xff", "byte 0xff in position 13: invalid start byte"),
+        (1501, 1, b"\xe2(", "byte 0xe2 in position 1: invalid continuation byte"),
+    ])
+    def test_cycle_csv_undecodable_byte_names_its_line(self, tmp_path, line, col, bad, reason):
+        # Once a bare UnicodeDecodeError that named a byte offset, not a line.
+        table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(2), 1500)
+        buf = io.StringIO()
+        sc.write_cycle_csv(table, buf)
+        lines = buf.getvalue().encode().split(b"\r\n")
+        assert len(lines) == 1502  # 1,501 lines and the empty rest after the last
+        lines[line - 1] = lines[line - 1][:col] + bad + lines[line - 1][col:]
+        path = tmp_path / "cycles.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        message = f"^line {line}: 'utf-8' codec can't decode {reason}$"
+        with pytest.raises(sc.MalformedRow, match=message) as exc:
+            sc.read_cycle_csv(path)
         assert exc.value.line == line
 
 
@@ -598,14 +630,15 @@ def _reference_parse_cycle_row(row, line):
 
 def _reference_read_cycle_csv(source, site_id=""):
     """The per-row cycle CSV reader, kept as the oracle for read_cycle_csv."""
-    rows = csv.reader(source)
-    try:
-        header = next(rows, None)
-        if header != _CYCLE_HEADER:
-            raise ValueError(f"expected header {_CYCLE_HEADER}, got {header}")
-        records = [_reference_parse_cycle_row(row, rows.line_num) for row in rows]
-    except csv.Error as exc:
-        raise sc.MalformedRow(rows.line_num, str(exc)) from exc
+    with _opened(source) as f:
+        rows = csv.reader(f)
+        try:
+            header = next(rows, None)
+            if header != _CYCLE_HEADER:
+                raise ValueError(f"expected header {_CYCLE_HEADER}, got {header}")
+            records = [_reference_parse_cycle_row(row, rows.line_num) for row in rows]
+        except csv.Error as exc:
+            raise sc.MalformedRow(rows.line_num, str(exc)) from exc
     starts = [r.cycle_start_ms for r in records]
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ValueError("cycle_start_ms must be strictly increasing")
@@ -686,30 +719,87 @@ def _cycle_csv_texts(draw):
     return sep.join(lines) + draw(st.sampled_from([sep, ""]))
 
 
-def _read_outcome(read, text):
+_COLUMNS = ("cycle_index", "cycle_start_ms", "length_s", *_DURATIONS)
+
+
+def _read_outcome(read, source):
     try:
-        return read(io.StringIO(text, newline=""), site_id="s")
+        table = read(source, site_id="s")
     except (sc.SpatError, ValueError) as exc:
         return type(exc), str(exc)
+    # Each column's dtype and bits, so that -0.0 and 0.0 differ.
+    columns = [getattr(table, name) for name in _COLUMNS]
+    return table.site_id, [(col.dtype.str, col.tobytes()) for col in columns]
+
+
+def _sources(text, tmp):
+    """The four ways a reader takes ``text``: a path to its UTF-8 bytes, and
+    handles that keep line ends, read universal newlines or translate them."""
+    path = Path(tmp) / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return {
+        "path": lambda: path,
+        "text": lambda: io.StringIO(text),
+        "universal": lambda: io.StringIO(text, newline=""),
+        "translated": lambda: io.StringIO(text, newline=None),
+    }
+
+
+def _cycle_csv(*rows, sep="\r\n"):
+    return sep.join([",".join(_CYCLE_HEADER), *rows]) + sep
 
 
 _VALID_ROW = "0,0,120.00,36.00,0.00,84.00,36.00,0.00,84.00"
+_ROW_1 = "1,120000,120.00,36.00,5.00,79.00,36.00,5.00,79.00"
+_ROW_2 = "2,240000,120.00,41.25,5.50,73.25,41.25,5.50,73.25"
 
 
 @settings(max_examples=400, deadline=None)
-@given(_cycle_csv_texts())
-@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + '\n"' + "1" * 200_000 + "\n")
-@example(",".join(_CYCLE_HEADER) + '\n1,0,nan,0,0,0,0,0,0\n"' + "1" * 200_000 + "\n")
-@example('"' + "h" * 200_000 + "\n" + _VALID_ROW + "\n")
-@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + "\n" + _VALID_ROW + "\n")
-def test_read_cycle_csv_matches_per_row_reader(text):
-    want = _read_outcome(_reference_read_cycle_csv, text)
-    assert _read_outcome(sc.read_cycle_csv, text) == want
-    # The reader parses rows a chunk at a time; small chunks put a
-    # boundary next to every row.
-    for chunk_rows in (1, 2, 3):
-        with patch.object(spatcast.cycles, "_CHUNK_ROWS", chunk_rows):
-            assert _read_outcome(sc.read_cycle_csv, text) == want
+@given(_cycle_csv_texts(), st.integers(1, 120), st.integers(1, 3))
+@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + '\n"' + "1" * 200_000 + "\n", 64, 1)
+@example(",".join(_CYCLE_HEADER) + '\n1,0,nan,0,0,0,0,0,0\n"' + "1" * 200_000 + "\n", 64, 1)
+@example('"' + "h" * 200_000 + "\n" + _VALID_ROW + "\n", 64, 1)
+@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + "\n" + _VALID_ROW + "\n", 64, 1)
+# In form, then a duration without its decimals, then in form again.
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "36", 1), _ROW_2), 7, 2)
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace(",5.00,", ",-0.00,", 1)), 7, 2)
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "360.0", 1)), 7, 2)  # point moved
+@example(_cycle_csv("0,-120000," + _VALID_ROW[4:], _ROW_1), 7, 2)
+@example(_cycle_csv(f"{2**63 - 1}" + _VALID_ROW[1:], _ROW_1), 7, 2)
+@example(_cycle_csv("9" * 18 + _VALID_ROW[1:], "9" * 18 + _ROW_1[1:]), 7, 2)  # 18 digits
+# A row that breaks a rule in form comes before a row that does not parse.
+@example(_cycle_csv(_VALID_ROW.replace("120.00", "0.00"), _ROW_1.replace("36.00", "x", 1)), 7, 2)
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace(",5.00,", ",5.00\r,", 1), _ROW_2), 7, 2)
+@example("\ufeff" + _cycle_csv(_VALID_ROW), 7, 2)
+# 13 digits before the point are in form; 14 are not.
+@example(_cycle_csv(_VALID_ROW.replace("84.00", "9007199254740.99"),
+                    _ROW_1.replace("79.00", "90071992547409.93")), 7, 2)
+@example(_cycle_csv(_VALID_ROW) + _ROW_1 + "\n" + _ROW_2 + "\r\n", 7, 2)  # mixed line ends
+def test_read_cycle_csv_matches_per_row_reader(text, block_bytes, chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, source in _sources(text, tmp).items():
+            want = _read_outcome(_reference_read_cycle_csv, source())
+            # Small blocks put a block edge next to every line, and small
+            # chunks a chunk edge next to every row of the per-row loop.
+            with patch.object(spatcast.cycles, "_CHUNK_ROWS", chunk_rows):
+                for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
+                    with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                        got = _read_outcome(sc.read_cycle_csv, source())
+                        assert got == want, (name, size)
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\n"])
+def test_canonical_cycle_csv_skips_per_row_loop(tmp_path, sep):
+    table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(4), 30, start_ms=10**17)
+    buf = io.StringIO()
+    sc.write_cycle_csv(table, buf)
+    path = tmp_path / "cycles.csv"
+    path.write_bytes(buf.getvalue().replace("\r\n", sep).encode())
+    want = _read_outcome(_reference_read_cycle_csv, path)
+    with patch.object(spatcast.cycles, "_read_cycle_rows", side_effect=AssertionError):
+        for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
+            with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                assert _read_outcome(sc.read_cycle_csv, path) == want
 
 
 def _reference_write_cycle_csv(records):
@@ -721,6 +811,30 @@ def _reference_write_cycle_csv(records):
         w.writerow([r.cycle_index, r.cycle_start_ms,
                     *(f"{getattr(r, name):.2f}" for name in ("length_s", *_DURATIONS))])
     return buf.getvalue()
+
+
+_LENGTHS = st.one_of(
+    st.floats(min_value=5e-324, allow_infinity=False),
+    st.integers(1, 10**7).map(lambda ms: ms / 1000),  # as ingest_events makes them
+    st.sampled_from([0.125, 1.005, 2.675, 1e17, 5e-324]),  # half-cent ties, extremes
+)
+_DURATIONS_ANY = _LENGTHS | st.just(0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_LENGTHS, *[_DURATIONS_ANY] * 6), min_size=1, max_size=6),
+       st.integers(-(2**62), 2**62))
+@example([(0.125, 1.005, 2.675, 1e17, 5e-324, 0.0, 90071992547409.93)], 0)
+def test_write_cycle_csv_matches_per_record_writer(rows, start):
+    starts = [start + 120_000 * i for i in range(len(rows))]
+    table = sc.CycleTable.from_columns(range(len(rows)), starts, *zip(*rows))
+    buf = io.StringIO()
+    sc.write_cycle_csv(table, buf)
+    text = buf.getvalue()
+    assert text == _reference_write_cycle_csv(table.records)
+    # Durations off the 0.01 s grid read back as the per-row reader reads them.
+    want = _read_outcome(_reference_read_cycle_csv, io.StringIO(text, newline=""))
+    assert _read_outcome(sc.read_cycle_csv, io.StringIO(text, newline="")) == want
 
 
 def _reference_column(records, quantity):
@@ -874,7 +988,7 @@ def _reference_read_event_csv(source) -> EventLog:
     """Read a phase-event CSV; a bad row raises MalformedRow with its line."""
     times: list[int] = []
     codes: list[int] = []
-    with text_source(source) as f:
+    with _opened(source) as f:
         rows = csv.reader(f)
         header = _read_header(rows)
         if header != _EVENT_HEADER:
@@ -967,17 +1081,8 @@ _HEADER_LINE = ",".join(_EVENT_HEADER)
 @example(_HEADER_LINE, 1)
 @example("", 1)
 def test_read_event_csv_matches_per_row_reader(text, block_bytes):
-    sources = {
-        "path": None,
-        "text": lambda: io.StringIO(text),
-        "universal": lambda: io.StringIO(text, newline=""),
-        "translated": lambda: io.StringIO(text, newline=None),
-    }
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "events.csv"
-        path.write_bytes(text.encode("utf-8"))
-        sources["path"] = lambda: path
-        for name, source in sources.items():
+        for name, source in _sources(text, tmp).items():
             want = _event_outcome(_reference_read_event_csv, source())
             # Small blocks put a block edge next to every line.
             for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
