@@ -232,11 +232,11 @@ def predict_schedule(
     """(end, next_green) of the active phase at elapsed time t.
 
     ``end`` is the conditional mean of the opening phase's duration, or of
-    the opening+middle sum for the middle phase, given it runs past t; the
-    coordination phase ends at the cycle length L.  ``next_green`` is
-    the phase's start in the next cycle, L, L + mean(opening) or
-    L + mean(opening) + mean(middle) along the ring: real-time information
-    does not reach across the cycle boundary.  Times are seconds from the
+    the opening+middle sum for the middle phase, given it runs past t, kept
+    within the samples past t; the coordination phase ends at the cycle
+    length L.  ``next_green`` is the phase's start in the next cycle, L,
+    L + mean(opening) or L + mean(opening) + mean(middle) along the ring:
+    real-time information does not reach across the cycle boundary.  Times are seconds from the
     current cycle start.  EmptyCondition means history is exhausted: no
     sample runs past t, or a coordination phase at t >= L (clock skew, or an
     L that rounds down to its 0.1 s stratum key).
@@ -259,10 +259,12 @@ def predict_schedule(
             f"schedule from {current_phase} needs the {quantity!r} distribution"
         )
     else:
-        cond = dists[quantity].condition_gt(t)
+        p = predict(dists[quantity], t, Expectation())
         # The float mean of equal samples can miss their value by an ulp;
-        # a message's likely end stays within the samples past t.
-        end = min(max(cond.mean(), cond.support_min()), cond.support_max())
+        # the end stays within the samples past t, the top n of the sorted
+        # values.
+        past_t = dists[quantity].values[-p.n_conditioning_samples:]
+        end = min(max(p.predicted_duration, float(past_t[0])), float(past_t[-1]))
 
     next_green = length
     for dist in (first, mid)[:seq.index(current_phase)]:

@@ -755,37 +755,38 @@ _ROW_2 = "2,240000,120.00,41.25,5.50,73.25,41.25,5.50,73.25"
 
 
 @settings(max_examples=400, deadline=None)
-@given(_cycle_csv_texts(), st.integers(1, 120), st.integers(1, 3))
-@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + '\n"' + "1" * 200_000 + "\n", 64, 1)
-@example(",".join(_CYCLE_HEADER) + '\n1,0,nan,0,0,0,0,0,0\n"' + "1" * 200_000 + "\n", 64, 1)
-@example('"' + "h" * 200_000 + "\n" + _VALID_ROW + "\n", 64, 1)
-@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + "\n" + _VALID_ROW + "\n", 64, 1)
+@given(_cycle_csv_texts(), st.integers(1, 120))
+@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + '\n"' + "1" * 200_000 + "\n", 64)
+@example(",".join(_CYCLE_HEADER) + '\n1,0,nan,0,0,0,0,0,0\n"' + "1" * 200_000 + "\n", 64)
+@example('"' + "h" * 200_000 + "\n" + _VALID_ROW + "\n", 64)
+@example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + "\n" + _VALID_ROW + "\n", 64)
 # In form, then a duration without its decimals, then in form again.
-@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "36", 1), _ROW_2), 7, 2)
-@example(_cycle_csv(_VALID_ROW, _ROW_1.replace(",5.00,", ",-0.00,", 1)), 7, 2)
-@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "360.0", 1)), 7, 2)  # point moved
-@example(_cycle_csv("0,-120000," + _VALID_ROW[4:], _ROW_1), 7, 2)
-@example(_cycle_csv(f"{2**63 - 1}" + _VALID_ROW[1:], _ROW_1), 7, 2)
-@example(_cycle_csv("9" * 18 + _VALID_ROW[1:], "9" * 18 + _ROW_1[1:]), 7, 2)  # 18 digits
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "36", 1), _ROW_2), 7)
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace(",5.00,", ",-0.00,", 1)), 7)
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "360.0", 1)), 7)  # point moved
+@example(_cycle_csv("0,-120000," + _VALID_ROW[4:], _ROW_1), 7)
+@example(_cycle_csv(f"{2**63 - 1}" + _VALID_ROW[1:], _ROW_1), 7)
+@example(_cycle_csv("9" * 18 + _VALID_ROW[1:], "9" * 18 + _ROW_1[1:]), 7)  # 18 digits
 # A row that breaks a rule in form comes before a row that does not parse.
-@example(_cycle_csv(_VALID_ROW.replace("120.00", "0.00"), _ROW_1.replace("36.00", "x", 1)), 7, 2)
-@example(_cycle_csv(_VALID_ROW, _ROW_1.replace(",5.00,", ",5.00\r,", 1), _ROW_2), 7, 2)
-@example("\ufeff" + _cycle_csv(_VALID_ROW), 7, 2)
+@example(_cycle_csv(_VALID_ROW.replace("120.00", "0.00"), _ROW_1.replace("36.00", "x", 1)), 7)
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace(",5.00,", ",5.00\r,", 1), _ROW_2), 7)
+@example("\ufeff" + _cycle_csv(_VALID_ROW), 7)
 # 13 digits before the point are in form; 14 are not.
 @example(_cycle_csv(_VALID_ROW.replace("84.00", "9007199254740.99"),
-                    _ROW_1.replace("79.00", "90071992547409.93")), 7, 2)
-@example(_cycle_csv(_VALID_ROW) + _ROW_1 + "\n" + _ROW_2 + "\r\n", 7, 2)  # mixed line ends
-def test_read_cycle_csv_matches_per_row_reader(text, block_bytes, chunk_rows):
+                    _ROW_1.replace("79.00", "90071992547409.93")), 7)
+@example(_cycle_csv(_VALID_ROW) + _ROW_1 + "\n" + _ROW_2 + "\r\n", 7)  # mixed line ends
+def test_read_cycle_csv_matches_per_row_reader(text, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
         for name, source in _sources(text, tmp).items():
             want = _read_outcome(_reference_read_cycle_csv, source())
             # Small blocks put a block edge next to every line, and small
             # chunks a chunk edge next to every row of the per-row loop.
-            with patch.object(spatcast.cycles, "_CHUNK_ROWS", chunk_rows):
-                for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
-                    with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
-                        got = _read_outcome(sc.read_cycle_csv, source())
-                        assert got == want, (name, size)
+            for rows in (spatcast.cycles._CHUNK_ROWS, 1, 2, 3):
+                with patch.object(spatcast.cycles, "_CHUNK_ROWS", rows):
+                    for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
+                        with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                            got = _read_outcome(sc.read_cycle_csv, source())
+                            assert got == want, (name, rows, size)
 
 
 @pytest.mark.parametrize("sep", ["\r\n", "\n"])
