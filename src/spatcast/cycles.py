@@ -536,12 +536,17 @@ def write_event_csv(log: EventLog, target) -> None:
 _BLOCK_BYTES = 1 << 16
 _MAX_DIGITS = 18  # every integer of up to 18 digits fits in int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
-# The twelve spellings as row tails, sorted, with their lengths and codes.
-_TAILS = sorted((spelled.encode(), code) for code, spelled in _SPELLING.items())
-_TAIL_WIDTH = max(len(tail) for tail, _ in _TAILS)
-_TAIL_KEYS = np.array([tail for tail, _ in _TAILS], dtype=f"S{_TAIL_WIDTH}")
-_TAIL_LENGTHS = np.array([len(tail) for tail, _ in _TAILS])
-_TAIL_CODES = np.array([code for _, code in _TAILS], dtype=np.int8)
+# A row's tail is one of the twelve spellings, which end in "start" (10
+# bytes) or "end" (8 bytes).  Its first 8 bytes, read as one little-endian
+# word, tell the twelve apart: each head, sorted, with its tail's length
+# and code.  A 10-byte tail's "rt" is checked apart from its head.
+_HEADS = sorted(
+    (int.from_bytes(spelled.encode()[:8], "little"), len(spelled), code)
+    for code, spelled in _SPELLING.items()
+)
+_HEAD_WORDS = np.array([word for word, _, _ in _HEADS], dtype="<u8")
+_HEAD_LENGTHS = np.array([length for _, length, _ in _HEADS])
+_HEAD_CODES = np.array([code for _, _, code in _HEADS], dtype=np.int8)
 
 
 def read_event_csv(source) -> EventLog:
@@ -609,18 +614,29 @@ def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list
 def _parse_event_block(buf: np.ndarray) -> tuple[list[np.ndarray], int]:
     """Timestamps and event codes of the leading canonical rows of ``buf``,
     a block of whole lines, and the bytes those rows take."""
+    # A tail's last byte gives its length, and so where the comma before it
+    # is.  (An empty first line reads buf[-1]; its width is below 1.)
     ends = np.flatnonzero(buf == ord("\n"))
-    commas = np.flatnonzero(buf == ord(","))
-    per_line = np.bincount(np.searchsorted(ends, commas), minlength=len(ends) + 1)
-    k = _first(per_line[:len(ends)] != 3)
-    ends = ends[:k]
     starts = np.concatenate(([0], ends[:-1] + 1))
-    first = commas[:3 * k:3]
+    tail_end = ends - (buf[ends - 1] == ord("\r"))
+    tail_len = np.where(buf[tail_end - 1] == ord("t"), 10, 8)
+    first = tail_end - tail_len - 1
     width = first - starts
     k = _first((width < 1) | (width > _MAX_DIGITS))
     if k == 0:
         return [np.zeros(0, np.int64), np.zeros(0, np.int8)], 0
-    ends, starts, first, width = ends[:k], starts[:k], first[:k], width[:k]
+    ends, starts, first, width, tail_len = (a[:k] for a in (ends, starts, first, width, tail_len))
+
+    # The tail's head: its first 8 bytes, one unaligned word read per row.
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+    head = words[first + 1]
+    key = np.searchsorted(_HEAD_WORDS, head).clip(max=len(_HEADS) - 1)
+    tail_ok = (
+        (buf[first] == ord(","))
+        & (_HEAD_WORDS[key] == head)
+        & (_HEAD_LENGTHS[key] == tail_len)
+        & ((tail_len == 8) | (buf[first + 9] == ord("r")))
+    )
 
     # The timestamp: digit times its power of ten, summed per row.
     offsets = np.cumsum(width) - width
@@ -630,17 +646,8 @@ def _parse_event_block(buf: np.ndarray) -> tuple[list[np.ndarray], int]:
     power = _POW10[np.repeat(first - 1, width) - at]
     stamps = np.add.reduceat(digit * power, offsets)
 
-    # The tail after the first comma, up to the line end, is one of the keys.
-    tail_len = ends - (buf[ends - 1] == ord("\r")) - first - 1
-    at = np.minimum(first[:, None] + 1 + np.arange(_TAIL_WIDTH), len(buf) - 1)
-    tails = buf[at]
-    tails[np.arange(_TAIL_WIDTH) >= tail_len[:, None]] = 0
-    tails = tails.view(_TAIL_KEYS.dtype).ravel()
-    key = np.searchsorted(_TAIL_KEYS, tails).clip(max=len(_TAILS) - 1)
-    tail_ok = (_TAIL_KEYS[key] == tails) & (_TAIL_LENGTHS[key] == tail_len)
-
     k = _first(~(digits_ok & tail_ok))
-    return [stamps[:k], _TAIL_CODES[key[:k]]], int(ends[k - 1]) + 1 if k else 0
+    return [stamps[:k], _HEAD_CODES[key[:k]]], int(ends[k - 1]) + 1 if k else 0
 
 
 def _first(mask: np.ndarray) -> int:
@@ -727,12 +734,11 @@ def _per_distinct(values: np.ndarray, fn=None) -> list:
     formatted columns small.  Values are told apart by their bits, so -0.0
     keeps its sign.
     """
-    keys = values.view(np.int64).tolist()
-    distinct = list(dict.fromkeys(keys))
-    found = np.array(distinct, dtype=np.int64).view(float).tolist()
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    found = distinct.view(float).tolist()
     if fn is not None:
         found = [fn(x) for x in found]
-    return list(map(dict(zip(distinct, found)).__getitem__, keys))
+    return np.array(found, dtype=object)[inverse].tolist()
 
 
 def read_cycle_csv(source, site_id: str = "") -> CycleTable:

@@ -819,20 +819,25 @@ _LENGTHS = st.one_of(
     st.integers(1, 10**7).map(lambda ms: ms / 1000),  # as ingest_events makes them
     st.sampled_from([0.125, 1.005, 2.675, 1e17, 5e-324]),  # half-cent ties, extremes
 )
-_DURATIONS_ANY = _LENGTHS | st.just(0.0)
+_DURATIONS_ANY = _LENGTHS | st.sampled_from([0.0, -0.0])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_LENGTHS, *[_DURATIONS_ANY] * 6), min_size=1, max_size=6),
        st.integers(-(2**62), 2**62))
 @example([(0.125, 1.005, 2.675, 1e17, 5e-324, 0.0, 90071992547409.93)], 0)
+@example([(120.0, 36.0, 0.0, 84.0, 36.0, -0.0, 84.0),  # 0.0 and -0.0 in one column
+          (120.0, 36.0, -0.0, 84.0, 36.0, 0.0, 84.0)], 0)
 def test_write_cycle_csv_matches_per_record_writer(rows, start):
     starts = [start + 120_000 * i for i in range(len(rows))]
     table = sc.CycleTable.from_columns(range(len(rows)), starts, *zip(*rows))
     buf = io.StringIO()
     sc.write_cycle_csv(table, buf)
     text = buf.getvalue()
-    assert text == _reference_write_cycle_csv(table.records)
+    # Records built from the drawn rows, not table.records, which shares
+    # write_cycle_csv's per-distinct-value formatting.
+    records = [sc.CycleRecord(i, s, *row) for i, (s, row) in enumerate(zip(starts, rows))]
+    assert text == _reference_write_cycle_csv(records)
     # Durations off the 0.01 s grid read back as the per-row reader reads them.
     want = _read_outcome(_reference_read_cycle_csv, io.StringIO(text, newline=""))
     assert _read_outcome(sc.read_cycle_csv, io.StringIO(text, newline="")) == want
@@ -1070,12 +1075,27 @@ def _event_outcome(read, source):
 
 
 _HEADER_LINE = ",".join(_EVENT_HEADER)
+_ONE_ROW = _HEADER_LINE + "\r\n0,1,p4,start\r\n"
 
 
 @settings(max_examples=300, deadline=None)
 @given(_event_csv_texts(), st.integers(1, 120))
 @example(_HEADER_LINE + "\n0,1,p4\n0,1,p4,start,x\n", 1)  # 3 + 5 fields: 6 commas
 @example(_HEADER_LINE + "\n0,1,p4\n0,1,p4,start,x\n", 64)
+# Rows that a single check on the tail keeps off the block path: no comma
+# before it (3 fields, whose head "2,p8,sta" matches), a start head with a
+# wrong 9th byte, an end head on a 10-byte tail (alone caught by the head's
+# length when that tail ends in "rt"), and a doubled "\r".
+@example(_ONE_ROW + "952,p8,start\r\n", 1)
+@example(_ONE_ROW + "952,p8,start\r\n", 64)
+@example(_ONE_ROW + "0,1,p4,staxt\r\n", 1)
+@example(_ONE_ROW + "0,1,p4,staxt\r\n", 64)
+@example(_ONE_ROW + "0,1,p4,endxt\r\n", 1)
+@example(_ONE_ROW + "0,1,p4,endxt\r\n", 64)
+@example(_ONE_ROW + "0,1,p4,endrt\r\n", 1)
+@example(_ONE_ROW + "0,1,p4,endrt\r\n", 64)
+@example(_ONE_ROW + "0,1,p4,end\r\r\n", 1)
+@example(_ONE_ROW + "0,1,p4,end\r\r\n", 64)
 @example("﻿" + _HEADER_LINE + "\r\n0,1,p4,start\r\n", 1)
 @example(_HEADER_LINE + "\r\n0,1,p4,start\r1,1,p4,end\r\n", 1)
 @example(_HEADER_LINE + "\r\n0,1,p4,start\r\n" + "9" * 19 + ",1,p4,end\r\n", 7)
