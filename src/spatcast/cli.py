@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leave-one-out", action="store_true")
     p.add_argument("--plot-data", default=None,
                    help="prefix for binned pdf/cdf CSVs of the training dist")
-    p.add_argument("--bin-width", type=_positive_float, default=1.0)
+    p.add_argument("--bin-width", type=_step_arg, default=1.0,
+                   help="--plot-data bin width in seconds (down to 0.01)")
     add_common_slicing(p)
     p.add_argument("-o", "--output", required=True, help="comparison CSV")
     p.set_defaults(func=_cmd_evaluate)

@@ -557,13 +557,13 @@ def read_event_csv(source) -> EventLog:
     of 1 to 18 ASCII digits, one of the twelve ``ring,phase,kind``
     spellings, and a line end of ``\\n`` or ``\\r\\n`` -- are parsed in numpy
     blocks.  The first row in any other form, and every row after it, goes
-    through a per-row loop, which parses fields with ``int()`` and
-    ``PhaseEvent`` and so accepts other spellings (``01``, `` 2``, quotes).
-    A header in any other form sends the whole file through that loop.  A
-    byte that is not UTF-8 raises MalformedRow for the line holding it.
+    through the per-row loop read_cycle_csv shares, where fields are parsed
+    with ``int()`` and ``PhaseEvent``, which accept other spellings (``01``,
+    `` 2``, quotes).  A header in any other form sends the whole file through
+    that loop.  A byte that is not UTF-8 raises MalformedRow for its line.
     """
     # The parts are joined once the file's bytes are freed.
-    parts = _read_blocks(source, _EVENT_HEADER, _parse_event_block, _read_rows)
+    parts = _read_blocks(source, _EVENT_HEADER, _parse_event_block, _read_event_rows)
     times, codes = map(np.concatenate, zip(*parts))
     return EventLog._from_codes(times, codes)
 
@@ -677,38 +677,55 @@ def _decoded_lines(data: bytes, line: int) -> Iterator[str]:
     raise MalformedRow(line + len(before) + 1, str(in_line)) from fault
 
 
-def _read_rows(lines: Iterable[str], line: int) -> list[np.ndarray]:
-    """Parse rows one at a time; ``line`` is the file line before ``lines``,
-    which start with the header when it is 0."""
-    times: list[int] = []
-    codes: list[int] = []
+def _read_rows(lines: Iterable[str], line: int, header: list[str], parse_row):
+    """Parse rows one at a time with ``parse_row(fields)``.
+
+    ``line`` is the file line before ``lines``, which start with
+    ``header`` when it is 0.  Returns ``(rows, lines_at, fault)``: the
+    parsed rows, each row's file line, and the error to raise once those
+    rows are checked, or None.  The error is a MalformedRow for the first
+    row that fails to read or parse, which ``rows`` stop before, or a
+    ValueError for a header that differs.
+    """
     rows = csv.reader(lines)
-    if not line:
-        header = _read_header(rows)
-        if header != _EVENT_HEADER:
-            raise ValueError(f"expected header {_EVENT_HEADER}, got {header}")
+    parsed: list = []
+    lines_at: list[int] = []
     try:
-        for ts, ring, phase, kind in rows:
-            t = int(ts)
-            # Only a string of 19 or more characters can leave int64.
-            if len(ts) > 18 and not _INT64_MIN <= t <= _INT64_MAX:
-                raise ValueError(f"timestamp {ts} ms does not fit in int64")
-            times.append(t)
-            code = _RAW_EVENT_CODE.get((ring, phase, kind))
-            if code is None:  # another spelling, or an invalid event
-                ev = PhaseEvent(t, int(ring), phase, kind)
-                code = _EVENT_CODE[ev.ring, ev.phase, ev.kind]
-            codes.append(code)
+        got = next(rows, None) if not line else header
+        if got != header:
+            return parsed, lines_at, ValueError(f"expected header {header}, got {got}")
+        for fields in rows:
+            parsed.append(parse_row(fields))
+            lines_at.append(line + rows.line_num)
     except (ValueError, csv.Error) as exc:
-        raise MalformedRow(line + rows.line_num, str(exc)) from exc
-    return [np.array(times, dtype=np.int64), np.array(codes, dtype=np.int8)]
+        fault = MalformedRow(line + rows.line_num, str(exc))
+        fault.__cause__ = exc
+        return parsed, lines_at, fault
+    except MalformedRow as fault:  # an undecodable byte, which names its line
+        return parsed, lines_at, fault
+    return parsed, lines_at, None
 
 
-def _read_header(rows) -> "list[str] | None":
-    try:
-        return next(rows, None)
-    except csv.Error as exc:
-        raise MalformedRow(rows.line_num, str(exc)) from exc
+def _read_event_rows(lines: Iterable[str], line: int) -> list[np.ndarray]:
+    """Timestamps and event codes of rows parsed one at a time."""
+    rows, _, fault = _read_rows(lines, line, _EVENT_HEADER, _parse_event_row)
+    if fault is not None:
+        raise fault
+    return list(np.array(rows, dtype=np.int64).reshape(-1, 2).T)
+
+
+def _parse_event_row(fields: list[str]) -> tuple[int, int]:
+    """A row's timestamp and event code."""
+    ts, ring, phase, kind = fields
+    t = int(ts)
+    # Only a string of 19 or more characters can leave int64.
+    if len(ts) > 18 and not _INT64_MIN <= t <= _INT64_MAX:
+        raise ValueError(f"timestamp {ts} ms does not fit in int64")
+    code = _RAW_EVENT_CODE.get((ring, phase, kind))
+    if code is None:  # another spelling, or an invalid event
+        ev = PhaseEvent(t, int(ring), phase, kind)
+        code = _EVENT_CODE[ev.ring, ev.phase, ev.kind]
+    return t, code
 
 
 def write_cycle_csv(table: CycleTable, target) -> None:
@@ -749,8 +766,9 @@ def read_cycle_csv(source, site_id: str = "") -> CycleTable:
     of 1 to 18 ASCII digits, seven durations of 1 to 13 digits, a point and
     two digits, and a line end of ``\\n`` or ``\\r\\n`` -- are parsed in
     numpy blocks.  The first row in any other form, and every row after it,
-    goes through a per-row loop, which parses fields with ``int()`` and
-    ``float()``.  The first bad row raises MalformedRow with its file line:
+    goes through the per-row loop read_event_csv shares, where fields are
+    parsed with ``int()`` and ``float()`` and the rows parsed are checked
+    together.  The first bad row raises MalformedRow with its file line:
     a wrong field count, a field that does not parse, an integer outside
     int64, values ``CycleTable`` rejects, or a byte that is not UTF-8.
     Barrier identities are not checked.
@@ -817,81 +835,28 @@ def _parse_cycle_block(buf: np.ndarray) -> tuple[list[np.ndarray], int]:
     return columns, int(ends[k - 1]) + 1 if k else 0
 
 
-_CHUNK_ROWS = 256
-
-
 def _read_cycle_rows(lines: Iterable[str], line: int) -> list[np.ndarray]:
-    """Parse rows a chunk at a time; ``line`` is the file line before
-    ``lines``, which start with the header when it is 0."""
-    reader = csv.reader(lines)
-    if not line:
-        header = _read_header(reader)
-        if header != _CYCLE_HEADER:
-            raise ValueError(f"expected header {_CYCLE_HEADER}, got {header}")
-    chunks = []
-    # Rows are parsed a chunk at a time, so their strings never all stay in
-    # memory at once.
-    while True:
-        rows: list[list[str]] = []
-        lines_at: list[int] = []
-        fault = None  # a row that fails to read, as (row index, error)
-        try:
-            for row in itertools.islice(reader, _CHUNK_ROWS):
-                rows.append(row)
-                lines_at.append(line + reader.line_num)
-        except (csv.Error, MalformedRow) as exc:
-            fault = len(rows), exc
-            lines_at.append(line + reader.line_num)
-        chunks.append(_parse_cycle_rows(rows, lines_at, fault))
-        if len(rows) < _CHUNK_ROWS:
-            break
-    return list(map(np.concatenate, zip(*chunks)))
-
-
-def _parse_cycle_rows(rows, lines, fault) -> list[np.ndarray]:
-    """Columns of the rows, or MalformedRow for the first bad one.
-
-    ``lines`` holds each row's file line, and one more for ``fault``, a row
-    that failed to read; an undecodable byte's MalformedRow already names
-    its line.
-    """
-    n = len(rows)
-    width = len(_CYCLE_HEADER)
-    if set(map(len, rows)) - {width}:
-        n = next(i for i, row in enumerate(rows) if len(row) != width)
-        fault = n, ValueError(f"expected {width} fields, got {len(rows[n])}")
-    # Parse column by column; a column's failure wins unless an earlier
-    # column already failed at the same or an earlier row.
-    columns = []
-    for name, texts in zip(_FIELDS, zip(*rows[:n]) if n else [()] * width):
-        values, bad, exc = _parse_column(texts[:n], int if name in _INT_FIELDS else float)
-        if name in _INT_FIELDS:  # an integer past int64 fails as its row is read
-            values, int_fault = _int64_column(values, name)
-            bad, exc = int_fault or (bad, exc)
-        if bad < n:
-            n, fault = bad, (bad, exc)
-        columns.append(values)
-    columns, checked = _check([values[:n] for values in columns])
-    # A parsed row that breaks a rule comes before any later fault.
-    fault = checked or fault
+    """The columns of rows parsed one at a time, checked together."""
+    rows, lines_at, fault = _read_rows(lines, line, _CYCLE_HEADER, _parse_cycle_row)
+    columns, checked = _check(list(zip(*rows)) or [()] * len(_FIELDS))
+    # A parsed row that breaks a rule comes before a later row that fails
+    # to read or parse.
+    if checked is not None:
+        i, exc = checked
+        raise MalformedRow(lines_at[i], str(exc)) from exc
     if fault is not None:
-        i, exc = fault
-        if isinstance(exc, MalformedRow):
-            raise exc
-        raise MalformedRow(lines[i], str(exc)) from exc
+        raise fault
     return columns
 
 
-def _parse_column(texts, parse) -> tuple[list, int, "ValueError | None"]:
-    """``parse`` of each text: the values before the first failure, its index
-    (len(texts) if none) and its error."""
-    try:
-        return list(map(parse, texts)), len(texts), None
-    except ValueError:
-        values = []
-        for text in texts:
-            try:
-                values.append(parse(text))
-            except ValueError as exc:
-                return values, len(values), exc
-        raise
+def _parse_cycle_row(fields: list[str]) -> tuple:
+    """A row's nine values.  Each integer is checked to fit in int64 as it
+    is parsed; the other rules are ``_check``'s."""
+    if len(fields) != len(_CYCLE_HEADER):
+        raise ValueError(f"expected {len(_CYCLE_HEADER)} fields, got {len(fields)}")
+    ints = []
+    for name, text in zip(_INT_FIELDS, fields):
+        ints.append(int(text))
+        if not _INT64_MIN <= ints[-1] <= _INT64_MAX:
+            raise ValueError(f"{name} {ints[-1]} does not fit in int64")
+    return (*ints, *map(float, fields[2:]))

@@ -16,6 +16,7 @@ silent.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass
 from typing import Mapping, TextIO
@@ -211,7 +212,9 @@ def stream(
 
     Each tick emits one message per ring's active phase (ring 1 first).
     ``speed`` of None replays as fast as possible; a positive value paces
-    ticks at cadence/speed wall seconds (1.0 is real time).  Returns the
+    ticks at cadence/speed wall seconds (1.0 is real time), at most
+    ``threading.TIMEOUT_MAX``, the longest wait a sleep is sure to take;
+    a slower pace raises ValueError before the first line.  Returns the
     number of messages written; a sink that stops accepting writes ends the
     stream cleanly.  Each line equals ``compose``'s for its cycle, phase,
     t and phase start.
@@ -222,6 +225,9 @@ def stream(
         raise ValueError("speed must be positive")
     sid = table.site_id if site_id is None else site_id
     pace = None if speed is None else (cadence_ms / 1000.0) / speed
+    if pace is not None and pace > threading.TIMEOUT_MAX:
+        raise ValueError(f"speed {speed:g} at cadence_ms {cadence_ms} paces ticks {pace:g} s "
+                         f"apart, more than a sleep can wait ({threading.TIMEOUT_MAX:g} s)")
     # Per ring: its three phases, and its opening and middle durations by cycle.
     rings = [
         (seq, *(getattr(table, DURATION_KEY[p]).tolist() for p in seq[:2]))

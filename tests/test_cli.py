@@ -447,6 +447,21 @@ class TestEmit:
                   "-o", str(tmp_path / "x.ndjson")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--speed", "1e-300"], "speed 1e-300 at cadence_ms 100 paces ticks 1e+299 s"),
+        (["--cadence-ms", "100000000000000000000", "--speed", "realtime"],
+         "speed 1 at cadence_ms 100000000000000000000 paces ticks 1e+17 s"),
+    ])
+    def test_pace_longer_than_a_sleep_exits_1_before_writing(self, tmp_path, capsys,
+                                                             cycles_csv, flags, reason):
+        out_file = tmp_path / "m.ndjson"
+        assert main(["emit", "--input", str(cycles_csv), *flags, "-o", str(out_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {reason} apart, more than a sleep can wait (")
+        assert "Traceback" not in err
+        assert out_file.read_text() == ""
+
     @pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf", "fast"])
     def test_bad_speed_is_usage_error(self, capsys, speed):
         with pytest.raises(SystemExit) as exc:
@@ -481,6 +496,12 @@ class TestEmit:
      "--step", "1e-9"],
     ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
      "--step", "0.009"],
+    # Bins finer than that once asked np.arange for 1e8 edges (1e-7), or more
+    # than it can hold (1e-300), after the comparison CSV was written.
+    ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
+     "--bin-width", "1e-300"],
+    ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
+     "--bin-width", "1e-7"],
 ])
 def test_non_finite_float_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -490,7 +511,8 @@ def test_non_finite_float_flag_is_usage_error(capsys, argv):
     assert out == ""
     assert err.startswith("usage: spatcast")
     wanted = {"--t": "number >= 0", "--phase-start": "number >= 0",
-              "--step": "number >= 0.01"}.get(argv[-2], "positive number")
+              "--step": "number >= 0.01", "--bin-width": "number >= 0.01"}.get(
+                  argv[-2], "positive number")
     assert f"argument {argv[-2]}: expected a finite {wanted}, got {argv[-1]}" in err
 
 

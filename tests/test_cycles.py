@@ -23,7 +23,6 @@ from spatcast.cycles import (
     EventLog,
     MalformedRow,
     PhaseEvent,
-    _read_header,
 )
 
 
@@ -229,6 +228,9 @@ class TestCsv:
          f"cycle_index {2**63} does not fit in int64"),
         (f"1,{-2**63 - 1},120.00,36.00,5.00,79.00,36.00,5.00,79.00",
          f"cycle_start_ms {-2**63 - 1} does not fit in int64"),
+        # An integer outside int64 fails before the row's next field is parsed.
+        (f"{2**63},x,120.00,36.00,5.00,79.00,36.00,5.00,79.00",
+         f"cycle_index {2**63} does not fit in int64"),
     ])
     def test_cycle_csv_bad_row_names_its_line(self, build_table, row, reason):
         buf = io.StringIO()
@@ -779,14 +781,10 @@ def test_read_cycle_csv_matches_per_row_reader(text, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
         for name, source in _sources(text, tmp).items():
             want = _read_outcome(_reference_read_cycle_csv, source())
-            # Small blocks put a block edge next to every line, and small
-            # chunks a chunk edge next to every row of the per-row loop.
-            for rows in (spatcast.cycles._CHUNK_ROWS, 1, 2, 3):
-                with patch.object(spatcast.cycles, "_CHUNK_ROWS", rows):
-                    for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
-                        with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
-                            got = _read_outcome(sc.read_cycle_csv, source())
-                            assert got == want, (name, rows, size)
+            # Small blocks put a block edge next to every line.
+            for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
+                with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                    assert _read_outcome(sc.read_cycle_csv, source()) == want, (name, size)
 
 
 @pytest.mark.parametrize("sep", ["\r\n", "\n"])
@@ -797,7 +795,7 @@ def test_canonical_cycle_csv_skips_per_row_loop(tmp_path, sep):
     path = tmp_path / "cycles.csv"
     path.write_bytes(buf.getvalue().replace("\r\n", sep).encode())
     want = _read_outcome(_reference_read_cycle_csv, path)
-    with patch.object(spatcast.cycles, "_read_cycle_rows", side_effect=AssertionError):
+    with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
         for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
             with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
                 assert _read_outcome(sc.read_cycle_csv, path) == want
@@ -996,7 +994,10 @@ def _reference_read_event_csv(source) -> EventLog:
     codes: list[int] = []
     with _opened(source) as f:
         rows = csv.reader(f)
-        header = _read_header(rows)
+        try:
+            header = next(rows, None)
+        except csv.Error as exc:
+            raise MalformedRow(rows.line_num, str(exc)) from exc
         if header != _EVENT_HEADER:
             raise ValueError(f"expected header {_EVENT_HEADER}, got {header}")
         try:
