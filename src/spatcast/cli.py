@@ -1,4 +1,4 @@
-"""Operator command line: simulate, ingest, fit, predict, evaluate, emit.
+"""Operator command line: simulate, ingest, fit, predict, message, evaluate, emit.
 
 Flags mirror the model parameters by name (delta, alpha, cycle length) and
 a prediction method is one spec (confidence:0.8, asymmetric:3:1), so runs
@@ -87,6 +87,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
+    return value
+
+
 def _cadence_arg(text: str) -> int:
     value = int(text)
     if value < 10:
@@ -115,10 +122,10 @@ def _day_arg(text: str) -> "dt.date | int":
 
 
 def _load_table(args, path=None):
-    table = read_cycle_csv(path or args.input, site_id=getattr(args, "site", "") or "")
-    if getattr(args, "cycle_length", None) is not None:
+    table = read_cycle_csv(path or args.input)
+    if args.cycle_length is not None:
         table = stratify(table, args.cycle_length)
-    if getattr(args, "target_day", None) is not None:
+    if args.target_day is not None:
         table = window(table, args.target_day, args.delta)
     return table
 
@@ -155,14 +162,14 @@ def _cmd_simulate(args) -> int:
             start_ms=0,
         )
     start = args.start_ms if args.start_ms is not None else cfg.start_ms
-    table = simulate(cfg.plan, cfg.demand, args.cycles, start_ms=start, site_id=args.site)
+    table = simulate(cfg.plan, cfg.demand, args.cycles, start_ms=start)
     write_cycle_csv(table, args.output)
     return 0
 
 
 def _cmd_ingest(args) -> int:
     events = read_event_csv(args.events)
-    table = ingest_events(events, tolerance=args.tolerance, site_id=args.site)
+    table = ingest_events(events, tolerance=args.tolerance)
     write_cycle_csv(table, args.output)
     return 0
 
@@ -176,15 +183,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     table = _load_table(args)
-    if args.message:
-        dists = fit_message_dists(table)
-        msg = compose(
-            dists, args.phase, args.t, args.alpha or _DEFAULT_ALPHA,
-            site_id=args.site, phase_start=args.phase_start or 0.0,
-        )
-        print(msg.to_ndjson())
-        return 0
-
     method = Expectation() if args.method is None else parse_method(args.method)
     quantity = PHASE_QUANTITY[args.phase]
     if quantity is None:
@@ -200,6 +198,15 @@ def _cmd_predict(args) -> int:
     else:
         p = predict(fit(table, quantity), args.t, method)
     _print_prediction(p)
+    return 0
+
+
+def _cmd_message(args) -> int:
+    msg = compose(
+        fit_message_dists(_load_table(args)), args.phase, args.t, args.alpha,
+        site_id=args.site, phase_start=args.phase_start,
+    )
+    print(msg.to_ndjson())
     return 0
 
 
@@ -225,7 +232,7 @@ def _cmd_emit(args) -> int:
     dists = fit_message_dists(train)
     with text_sink(args.output or sys.stdout) as out:
         stream(table, dists, out, cadence_ms=args.cadence_ms,
-               alpha=args.alpha, site_id=args.site or None, speed=args.speed)
+               alpha=args.alpha, site_id=args.site, speed=args.speed)
     return 0
 
 
@@ -266,21 +273,25 @@ def build_parser() -> argparse.ArgumentParser:
                             "(ISO date or day index)")
         p.add_argument("--delta", type=_positive_int, default=14,
                        help="window width in days (used with --target-day)")
-        p.add_argument("--site", default="", help="site id tag")
+
+    def add_phase_query(p):
+        p.add_argument("--input", required=True, help="cycle-record CSV")
+        p.add_argument("--phase", choices=sorted(PHASE_QUANTITY), default="p4")
+        p.add_argument("--t", type=_nonnegative_float, required=True,
+                       help="seconds into the cycle")
+        add_common_slicing(p)
 
     p = sub.add_parser("simulate", help="generate synthetic cycles to CSV")
     p.add_argument("--cycles", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--config", default=None, help="flat key-value config file")
     p.add_argument("--start-ms", type=int, default=None)
-    p.add_argument("--site", default="sim")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("ingest", help="reconstruct cycles from a phase-event CSV")
     p.add_argument("--events", required=True)
     p.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOLERANCE_S)
-    p.add_argument("--site", default="")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_ingest)
 
@@ -292,29 +303,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("predict", help="print a prediction or SPaT message")
-    p.add_argument("--input", required=True, help="cycle-record CSV")
-    p.add_argument("--phase", choices=sorted(PHASE_QUANTITY), default="p4")
-    p.add_argument("--t", type=_nonnegative_float, required=True,
-                   help="seconds into the cycle")
+    p = sub.add_parser("predict", help="print a residual-time prediction")
+    add_phase_query(p)
     p.add_argument("--method", default=None,
                    help="expectation (the default), confidence:alpha or "
                         "asymmetric:c1:c2, as in evaluate --compare; p2/p6 "
-                        "end at L whatever the method; not with --message, "
-                        "whose bounds take --alpha")
-    p.add_argument("--alpha", type=_alpha_arg, default=None,
-                   help=f"confidence level of the --message bounds (default "
-                        f"{_DEFAULT_ALPHA}); only with --message")
+                        "end at L whatever the method")
     p.add_argument("--approach", type=int, choices=[1, 2], default=None,
                    help="sum prediction route for p1/p5: marginal sums (1, the "
-                        "default) or joint pairs (2); not with --message")
-    p.add_argument("--message", action="store_true",
-                   help="print a full SPaT message instead of a prediction")
-    p.add_argument("--phase-start", type=_nonnegative_float, default=None,
-                   help="realized start offset of the active phase (seconds, "
-                        "default 0); only with --message")
-    add_common_slicing(p)
+                        "default) or joint pairs (2)")
     p.set_defaults(func=_cmd_predict)
+
+    p = sub.add_parser("message", help="print one SPaT message")
+    add_phase_query(p)
+    p.add_argument("--alpha", type=_alpha_arg, default=_DEFAULT_ALPHA,
+                   help=f"confidence level of its bounds (default {_DEFAULT_ALPHA})")
+    p.add_argument("--phase-start", type=_nonnegative_float, default=0.0,
+                   help="realized start offset of the active phase (seconds, "
+                        "default 0)")
+    p.add_argument("--site", default="", help="site field of each message")
+    p.set_defaults(func=_cmd_message)
 
     p = sub.add_parser("evaluate", help="error curves for one or more predictors")
     p.add_argument("--input", required=True, help="evaluation cycle-record CSV")
@@ -345,36 +353,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed", type=_speed_arg, default="max",
                    help="max, realtime, or a finite positive multiplier")
     add_common_slicing(p)
+    p.add_argument("--site", default="", help="site field of each message")
     p.add_argument("-o", "--output", default=None, help="file (default stdout)")
     p.set_defaults(func=_cmd_emit)
     return parser
 
 
-def _unused_predict_flag(args) -> "str | None":
-    """Why a predict flag given would change nothing, or None."""
-    sum_phases = sorted(p for p, q in PHASE_QUANTITY.items() if q and "+" in q)
-    if args.message:
-        if args.method is not None:
-            return ("argument --method: not allowed with --message; "
-                    "set the message's confidence level with --alpha")
-        if args.approach is not None:
-            return "argument --approach: not allowed with --message"
-        return None
-    if args.alpha is not None:
-        return ("argument --alpha: only with --message; "
-                "a prediction's confidence level is --method confidence:alpha")
-    if args.phase_start is not None:
-        return "argument --phase-start: only with --message"
-    if args.approach is not None and args.phase not in sum_phases:
-        return f"argument --approach: only for the sum phases {', '.join(sum_phases)}"
-    return None
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "predict" and (unused := _unused_predict_flag(args)):
-        parser.error(unused)
+    # The one flag rule argparse cannot hold: --approach routes only a sum.
+    sum_phases = sorted(p for p, q in PHASE_QUANTITY.items() if q and "+" in q)
+    if args.command == "predict" and args.approach and args.phase not in sum_phases:
+        parser.error(f"argument --approach: only for the sum phases {', '.join(sum_phases)}")
     try:
         return args.func(args)
     except BrokenPipeError:

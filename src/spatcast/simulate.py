@@ -108,6 +108,8 @@ class DemandProfile:
                     raise ValueError(f"{name}: rates must be finite, got {rate}")
                 if rate < 0:
                     raise ValueError("rates must be >= 0")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     def side_rate_at(self, hour: float) -> float:
         return _segment_value(self.side_street_rate, hour)

@@ -42,6 +42,7 @@ class TestSimulate:
     @pytest.mark.parametrize("text, message", [
         ("seed = 9\nschedule = 0-24@nan\n", "schedule: cycle length must be finite, got nan"),
         ("seed = 1e3\n", "line 1: seed: invalid literal for int() with base 10: '1e3'"),
+        ("seed = -1\n", "rng_seed must be >= 0, got -1"),
     ])
     def test_bad_config_exits_1(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "sim.cfg"
@@ -108,6 +109,8 @@ class TestFit:
 
 
 class TestPredict:
+    """``predict`` and ``message``, its sibling that prints a SPaT message."""
+
     def test_prediction_deterministic(self, capsys, cycles_csv):
         assert main(["predict", "--input", str(cycles_csv), "--phase", "p4",
                      "--t", "36"]) == 0
@@ -146,14 +149,15 @@ class TestPredict:
         assert err == f"error: {reason}\n"
 
     @pytest.mark.parametrize("flag, value, extra", [
-        ("--t", "-1", ["--phase", "p2"]),
-        ("--t", "-1", ["--phase", "p2", "--message"]),
-        ("--t", "-1", ["--message"]),
-        ("--phase-start", "-5", ["--t", "10", "--message"]),
+        ("--t", "-1", ["predict", "--phase", "p2"]),
+        ("--t", "-1", ["message", "--phase", "p2"]),
+        ("--t", "-1", ["message"]),
+        ("--phase-start", "-5", ["message", "--t", "10"]),
     ])
     def test_negative_time_is_usage_error(self, capsys, cycles_csv, flag, value, extra):
+        command, *rest = extra
         with pytest.raises(SystemExit) as exc:
-            main(["predict", "--input", str(cycles_csv), *extra, flag, value])
+            main([command, "--input", str(cycles_csv), *rest, flag, value])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -169,11 +173,56 @@ class TestPredict:
         assert a1["quantity"] == a2["quantity"] == "d4+d1"
 
     def test_message_mode(self, capsys, cycles_csv):
-        assert main(["predict", "--input", str(cycles_csv), "--phase", "p4",
-                     "--t", "0", "--message", "--site", "s1"]) == 0
+        assert main(["message", "--input", str(cycles_csv), "--phase", "p4",
+                     "--t", "0", "--site", "s1"]) == 0
         msg = json.loads(capsys.readouterr().out)
         assert msg["site"] == "s1"
         assert msg["startTime"] == 0.0
+
+    # What ``predict --message`` printed on this fixture before ``message``
+    # replaced it: ``message`` with the same flags prints the same bytes.
+    @pytest.mark.parametrize("flags, out, err", [
+        (["--phase", "p4", "--t", "0", "--site", "s1"],
+         '{"site":"s1","cycle":0,"phase":"p4","madeAt":0.00,"startTime":0.00,'
+         '"minEndTime":36.00,"maxEndTime":60.00,"likelyTime":42.29,"confidenceAlpha":0.80,'
+         '"confidenceValue":36.00,"nextTime":120.00,"degraded":false}\n', ""),
+        (["--phase", "p1", "--t", "38.5", "--phase-start", "40"], "",
+         "error: phase_start = 40 s is after t = 38.5 s; the phase has not started yet\n"),
+        (["--phase", "p1", "--t", "38.5", "--phase-start", "36"],
+         '{"site":"","cycle":0,"phase":"p1","madeAt":38.50,"startTime":36.00,'
+         '"minEndTime":41.00,"maxEndTime":76.00,"likelyTime":52.39,"confidenceAlpha":0.80,'
+         '"confidenceValue":41.00,"nextTime":162.29,"degraded":false}\n', ""),
+        (["--phase", "p2", "--t", "500"],
+         '{"site":"","cycle":0,"phase":"p2","madeAt":500.00,"startTime":0.00,'
+         '"minEndTime":501.00,"maxEndTime":501.00,"likelyTime":501.00,"confidenceAlpha":0.80,'
+         '"confidenceValue":501.00,"nextTime":621.00,"degraded":true}\n', ""),
+        (["--phase", "p5", "--t", "10", "--alpha", "0.3"],
+         '{"site":"","cycle":0,"phase":"p5","madeAt":10.00,"startTime":0.00,'
+         '"minEndTime":36.00,"maxEndTime":76.00,"likelyTime":45.02,"confidenceAlpha":0.30,'
+         '"confidenceValue":51.00,"nextTime":162.29,"degraded":false}\n', ""),
+        (["--phase", "p8", "--t", "50", "--phase-start", "37.25", "--alpha", "0.95",
+          "--site", 'a"b'],
+         '{"site":"a\\"b","cycle":0,"phase":"p8","madeAt":50.00,"startTime":37.25,'
+         '"minEndTime":51.00,"maxEndTime":60.00,"likelyTime":55.12,"confidenceAlpha":0.95,'
+         '"confidenceValue":51.00,"nextTime":120.00,"degraded":false}\n', ""),
+        (["--phase", "p6", "--t", "119.99"],
+         '{"site":"","cycle":0,"phase":"p6","madeAt":119.99,"startTime":0.00,'
+         '"minEndTime":120.00,"maxEndTime":120.00,"likelyTime":120.00,"confidenceAlpha":0.80,'
+         '"confidenceValue":120.00,"nextTime":165.02,"degraded":false}\n', ""),
+        (["--phase", "p4", "--t", "36", "--cycle-length", "120", "--target-day", "0",
+          "--delta", "1"], "", "error: no cycles in days [-1, -1]\n"),
+        (["--phase", "p4", "--t", "36", "--cycle-length", "120", "--target-day", "1",
+          "--delta", "1"],
+         '{"site":"","cycle":0,"phase":"p4","madeAt":36.00,"startTime":0.00,'
+         '"minEndTime":41.00,"maxEndTime":60.00,"likelyTime":48.84,"confidenceAlpha":0.80,'
+         '"confidenceValue":41.00,"nextTime":120.00,"degraded":false}\n', ""),
+    ], ids=["p4-site", "p1-phase-start-after-t", "p1-phase-start", "p2-hold", "p5-alpha",
+            "p8-all-flags", "p6", "empty-window", "window"])
+    def test_message_prints_predict_message_bytes(self, capsys, cycles_csv, flags, out,
+                                                  err):
+        rc = main(["message", "--input", str(cycles_csv), *flags])
+        assert rc == (1 if err else 0)
+        assert capsys.readouterr() == (out, err)
 
     def test_coordination_phase_ends_at_cycle_length(self, capsys, cycles_csv):
         assert main(["predict", "--input", str(cycles_csv), "--phase", "p2",
@@ -193,8 +242,7 @@ class TestPredict:
     def test_coordination_phase_past_cycle_length_message_holds(self, capsys, cycles_csv):
         # The one-shot message holds, degraded, as the stream does at such a t.
         for t in ("120", "500"):
-            rc = main(["predict", "--input", str(cycles_csv), "--phase", "p2", "--t", t,
-                       "--message"])
+            rc = main(["message", "--input", str(cycles_csv), "--phase", "p2", "--t", t])
             out, err = capsys.readouterr()
             assert rc == 0
             assert err == ""
@@ -202,37 +250,44 @@ class TestPredict:
             assert msg["degraded"] is True
             assert msg["likelyTime"] == float(t) + 1.0
 
-    def test_method_with_message_is_usage_error(self, capsys, cycles_csv):
-        with pytest.raises(SystemExit) as exc:
-            main(["predict", "--input", str(cycles_csv), "--t", "10", "--message",
-                  "--method", "expectation"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert "argument --method: not allowed with --message" in err
-        assert "--alpha" in err
-
     @pytest.mark.parametrize("argv, flag, reason", [
-        (["--t", "10", "--phase-start", "5"], "--phase-start", "only with --message"),
-        (["--t", "10", "--alpha", "0.3"], "--alpha", "only with --message"),
-        (["--t", "10", "--approach", "2"], "--approach", "only for the sum phases p1, p5"),
-        (["--phase", "p2", "--t", "10", "--approach", "1"], "--approach",
+        (["predict", "--input", "c.csv", "--t", "10", "--phase-start", "5"],
+         "--phase-start", None),
+        (["predict", "--input", "c.csv", "--t", "10", "--alpha", "0.3"], "--alpha", None),
+        (["predict", "--input", "c.csv", "--t", "10", "--approach", "2"], "--approach",
          "only for the sum phases p1, p5"),
-        (["--phase", "p1", "--t", "10", "--message", "--approach", "2"], "--approach",
-         "not allowed with --message"),
+        (["predict", "--input", "c.csv", "--phase", "p2", "--t", "10", "--approach", "1"],
+         "--approach", "only for the sum phases p1, p5"),
+        (["message", "--input", "c.csv", "--phase", "p1", "--t", "10", "--approach", "2"],
+         "--approach", None),
+        (["predict", "--input", "c.csv", "--t", "10", "--message"], "--message", None),
+        (["message", "--input", "c.csv", "--t", "10", "--method", "expectation"],
+         "--method", None),
+        (["simulate", "--cycles", "6", "-o", "c.csv", "--site", "x"], "--site", None),
+        (["ingest", "--events", "e.csv", "-o", "c.csv", "--site", "x"], "--site", None),
+        (["fit", "--input", "c.csv", "-o", "d.csv", "--site", "x"], "--site", None),
+        (["predict", "--input", "c.csv", "--t", "10", "--site", "x"], "--site", None),
+        (["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
+          "--site", "x"], "--site", None),
     ])
     def test_flag_that_changes_nothing_is_usage_error(self, capsys, argv, flag, reason):
-        # Each of these once printed the same line as the run without the flag.
+        # Each of these once printed what the run without the flag printed.  A
+        # command that does not declare the flag rejects it; ``--approach`` on
+        # a phase that is no sum is the one rule written by hand.
         with pytest.raises(SystemExit) as exc:
-            main(["predict", "--input", "c.csv", *argv])
+            main(argv)
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"argument {flag}: {reason}" in err
+        if reason is None:
+            given = " ".join(argv[argv.index(flag):])
+            assert err.endswith(f"error: unrecognized arguments: {given}\n")
+        else:
+            assert f"error: argument {flag}: {reason}" in err
 
     def test_phase_start_after_t_exits_1(self, capsys, cycles_csv):
-        argv = ["predict", "--input", str(cycles_csv), "--phase", "p4", "--t", "10",
-                "--message", "--phase-start"]
+        argv = ["message", "--input", str(cycles_csv), "--phase", "p4", "--t", "10",
+                "--phase-start"]
         assert main([*argv, "30"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -261,11 +316,12 @@ class TestPredict:
         payload = json.loads(capsys.readouterr().out)
         assert payload["quantity"] == "d8"
 
-    def test_bad_alpha_is_usage_error(self, cycles_csv):
+    def test_bad_alpha_is_usage_error(self, capsys, cycles_csv):
         with pytest.raises(SystemExit) as exc:
-            main(["predict", "--input", str(cycles_csv), "--t", "0",
+            main(["message", "--input", str(cycles_csv), "--t", "0",
                   "--alpha", "1.5"])
         assert exc.value.code == 2
+        assert "argument --alpha: alpha must be in (0, 1), got 1.5" in capsys.readouterr().err
 
 
 class TestBadCycleCsv:
@@ -429,8 +485,7 @@ class TestEmit:
         for argv in (["emit", "--input", str(bad), "--cadence-ms", "1000",
                       "-o", str(out_file)],
                      ["emit", "--input", str(bad)],
-                     ["predict", "--input", str(bad), "--phase", "p4", "--t", "119",
-                      "--message"]):
+                     ["message", "--input", str(bad), "--phase", "p4", "--t", "119"]):
             assert main(argv) == 1
             assert capsys.readouterr() == ("", reason)
         assert not out_file.exists()
@@ -489,7 +544,7 @@ class TestEmit:
     ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
      "--bin-width", "inf"],
     ["predict", "--input", "c.csv", "--t", "nan"],
-    ["predict", "--input", "c.csv", "--t", "10", "--phase-start", "inf"],
+    ["message", "--input", "c.csv", "--t", "10", "--phase-start", "inf"],
     ["fit", "--input", "c.csv", "-o", "d.csv", "--cycle-length", "nan"],
     # A grid finer than the 0.01 s log clock resolution (1e-9 once asked numpy for 343 GiB).
     ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
@@ -502,6 +557,8 @@ class TestEmit:
      "--bin-width", "1e-300"],
     ["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
      "--bin-width", "1e-7"],
+    # numpy's default_rng once refused it with a message that named no flag.
+    ["simulate", "--cycles", "6", "-o", "c.csv", "--seed", "-1"],
 ])
 def test_non_finite_float_flag_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -510,10 +567,10 @@ def test_non_finite_float_flag_is_usage_error(capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: spatcast")
-    wanted = {"--t": "number >= 0", "--phase-start": "number >= 0",
-              "--step": "number >= 0.01", "--bin-width": "number >= 0.01"}.get(
-                  argv[-2], "positive number")
-    assert f"argument {argv[-2]}: expected a finite {wanted}, got {argv[-1]}" in err
+    wanted = {"--t": "a finite number >= 0", "--phase-start": "a finite number >= 0",
+              "--step": "a finite number >= 0.01", "--bin-width": "a finite number >= 0.01",
+              "--seed": "an integer >= 0"}.get(argv[-2], "a finite positive number")
+    assert f"argument {argv[-2]}: expected {wanted}, got {argv[-1]}" in err
 
 
 def _valid_event_lines():
@@ -653,9 +710,8 @@ def test_evaluate_survives_metric_and_compare_specs(metric, compare, leave_one_o
     st.sampled_from(["p4", "p1", "p2", "p5"]),
     st.none() | st.sampled_from(["1", "2"]),
     st.sampled_from(["0", "10", "38.5", "200"]),
-    st.booleans(),
 )
-def test_predict_survives_method_specs(method, phase, approach, t, message):
+def test_predict_survives_method_specs(method, phase, approach, t):
     with tempfile.TemporaryDirectory() as tmp:
         cycles = Path(tmp) / "cycles.csv"
         cycles.write_text(_CYCLE_CSV.getvalue())
@@ -664,15 +720,49 @@ def test_predict_survives_method_specs(method, phase, approach, t, message):
             argv += ["--approach", approach]
         if method is not None:
             argv += ["--method", method]
-        rc, out, err = _run(argv + ["--message"] * message)
-        # --approach applies to the sum phases only, and not to a message.
-        unused_approach = approach is not None and (message or phase not in ("p1", "p5"))
-        if message and method is not None or unused_approach:
+        rc, out, err = _run(argv)
+        # --approach applies to the sum phases only.
+        if approach is not None and phase not in ("p1", "p5"):
             assert rc == 2
         if rc == 0:
             assert err == ""
             json.loads(out, parse_constant=_reject_constant)
         else:
+            assert out == ""
+
+
+_GOOD_ALPHAS = ["0.8", "0.3", "0.999"]
+_GOOD_STARTS = ["0", "10", "38.5", "200"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["p4", "p1", "p2", "p5", "p8", "p6"]),
+    st.sampled_from(["0", "10", "38.5", "200"]),
+    st.none() | st.sampled_from([*_GOOD_ALPHAS, "0", "1", "nan", "-0.1", "x"]),
+    st.none() | st.sampled_from([*_GOOD_STARTS, "-1", "inf", "nan", "x"]),
+)
+def test_message_survives_flags(phase, t, alpha, phase_start):
+    with tempfile.TemporaryDirectory() as tmp:
+        cycles = Path(tmp) / "cycles.csv"
+        cycles.write_text(_CYCLE_CSV.getvalue())
+        argv = ["message", "--input", str(cycles), "--phase", phase, "--t", t]
+        if alpha is not None:
+            argv += ["--alpha", alpha]
+        if phase_start is not None:
+            argv += ["--phase-start", phase_start]
+        rc, out, err = _run(argv)
+        if alpha not in (None, *_GOOD_ALPHAS) or phase_start not in (None, *_GOOD_STARTS):
+            assert rc == 2
+        elif float(phase_start or 0) > float(t):
+            assert rc == 1
+        else:
+            assert (rc, err) == (0, "")
+            msg = json.loads(out, parse_constant=_reject_constant)
+            assert (msg["phase"], msg["madeAt"], msg["startTime"]) == (
+                phase, float(t), float(phase_start or 0))
+            assert msg["confidenceAlpha"] == round(float(alpha or 0.8), 2)
+        if rc != 0:
             assert out == ""
 
 
@@ -719,7 +809,7 @@ _CSV_COMMANDS = [
        "--metric", "mae,loss:3:1", *extra, "-o", "{out}"]
       for extra in ([], ["--leave-one-out"], ["--target-day", "1", "--delta", "1"])),
     ["emit", "--cadence-ms", "5000", "-o", "{out}"],
-    ["predict", "--phase", "p4", "--t", "10", "--message"],
+    ["message", "--phase", "p4", "--t", "10"],
 ]
 
 
