@@ -50,27 +50,32 @@ from .simulate import (
 _DEFAULT_ALPHA = 0.8  # confidence level of a message's bounds
 
 
+def _flag_value(convert, text: str, ok, expected: str):
+    """``convert(text)`` when it parses and passes ``ok``, else a usage
+    error "<expected>, got <text>"."""
+    try:
+        value = convert(text)
+    except ValueError:  # argparse would name the type helper instead
+        pass
+    else:
+        if ok(value):
+            return value
+    raise argparse.ArgumentTypeError(f"{expected}, got {text}")
+
+
 def _alpha_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must be in (0, 1), got {text}")
-    return value
+    return _flag_value(float, text, lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1)")
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:  # nan fails too
-        raise argparse.ArgumentTypeError(
-            f"expected a finite positive number, got {text}"
-        )
-    return value
+    # nan fails too
+    return _flag_value(float, text, lambda v: 0 < v < math.inf,
+                       "expected a finite positive number")
 
 
 def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:  # nan fails too
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text}")
-    return value
+    return _flag_value(float, text, lambda v: 0 <= v < math.inf,
+                       "expected a finite number >= 0")
 
 
 def _speed_arg(text: str) -> "float | None":
@@ -81,31 +86,21 @@ def _speed_arg(text: str) -> "float | None":
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    return _flag_value(int, text, lambda v: v >= 1, "expected a positive integer")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
-    return value
+    return _flag_value(int, text, lambda v: v >= 0, "expected an integer >= 0")
 
 
 def _cadence_arg(text: str) -> int:
-    value = int(text)
-    if value < 10:
-        raise argparse.ArgumentTypeError("cadence_ms must be >= 10")
-    return value
+    return _flag_value(int, text, lambda v: v >= 10, "expected an integer >= 10")
 
 
 def _step_arg(text: str) -> float:
-    value = float(text)
-    if not 0.01 <= value < math.inf:  # 0.01 s is the log clock resolution; nan fails too
-        raise argparse.ArgumentTypeError(f"expected a finite number >= 0.01, got {text}")
-    return value
+    # 0.01 s is the log clock resolution
+    return _flag_value(float, text, lambda v: 0.01 <= v < math.inf,
+                       "expected a finite number >= 0.01")
 
 
 def _day_arg(text: str) -> "dt.date | int":

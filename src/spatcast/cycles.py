@@ -533,9 +533,10 @@ def write_event_csv(log: EventLog, target) -> None:
 
 # Rows as the writers write them are parsed a block of about this many
 # bytes at a time, cut at a line end; blocks keep numpy's temporaries small.
-_BLOCK_BYTES = 1 << 16
+# Of 64, 128 and 256 KB, 256 KB read the ingest-month event and cycle
+# files fastest.
+_BLOCK_BYTES = 1 << 18
 _MAX_DIGITS = 18  # every integer of up to 18 digits fits in int64
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 # A row's tail is one of the twelve spellings, which end in "start" (10
 # bytes) or "end" (8 bytes).  Its first 8 bytes, read as one little-endian
 # word, tell the twelve apart: each head, sorted, with its tail's length
@@ -573,9 +574,11 @@ def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list
 
     ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
     whole.  After ``header`` and a ``\\n`` or ``\\r\\n``, blocks of whole
-    lines go to ``parse_block(buf) -> (columns, size)``, which parses the
-    leading rows of ``buf`` in the writer's form and gives the bytes they
-    take.  The first row it leaves, and every row after it, goes to
+    lines go to ``parse_block(buf, pos) -> (columns, pos)``: ``buf`` is the
+    file's bytes up to the block's end, which lets a parser read back past
+    the block's start at ``pos``.  It parses the block's leading rows in the
+    writer's form and gives the position after them.  The first row it
+    leaves, and every row after it, goes to
     ``read_rows(lines, line) -> columns``; ``line`` is the file line before
     ``lines``, which start with the header when it is 0.
     """
@@ -594,9 +597,9 @@ def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list
     # One block at least, which gives a file without rows its typed columns.
     while line:
         end = data.find(b"\n", pos + _BLOCK_BYTES - 1) + 1 or len(data)
-        columns, size = parse_block(np.frombuffer(data, np.uint8, end - pos, pos))
+        columns, pos = parse_block(np.frombuffer(data, np.uint8, end), pos)
         parts.append(columns)
-        pos, line = pos + size, line + len(columns[0])
+        line += len(columns[0])
         if pos < end or pos == len(data):
             break
     if pos < len(data) or not line:
@@ -611,21 +614,22 @@ def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list
     return parts
 
 
-def _parse_event_block(buf: np.ndarray) -> tuple[list[np.ndarray], int]:
-    """Timestamps and event codes of the leading canonical rows of ``buf``,
-    a block of whole lines, and the bytes those rows take."""
+def _parse_event_block(buf: np.ndarray, pos: int) -> tuple[list[np.ndarray], int]:
+    """Timestamps and event codes of the leading canonical rows of the block
+    of whole lines from ``pos`` to the end of ``buf``, and where they end."""
     # A tail's last byte gives its length, and so where the comma before it
-    # is.  (An empty first line reads buf[-1]; its width is below 1.)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    # is.  (An empty first line reads the line end before it; its width is
+    # below 1.)
+    ends = np.flatnonzero(buf[pos:] == ord("\n")) + pos
+    starts = np.concatenate(([pos], ends[:-1] + 1))
     tail_end = ends - (buf[ends - 1] == ord("\r"))
     tail_len = np.where(buf[tail_end - 1] == ord("t"), 10, 8)
     first = tail_end - tail_len - 1
     width = first - starts
     k = _first((width < 1) | (width > _MAX_DIGITS))
     if k == 0:
-        return [np.zeros(0, np.int64), np.zeros(0, np.int8)], 0
-    ends, starts, first, width, tail_len = (a[:k] for a in (ends, starts, first, width, tail_len))
+        return [np.zeros(0, np.int64), np.zeros(0, np.int8)], pos
+    ends, first, width, tail_len = (a[:k] for a in (ends, first, width, tail_len))
 
     # The tail's head: its first 8 bytes, one unaligned word read per row.
     words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
@@ -637,17 +641,63 @@ def _parse_event_block(buf: np.ndarray) -> tuple[list[np.ndarray], int]:
         & (_HEAD_LENGTHS[key] == tail_len)
         & ((tail_len == 8) | (buf[first + 9] == ord("r")))
     )
-
-    # The timestamp: digit times its power of ten, summed per row.
-    offsets = np.cumsum(width) - width
-    at = np.arange(offsets[-1] + width[-1]) + np.repeat(starts - offsets, width)
-    digit = buf[at] - np.uint8(ord("0"))  # wraps: a non-digit reads >= 10
-    digits_ok = np.logical_and.reduceat(digit < 10, offsets)
-    power = _POW10[np.repeat(first - 1, width) - at]
-    stamps = np.add.reduceat(digit * power, offsets)
-
+    stamps, digits_ok = _digits(buf, first, width)
     k = _first(~(digits_ok & tail_ok))
-    return [stamps[:k], _HEAD_CODES[key[:k]]], int(ends[k - 1]) + 1 if k else 0
+    return [stamps[:k], _HEAD_CODES[key[:k]]], int(ends[k - 1]) + 1 if k else pos
+
+
+# _digits reads a field of up to 18 ASCII digits as int64, eight digits to
+# a word (Langdale & Lemire, "Parsing Gigabytes of JSON per Second", VLDB J.
+# 2019).  The 8 bytes before a field's end, read as one little-endian word,
+# hold its last 8 digits, the first of them in the lowest byte.  XOR with
+# "0" in every byte turns the digits into 0-9 and every other byte into
+# something larger; _KEEP zeroes the bytes before the field.  A byte then
+# is a digit when neither it nor it plus 0x76 has its top bit set; a carry
+# out of one byte's sum comes only from a byte that already fails.  Three
+# multiply-shift steps then fold the bytes into pairs, quads and the whole:
+# 2561 = 10 * 2**8 + 1, 6553601 = 100 * 2**16 + 1, 42949672960001 =
+# 10000 * 2**32 + 1.  The word before covers digits 9-16 once any field
+# has them, and a third word the fields with more.  Every constant is a
+# uint64, so no step leaves uint64 on any numpy version.
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], dtype=np.uint64)
+_ZEROS = np.uint64(0x3030303030303030)
+_DIGIT_ADD = np.uint64(0x7676767676767676)
+_TOP_BITS = np.uint64(0x8080808080808080)
+_PAIRS, _QUADS, _HALVES = (np.uint64(factor) for factor in (2561, 6553601, 42949672960001))
+_BYTE_LANES = np.uint64(0x00FF00FF00FF00FF)
+_SHORT_LANES = np.uint64(0x0000FFFF0000FFFF)
+_BITS_8, _BITS_16, _BITS_32 = (np.uint64(bits) for bits in (8, 16, 32))
+
+
+def _digits(buf: np.ndarray, end: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fields of ``width`` (1 to 18) ASCII digits ending before each
+    ``end`` in ``buf`` as int64, and whether every byte is a digit.
+
+    A field's words may start up to 15 bytes before it, so ``buf`` must
+    hold those bytes; both CSV headers are longer.
+    """
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+    value, ok = _eight(words[end - 8], width.clip(max=8))
+    if width.max(initial=0) > 8:
+        high, high_ok = _eight(words[end - 16], (width - 8).clip(0, 8))
+        value += high * np.uint64(10**8)
+        ok &= high_ok
+    wide = np.flatnonzero(width > 16)
+    if wide.size:
+        top, top_ok = _eight(words[end[wide] - 24], width[wide] - 16)
+        value[wide] += top * np.uint64(10**16)
+        ok[wide] &= top_ok
+    return value.view(np.int64), ok
+
+
+def _eight(word: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The last ``width`` (0 to 8) bytes of each word as a decimal number,
+    and whether they all are digits."""
+    v = (word ^ _ZEROS) & _KEEP[width]
+    ok = ((v + _DIGIT_ADD) | v) & _TOP_BITS == 0
+    v = (v * _PAIRS) >> _BITS_8
+    v = ((v & _BYTE_LANES) * _QUADS) >> _BITS_16
+    return ((v & _SHORT_LANES) * _HALVES) >> _BITS_32, ok
 
 
 def _first(mask: np.ndarray) -> int:
@@ -781,58 +831,47 @@ def read_cycle_csv(source, site_id: str = "") -> CycleTable:
 # count of hundredths, so that count / 100 rounds the decimal once, as
 # float() does.
 _MAX_UNITS = 13
-# Each field's powers of ten, from its last byte back; a point has none.
-_FIELD_POW10 = [_POW10] * 2 + [np.concatenate(([1, 10, 0], _POW10[2:_MAX_UNITS + 2]))] * 7
+# Each field's width in form: an integer's digits, or a duration's digits,
+# point and two decimals.
 _MIN_WIDTH = np.array([1] * 2 + [4] * 7)
-_MAX_WIDTH = np.array([len(power) for power in _FIELD_POW10])
-# A row in form holds digits but for its eight commas, seven points and
-# "\n" (and a "\r" before that).
-_ROW_NON_DIGITS = 8 + 7 + 1
+_MAX_WIDTH = np.array([_MAX_DIGITS] * 2 + [_MAX_UNITS + 3] * 7)
 
 
-def _parse_cycle_block(buf: np.ndarray) -> tuple[list[np.ndarray], int]:
-    """The columns of the leading rows of ``buf``, a block of whole lines,
-    that are in write_cycle_csv's form and pass ``_check``, and the bytes
-    those rows take.  A row that breaks a rule is left to the per-row loop,
-    which reports it."""
-    ends = np.flatnonzero(buf == ord("\n"))
-    commas = np.flatnonzero(buf == ord(","))
+def _parse_cycle_block(buf: np.ndarray, pos: int) -> tuple[list[np.ndarray], int]:
+    """The columns of the leading rows of the block of whole lines from
+    ``pos`` to the end of ``buf`` that are in write_cycle_csv's form and
+    pass ``_check``, and where those rows end.  A row that breaks a rule is
+    left to the per-row loop, which reports it."""
+    ends = np.flatnonzero(buf[pos:] == ord("\n")) + pos
+    commas = np.flatnonzero(buf[pos:] == ord(",")) + pos
     k = _first(np.diff(np.searchsorted(commas, ends), prepend=0) != 8)
     ends = ends[:k]
     cr = buf[ends - 1] == ord("\r")
     # Field j of a row lies strictly between the row's separators j and
     # j + 1: the line end before the row, its commas, and its "\r" or "\n".
     sep = np.empty((k, 10), np.int64)
-    sep[:, 0] = np.concatenate(([-1], ends[:-1]))
+    sep[:, 0] = np.concatenate(([pos - 1], ends[:-1]))
     sep[:, 1:9] = commas[:8 * k].reshape(k, 8)
     sep[:, 9] = ends - cr
     width = np.diff(sep) - 1
-    digit = buf - np.uint8(ord("0"))  # wraps: a non-digit reads >= 10
-    non_digits = np.flatnonzero(digit >= 10)
-    per_line = np.diff(np.searchsorted(non_digits, ends, side="right"), prepend=0)
     in_form = (
         ((width >= _MIN_WIDTH) & (width <= _MAX_WIDTH)).all(axis=1)
         & (buf[sep[:, 3:] - 3] == ord(".")).all(axis=1)
-        & (per_line == _ROW_NON_DIGITS + cr)
     )
     k = _first(~in_form)
     sep, width = sep[:k], width[:k]
 
-    # Each field's digits times their powers of ten.  A field's bytes are
-    # read from its last back; before its first, the separator before it,
-    # which like a point reads 0, as does index -1.
-    value = np.append(digit * (digit < 10), np.uint8(0))
-    columns = []
-    for j, power in enumerate(_FIELD_POW10):
-        back = np.arange(width[:, j].max(initial=0))
-        at = np.maximum(sep[:, j + 1, None] - 1 - back, sep[:, j, None])
-        columns.append(value[at] @ power[:len(back)])
-    columns[2:] = [hundredths / 100 for hundredths in columns[2:]]
-    columns, fault = _check(columns)
-    if fault is not None:
-        k = fault[0]
-        columns = [values[:k] for values in columns]
-    return columns, int(ends[k - 1]) + 1 if k else 0
+    # Each field's digits before its point, and each duration's two after;
+    # a row is in form when they all are digits.
+    index, index_ok = _digits(buf, sep[:, 1], width[:, 0])
+    start, start_ok = _digits(buf, sep[:, 2], width[:, 1])
+    units, units_ok = _digits(buf, (sep[:, 3:] - 3).ravel(), (width[:, 2:] - 3).ravel())
+    cents, cents_ok = _digits(buf, sep[:, 3:].ravel(), np.full(7 * k, 2))
+    hundredths = units.reshape(k, 7) * 100 + cents.reshape(k, 7)
+    columns, fault = _check([index, start, *(hundredths / 100).T])
+    digits_ok = index_ok & start_ok & (units_ok & cents_ok).reshape(k, 7).all(axis=1)
+    k = min(_first(~digits_ok), fault[0] if fault else k)
+    return [values[:k] for values in columns], int(ends[k - 1]) + 1 if k else pos
 
 
 def _read_cycle_rows(lines: Iterable[str], line: int) -> list[np.ndarray]:

@@ -296,12 +296,19 @@ def parse_config(text: str) -> SimulationConfig:
         if key in values:
             demand_kwargs[key] = parse(key, _parse_segments)
     if "seed" in values:
-        demand_kwargs["rng_seed"] = parse("seed", int)
+        demand_kwargs["rng_seed"] = parse("seed", _seed)
     return SimulationConfig(
         plan=TimingPlan(**plan_kwargs),
         demand=DemandProfile(**demand_kwargs),
         start_ms=parse("start_ms", int) if "start_ms" in values else 0,
     )
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"must be >= 0, got {seed}")
+    return seed
 
 
 def format_config(config: SimulationConfig) -> str:

@@ -42,7 +42,7 @@ class TestSimulate:
     @pytest.mark.parametrize("text, message", [
         ("seed = 9\nschedule = 0-24@nan\n", "schedule: cycle length must be finite, got nan"),
         ("seed = 1e3\n", "line 1: seed: invalid literal for int() with base 10: '1e3'"),
-        ("seed = -1\n", "rng_seed must be >= 0, got -1"),
+        ("seed = -1\n", "line 1: seed: must be >= 0, got -1"),
     ])
     def test_bad_config_exits_1(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "sim.cfg"
@@ -571,6 +571,31 @@ def test_non_finite_float_flag_is_usage_error(capsys, argv):
               "--step": "a finite number >= 0.01", "--bin-width": "a finite number >= 0.01",
               "--seed": "an integer >= 0"}.get(argv[-2], "a finite positive number")
     assert f"argument {argv[-2]}: expected {wanted}, got {argv[-1]}" in err
+
+
+# Each argparse type helper, given text that int() or float() rejects: the
+# error names the flag and what it expects, never the helper.
+@pytest.mark.parametrize("argv, expected", [
+    (["message", "--input", "c.csv", "--t", "1", "--alpha", "high"], "alpha must be in (0, 1)"),
+    (["fit", "--input", "c.csv", "-o", "d.csv", "--cycle-length", "long"],
+     "expected a finite positive number"),
+    (["message", "--input", "c.csv", "--t", "ten"], "expected a finite number >= 0"),
+    (["emit", "--input", "c.csv", "--speed", "fast"], "expected a finite positive number"),
+    (["simulate", "-o", "c.csv", "--cycles", "6.0"], "expected a positive integer"),
+    (["simulate", "--cycles", "6", "-o", "c.csv", "--seed", "1.5"], "expected an integer >= 0"),
+    (["emit", "--input", "c.csv", "--cadence-ms", "0.5"], "expected an integer >= 10"),
+    (["emit", "--input", "c.csv", "--cadence-ms", "5"], "expected an integer >= 10"),
+    (["evaluate", "--input", "c.csv", "--compare", "expectation", "-o", "x.csv",
+      "--step", "fine"], "expected a finite number >= 0.01"),
+])
+def test_unparsable_flag_value_names_the_flag(capsys, argv, expected):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid _" not in err
+    assert err.endswith(f"error: argument {argv[-2]}: {expected}, got {argv[-1]}\n")
 
 
 def _valid_event_lines():

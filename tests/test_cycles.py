@@ -777,6 +777,13 @@ _ROW_2 = "2,240000,120.00,41.25,5.50,73.25,41.25,5.50,73.25"
 @example(_cycle_csv(_VALID_ROW.replace("84.00", "9007199254740.99"),
                     _ROW_1.replace("79.00", "90071992547409.93")), 7)
 @example(_cycle_csv(_VALID_ROW) + _ROW_1 + "\n" + _ROW_2 + "\r\n", 7)  # mixed line ends
+# Starts of 8, 9, 16, 17 and 18 digits take one, two and three words.
+@example(_cycle_csv(*(f"{n},{'1' * n}" + _VALID_ROW[3:] for n in (8, 9, 16, 17, 18))), 7)
+@example(_cycle_csv(*(f"{n},{'1' * n}" + _VALID_ROW[3:] for n in (8, 9, 16, 17, 18))), 120)
+# Durations with 6, 8, 9 and 13 digits before the point, and an 18-digit
+# start on the first row, whose words reach back into the header.
+@example(_cycle_csv("0,123456789012345678,120.00,123456.78,12345678.90,123456789.01,"
+                    "1234567890123.45,0.00,84.00"), 7)
 def test_read_cycle_csv_matches_per_row_reader(text, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
         for name, source in _sources(text, tmp).items():
@@ -1079,6 +1086,12 @@ _HEADER_LINE = ",".join(_EVENT_HEADER)
 _ONE_ROW = _HEADER_LINE + "\r\n0,1,p4,start\r\n"
 
 
+def _stamped(*stamps):
+    """An event CSV whose rows carry these timestamps, in turn p4 start and end."""
+    rows = [f"{stamp},1,p4,{('start', 'end')[i % 2]}\r\n" for i, stamp in enumerate(stamps)]
+    return _HEADER_LINE + "\r\n" + "".join(rows)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_event_csv_texts(), st.integers(1, 120))
 @example(_HEADER_LINE + "\n0,1,p4\n0,1,p4,start,x\n", 1)  # 3 + 5 fields: 6 commas
@@ -1102,6 +1115,21 @@ _ONE_ROW = _HEADER_LINE + "\r\n0,1,p4,start\r\n"
 @example(_HEADER_LINE + "\r\n0,1,p4,start\r\n" + "9" * 19 + ",1,p4,end\r\n", 7)
 @example(_HEADER_LINE, 1)
 @example("", 1)
+# Stamps of 8, 9, 16, 17 and 18 digits take one, two and three words; an
+# 18-digit stamp on the first row reads back into the header.
+@example(_stamped("1" * 8, "2" * 9, "3" * 16, "4" * 17, "9" * 18), 1)
+@example(_stamped("1" * 8, "2" * 9, "3" * 16, "4" * 17, "9" * 18), 120)
+@example(_stamped("123456789012345678", "0"), 7)
+# A non-digit as a 16-digit stamp's first, 8th, 9th and last byte: the
+# bytes just past "9" and before "0", a space and a DEL.
+@example(_stamped("1" * 16, ":" + "1" * 15), 7)
+@example(_stamped("1" * 16, "1" * 7 + "/" + "1" * 8), 7)
+@example(_stamped("1" * 16, "1" * 8 + " " + "1" * 7), 7)
+@example(_stamped("1" * 16, "1" * 15 + "\x7f"), 7)
+# A two-byte character, whose bytes carry out of the digit test's sum: in
+# a word's middle and as its last byte.
+@example(_stamped("12\u00e9345", "1"), 7)
+@example(_stamped("1234567\u00e9", "1"), 7)
 def test_read_event_csv_matches_per_row_reader(text, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
         for name, source in _sources(text, tmp).items():
@@ -1114,13 +1142,15 @@ def test_read_event_csv_matches_per_row_reader(text, block_bytes):
 
 @pytest.mark.parametrize("sep", ["\r\n", "\n"])
 def test_canonical_event_csv_skips_per_row_loop(tmp_path, sep):
-    table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(4), 30, start_ms=10**17)
-    events = sc.emit_events(table)
-    buf = io.StringIO()
-    sc.write_event_csv(events, buf)
     path = tmp_path / "events.csv"
-    path.write_bytes(buf.getvalue().replace("\r\n", sep).encode())
-    with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
-        for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
-            with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
-                assert list(sc.read_event_csv(path)) == list(events)
+    # Starts whose stamps take one, two and three words.
+    for start in (0, 10**7, 10**15, 10**16, 10**17):
+        table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(4), 30, start_ms=start)
+        events = sc.emit_events(table)
+        buf = io.StringIO()
+        sc.write_event_csv(events, buf)
+        path.write_bytes(buf.getvalue().replace("\r\n", sep).encode())
+        with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
+            for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
+                with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                    assert list(sc.read_event_csv(path)) == list(events), start

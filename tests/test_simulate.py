@@ -109,6 +109,9 @@ class TestSimulate:
             sc.TimingPlan(extension=0.0)
         with pytest.raises(ValueError):
             sc.DemandProfile(side_street_rate=((0.0, 24.0, -1.0),))
+        # Library callers get the field's own check; a config file names its line.
+        with pytest.raises(ValueError, match=r"^rng_seed must be >= 0, got -3$"):
+            sc.DemandProfile(rng_seed=-3)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"schedule": ((0.0, 24.0, math.nan),)}, "schedule: cycle length must be finite, got nan"),
@@ -182,6 +185,7 @@ class TestConfig:
         ("max_d4 = 50\nschedule = 0-24@x\n",
          "line 2: schedule: could not convert string to float: 'x'"),
         ("start_ms = 1.5\n", "line 1: start_ms: invalid literal for int() with base 10: '1.5'"),
+        ("# plan\nseed = -1\n", "line 2: seed: must be >= 0, got -1"),
     ])
     def test_bad_number_names_key_and_line(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
