@@ -10,7 +10,7 @@ code paths.  Run from the repository root:
 
 from pathlib import Path
 
-from spatcast import CycleRecord, CycleTable, fit_message_dists, stream
+from spatcast import CycleTable, fit_message_dists, stream
 
 ROWS = [
     # (d4, d1, d5); d2/d6 derived so the barrier identities hold exactly
@@ -21,17 +21,14 @@ ROWS = [
 
 
 def build_table() -> CycleTable:
-    records = []
-    t_ms = 0
-    for i, (d4, d1, d5) in enumerate(ROWS):
-        d2 = 120.0 - d4 - d1
-        d6 = d1 + d2 - d5
-        records.append(CycleRecord(
-            cycle_index=i, cycle_start_ms=t_ms, length_s=120.0,
-            d4=d4, d1=d1, d2=d2, d8=d4, d5=d5, d6=d6,
-        ))
-        t_ms += 120_000
-    return CycleTable(tuple(records), site_id="golden")
+    d4, d1, d5 = zip(*ROWS)
+    d2 = [120.0 - a - b for a, b in zip(d4, d1)]
+    d6 = [b + c - e for b, c, e in zip(d1, d2, d5)]
+    n = len(ROWS)
+    return CycleTable.from_columns(
+        range(n), [120_000 * i for i in range(n)], [120.0] * n, d4, d1, d2, d4, d5, d6,
+        site_id="golden",
+    )
 
 
 def main() -> None:

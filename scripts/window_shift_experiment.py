@@ -10,20 +10,22 @@ short window should win within days of the shift.
 """
 
 import argparse
-from dataclasses import replace
+
+import numpy as np
 
 import spatcast as sc
 from spatcast.evaluate import error_curve
 
 MS_PER_DAY = 86_400_000
+COLUMNS = ("cycle_start_ms", "length_s", "d4", "d1", "d2", "d8", "d5", "d6")
 
 
 def concat(tables):
-    records = []
-    for table in tables:
-        records.extend(table.records)
-    records = tuple(replace(r, cycle_index=i) for i, r in enumerate(records))
-    return sc.CycleTable(records, site_id=tables[0].site_id)
+    """The tables' cycles in order, as one table numbered from 0."""
+    columns = [np.concatenate([getattr(t, name) for t in tables]) for name in COLUMNS]
+    return sc.CycleTable.from_columns(
+        np.arange(len(columns[0])), *columns, site_id=tables[0].site_id
+    )
 
 
 def main() -> None:

@@ -15,7 +15,6 @@ from .cycles import (
     CycleRecord,
     CycleTable,
     EventLog,
-    PhaseEvent,
     day_number,
     ingest_events,
     read_cycle_csv,

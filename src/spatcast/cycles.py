@@ -62,24 +62,6 @@ _CYCLE_HEADER = [
 
 
 @dataclass(frozen=True)
-class PhaseEvent:
-    """One timestamped green-interval transition from a controller log."""
-
-    timestamp_ms: int
-    ring: int
-    phase: str
-    kind: str  # "start" | "end"
-
-    def __post_init__(self) -> None:
-        if self.ring not in RING_SEQUENCE:
-            raise ValueError(f"unknown ring {self.ring!r}")
-        if self.phase not in RING_SEQUENCE[self.ring]:
-            raise ValueError(f"phase {self.phase!r} is not on ring {self.ring}")
-        if self.kind not in ("start", "end"):
-            raise ValueError(f"kind must be 'start' or 'end', got {self.kind!r}")
-
-
-@dataclass(frozen=True)
 class CycleRecord:
     """One cycle's start time, length, and per-phase green durations.
 
@@ -306,16 +288,14 @@ def _barrier_residuals(length, d4, d1, d2, d8, d5, d6) -> dict[str, np.ndarray]:
 
 # An event's step is its position 0-5 in its ring's start/end pattern: the
 # opening phase's start and end, then the second phase's, then the third's.
-# Reader and log share one small code per event, ring * 8 + step.
+# Reader and log share one small code per event, ring * 8 + step, found by
+# the event's `ring,phase,kind` spelling in a CSV row.
 _KINDS = ("start", "end")
-_EVENT_CODE: dict[tuple[int, str, str], int] = {
-    (ring, phase, kind): ring * 8 + 2 * j + end
+_EVENT_CODE: dict[tuple[str, str, str], int] = {
+    (str(ring), phase, kind): ring * 8 + 2 * j + end
     for ring, seq in RING_SEQUENCE.items()
     for j, phase in enumerate(seq)
     for end, kind in enumerate(_KINDS)
-}
-_RAW_EVENT_CODE: dict[tuple[str, str, str], int] = {
-    (str(ring), phase, kind): code for (ring, phase, kind), code in _EVENT_CODE.items()
 }
 
 
@@ -326,36 +306,34 @@ class EventLog:
     ``timestamp_ms`` is int64, ``ring`` and ``step`` are int8; ``step`` is
     the event's position 0-5 in its ring's pattern (p4 start, p4 end, p1
     start, ... on ring 1).  Build one with ``read_event_csv``,
-    ``simulate.emit_events``, or ``from_events``, which validates each
-    ``PhaseEvent`` given and raises ValueError for a timestamp that is not
-    an integer in int64; iterating gives ``PhaseEvent``s back.
+    ``simulate.emit_events``, or from three columns, which must be
+    one-dimensional and of equal length: timestamps that are integers in
+    int64, rings of 1 or 2 and steps of 0 to 5.  Otherwise ValueError names
+    the first bad value of the first column that has one.
     """
 
     timestamp_ms: np.ndarray
     ring: np.ndarray
     step: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.timestamp_ms)
-
-    def __iter__(self) -> Iterator[PhaseEvent]:
-        columns = (self.timestamp_ms.tolist(), self.ring.tolist(), self.step.tolist())
-        for ts, ring, step in zip(*columns):
-            yield PhaseEvent(ts, ring, RING_SEQUENCE[ring][step // 2], _KINDS[step % 2])
-
-    @classmethod
-    def from_events(cls, events: Iterable[PhaseEvent]) -> "EventLog":
-        events = list(events)
-        times, fault = _int64_column([ev.timestamp_ms for ev in events], "timestamp_ms")
+    def __post_init__(self) -> None:
+        times, fault = _int64_column(self.timestamp_ms, "timestamp_ms")
+        ring, step = np.asarray(self.ring), np.asarray(self.step)
+        if any(col.shape != times.shape or col.ndim != 1 for col in (times, ring, step)):
+            raise ValueError("columns must be one-dimensional and of equal length")
         if fault is not None:
             raise fault[1]
-        codes = [_EVENT_CODE[ev.ring, ev.phase, ev.kind] for ev in events]
-        return cls._from_codes(times, codes)
+        for name, col, allowed, text in (("ring", ring, (1, 2), "1 or 2"),
+                                         ("step", step, range(6), "in 0-5")):
+            ok = np.isin(col, allowed)
+            if not ok.all():
+                raise ValueError(f"{name} {col[ok.argmin()]} is not {text}")
+        object.__setattr__(self, "timestamp_ms", times)
+        object.__setattr__(self, "ring", ring.astype(np.int8, copy=False))
+        object.__setattr__(self, "step", step.astype(np.int8, copy=False))
 
-    @classmethod
-    def _from_codes(cls, times: list[int], codes: list[int]) -> "EventLog":
-        code = np.asarray(codes, dtype=np.int8)
-        return cls(np.asarray(times, dtype=np.int64), code >> 3, code & 7)
+    def __len__(self) -> int:
+        return len(self.timestamp_ms)
 
 
 def ingest_events(
@@ -365,11 +343,10 @@ def ingest_events(
 ) -> CycleTable:
     """Reconstruct per-cycle duration records from a phase-event log.
 
-    The log must be sorted by timestamp and contain both rings; wrap a
-    ``PhaseEvent`` list with ``EventLog.from_events``.  One record is
-    produced per completed cycle; incomplete leading or trailing cycles are
-    dropped.  Durations are transition-timestamp differences converted to
-    seconds.
+    The log must be sorted by timestamp and contain both rings.  One record
+    is produced per completed cycle; incomplete leading or trailing cycles
+    are dropped.  Durations are transition-timestamp differences converted
+    to seconds.
 
     Raises OutOfOrderEvent on a timestamp regression, RingSequenceViolation
     when the phase order breaks a ring pattern (or the stream has a time
@@ -515,7 +492,7 @@ def window(table: CycleTable, target_day: "dt.date | int", delta_days: int) -> C
 
 # Each event code's one `ring,phase,kind` spelling: write_event_csv writes
 # it, and the block parser below matches it.
-_SPELLING: dict[int, str] = {code: ",".join(key) for key, code in _RAW_EVENT_CODE.items()}
+_SPELLING: dict[int, str] = {code: ",".join(key) for key, code in _EVENT_CODE.items()}
 _WRITE_ROWS = 1 << 16  # rows formatted per write
 
 
@@ -558,15 +535,16 @@ def read_event_csv(source) -> EventLog:
     of 1 to 18 ASCII digits, one of the twelve ``ring,phase,kind``
     spellings, and a line end of ``\\n`` or ``\\r\\n`` -- are parsed in numpy
     blocks.  The first row in any other form, and every row after it, goes
-    through the per-row loop read_cycle_csv shares, where fields are parsed
-    with ``int()`` and ``PhaseEvent``, which accept other spellings (``01``,
-    `` 2``, quotes).  A header in any other form sends the whole file through
-    that loop.  A byte that is not UTF-8 raises MalformedRow for its line.
+    through the per-row loop read_cycle_csv shares, where the timestamp and
+    ring are parsed with ``int()``, which accepts other spellings (``01``,
+    `` 2``, quotes), and the ring, phase and kind are checked in that order.
+    A header in any other form sends the whole file through that loop.  A
+    byte that is not UTF-8 raises MalformedRow for its line.
     """
     # The parts are joined once the file's bytes are freed.
     parts = _read_blocks(source, _EVENT_HEADER, _parse_event_block, _read_event_rows)
     times, codes = map(np.concatenate, zip(*parts))
-    return EventLog._from_codes(times, codes)
+    return EventLog(times, codes >> 3, codes & 7)
 
 
 def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list[np.ndarray]]:
@@ -771,10 +749,16 @@ def _parse_event_row(fields: list[str]) -> tuple[int, int]:
     # Only a string of 19 or more characters can leave int64.
     if len(ts) > 18 and not _INT64_MIN <= t <= _INT64_MAX:
         raise ValueError(f"timestamp {ts} ms does not fit in int64")
-    code = _RAW_EVENT_CODE.get((ring, phase, kind))
-    if code is None:  # another spelling, or an invalid event
-        ev = PhaseEvent(t, int(ring), phase, kind)
-        code = _EVENT_CODE[ev.ring, ev.phase, ev.kind]
+    code = _EVENT_CODE.get((ring, phase, kind))
+    if code is None:  # another spelling of the ring, or an invalid event
+        number = int(ring)
+        code = _EVENT_CODE.get((str(number), phase, kind))
+        if number not in RING_SEQUENCE:
+            raise ValueError(f"unknown ring {number}")
+        if phase not in RING_SEQUENCE[number]:
+            raise ValueError(f"phase {phase!r} is not on ring {number}")
+        if code is None:
+            raise ValueError(f"kind must be 'start' or 'end', got {kind!r}")
     return t, code
 
 

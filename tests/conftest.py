@@ -1,6 +1,19 @@
 import pytest
 
-from spatcast import CycleRecord, CycleTable
+from spatcast import RING_SEQUENCE, CycleRecord, CycleTable, EventLog
+
+
+def event_log(events) -> EventLog:
+    """An EventLog from (timestamp_ms, ring, phase, kind) tuples, in order."""
+    events = list(events)
+    steps = [2 * RING_SEQUENCE[ring].index(phase) + ("start", "end").index(kind)
+             for _, ring, phase, kind in events]
+    return EventLog([ev[0] for ev in events], [ev[1] for ev in events], steps)
+
+
+def log_columns(log: EventLog) -> list:
+    """A log's three columns as (dtype, values) pairs, for comparing logs."""
+    return [(col.dtype.str, col.tolist()) for col in (log.timestamp_ms, log.ring, log.step)]
 
 
 def _build_table(rows, site_id="t", start_ms=0, length=120.0):

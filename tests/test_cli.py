@@ -429,6 +429,28 @@ class TestEvaluate:
         assert err.startswith(f"error: {reason}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["--input", "{big}", "--step", "0.01"],  # error_curve's grid
+        ["--input", "{cycles}", "--train-input", "{big}",  # write_plot_data's bins
+         "--plot-data", "{tmp}/p", "--bin-width", "0.01"],
+    ])
+    def test_grid_too_large_to_allocate_exits_1(self, tmp_path, capsys, cycles_csv, argv):
+        # 10**18 steps of 0.01 s up to d4 = 10**16 s: 6.94 EiB, more than any
+        # 64-bit address space maps.  Once a numpy MemoryError traceback.
+        lines = cycles_csv.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[3] = "9999999999999999.99"
+        lines[2] = ",".join(fields)
+        big = tmp_path / "big.csv"
+        big.write_text("".join(lines))
+        argv = [a.format(big=big, cycles=cycles_csv, tmp=tmp_path) for a in argv]
+        rc = main(["evaluate", *argv, "--quantity", "d4", "--compare", "expectation",
+                   "-o", str(tmp_path / "x.csv")])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: Unable to allocate 6\.94 EiB .*\n", err)
+
     @pytest.mark.parametrize("extra", [[], ["--leave-one-out"]])
     def test_weights_whose_ratio_rounds_to_0_exit_1(self, tmp_path, capsys, cycles_csv,
                                                     extra):

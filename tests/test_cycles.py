@@ -3,6 +3,7 @@ import datetime as dt
 import io
 import math
 import tempfile
+from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
 from unittest.mock import patch
@@ -14,16 +15,31 @@ from hypothesis import strategies as st
 
 import spatcast as sc
 import spatcast.cycles
+from conftest import event_log, log_columns
 from spatcast.cycles import (
     _EVENT_CODE,
     _EVENT_HEADER,
     _INT64_MAX,
     _INT64_MIN,
-    _RAW_EVENT_CODE,
     EventLog,
     MalformedRow,
-    PhaseEvent,
 )
+
+
+class PhaseEvent(namedtuple("PhaseEvent", "timestamp_ms ring phase kind")):
+    """One green-interval transition, as the per-event reference paths take
+    it; its checks give the per-row event reader's error texts."""
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp_ms, ring, phase, kind):
+        if ring not in sc.RING_SEQUENCE:
+            raise ValueError(f"unknown ring {ring!r}")
+        if phase not in sc.RING_SEQUENCE[ring]:
+            raise ValueError(f"phase {phase!r} is not on ring {ring}")
+        if kind not in ("start", "end"):
+            raise ValueError(f"kind must be 'start' or 'end', got {kind!r}")
+        return super().__new__(cls, timestamp_ms, ring, phase, kind)
 
 
 @contextmanager
@@ -44,15 +60,15 @@ def _cycle_events(start_ms, ring1, ring2):
         t = start_ms
         for phase, dur in zip(sc.RING_SEQUENCE[ring], durs):
             end = t + int(round(dur * 1000))
-            events.append(sc.PhaseEvent(t, ring, phase, "start"))
-            events.append(sc.PhaseEvent(end, ring, phase, "end"))
+            events.append(PhaseEvent(t, ring, phase, "start"))
+            events.append(PhaseEvent(end, ring, phase, "end"))
             t = end
     return sorted(events, key=lambda e: e.timestamp_ms)
 
 
 def _ingest(events, *args):
-    """ingest_events on a PhaseEvent list."""
-    return sc.ingest_events(EventLog.from_events(events), *args)
+    """ingest_events on a list of (timestamp_ms, ring, phase, kind) events."""
+    return sc.ingest_events(event_log(events), *args)
 
 
 class TestIngest:
@@ -100,16 +116,18 @@ class TestIngest:
         # second cycle starts 2 s after the first one ends
         first = build_table([(36, 0, 0)])
         second = build_table([(41, 5, 5)], start_ms=122_000)
-        events = [*sc.emit_events(first), *sc.emit_events(second)]
+        logs = [sc.emit_events(first), sc.emit_events(second)]
+        log = EventLog(*(np.concatenate([getattr(part, name) for part in logs])
+                         for name in ("timestamp_ms", "ring", "step")))
         with pytest.raises(sc.RingSequenceViolation):
-            _ingest(events)
+            sc.ingest_events(log)
 
     def test_incomplete_leading_and_trailing_cycles_dropped(self, build_table):
         table = build_table([(36, 0, 0), (41, 5, 10), (46, 10, 5)])
-        events = sc.emit_events(table)
+        log = sc.emit_events(table)
         # start mid-way through cycle 0 and cut cycle 2 short
-        trimmed = [e for e in events if 40_000 <= e.timestamp_ms <= 300_000]
-        got = _ingest(trimmed)
+        keep = (40_000 <= log.timestamp_ms) & (log.timestamp_ms <= 300_000)
+        got = sc.ingest_events(EventLog(log.timestamp_ms[keep], log.ring[keep], log.step[keep]))
         assert len(got) == 1
         assert got[0].d4 == 41.0
         assert got[0].cycle_start_ms == 120_000
@@ -244,15 +262,14 @@ class TestCsv:
         buf = io.StringIO()
         sc.write_event_csv(log, buf)
         back = sc.read_event_csv(io.StringIO(buf.getvalue()))
-        assert len(back) == len(log)
-        assert list(back) == list(log)
+        assert log_columns(back) == log_columns(log)
 
     def test_event_csv_accepts_other_integer_spellings(self, build_table):
         log = sc.emit_events(build_table([(36, 5, 5)]))
         buf = io.StringIO()
         sc.write_event_csv(log, buf)
         text = buf.getvalue().replace(",1,p4,", ",01,p4,").replace(",2,p8,", ", 2,p8,")
-        assert list(sc.read_event_csv(io.StringIO(text))) == list(log)
+        assert log_columns(sc.read_event_csv(io.StringIO(text))) == log_columns(log)
 
     @pytest.mark.parametrize("row, reason", [
         ("120000,1,p4", "not enough values to unpack"),
@@ -529,8 +546,8 @@ def _event_streams(draw):
             ring2 = ring1
         for ring, durs, t in ((1, ring1, start), (2, ring2, start + offset)):
             for phase, d in zip(sc.RING_SEQUENCE[ring], durs):
-                events.append(sc.PhaseEvent(t, ring, phase, "start"))
-                events.append(sc.PhaseEvent(t + d, ring, phase, "end"))
+                events.append(PhaseEvent(t, ring, phase, "start"))
+                events.append(PhaseEvent(t + d, ring, phase, "end"))
                 t += d
         start += sum(ring1)
     events.sort(key=lambda ev: ev.timestamp_ms)  # stable: per-ring order kept
@@ -552,10 +569,10 @@ def _event_streams(draw):
             events[i], events[i + 1] = events[i + 1], ev
         elif corruption == "shift":
             delta = draw(st.sampled_from([-1000, -30, -1, 1, 30, 1000]))
-            events[i] = sc.PhaseEvent(ev.timestamp_ms + delta, ev.ring, ev.phase, ev.kind)
+            events[i] = PhaseEvent(ev.timestamp_ms + delta, ev.ring, ev.phase, ev.kind)
         elif corruption == "extreme":
             ts = draw(st.sampled_from([-(2**63), 2**63 - 1]))
-            events[i] = sc.PhaseEvent(ts, ev.ring, ev.phase, ev.kind)
+            events[i] = PhaseEvent(ts, ev.ring, ev.phase, ev.kind)
     return events
 
 
@@ -567,8 +584,8 @@ def _drifting_events(ring1, ring2):
         t = 0
         for durs in cycles:
             for phase, d in zip(sc.RING_SEQUENCE[ring], durs):
-                events += [sc.PhaseEvent(t, ring, phase, "start"),
-                           sc.PhaseEvent(t + d, ring, phase, "end")]
+                events += [PhaseEvent(t, ring, phase, "start"),
+                           PhaseEvent(t + d, ring, phase, "end")]
                 t += d
     return sorted(events, key=lambda ev: ev.timestamp_ms)
 
@@ -594,7 +611,7 @@ def _outcome(ingest, events, tolerance):
     0.05,
 )
 @example(  # p4 at the int64 minimum: the gap to p1 start exceeds int64
-    [sc.PhaseEvent(-(2**63), 1, "p4", kind) for kind in ("start", "end")]
+    [PhaseEvent(-(2**63), 1, "p4", kind) for kind in ("start", "end")]
     + [ev for ev in _cycle_events(0, (36, 0, 84), (36, 0, 84)) if ev.phase != "p4"],
     0.05,
 )
@@ -602,7 +619,7 @@ def test_ingest_matches_per_event_loop(events, tolerance):
     want = _outcome(_reference_ingest, events, tolerance)
     assert _outcome(_ingest, events, tolerance) == want
     buf = io.StringIO()
-    sc.write_event_csv(EventLog.from_events(events), buf)
+    sc.write_event_csv(event_log(events), buf)
     log = sc.read_event_csv(io.StringIO(buf.getvalue()))
     assert _outcome(sc.ingest_events, log, tolerance) == want
 
@@ -976,9 +993,28 @@ def test_integer_columns_reject_non_integers_and_values_past_int64(index, start,
 ])
 def test_event_log_rejects_timestamps_that_are_not_int64(timestamp, reason):
     # Once stored 1.5 as 1 ms, or escaped as OverflowError or a numpy cast error.
-    events = [PhaseEvent(0, 1, "p4", "start"), PhaseEvent(timestamp, 1, "p4", "end")]
     with pytest.raises(ValueError, match=f"^{reason}$"):
-        EventLog.from_events(events)
+        EventLog([0, timestamp], [1, 1], [0, 1])
+
+
+@pytest.mark.parametrize("ring, step, reason", [
+    # Ingest once dropped a ring-3 event unread: "ring 2: no p8 start in stream".
+    ([1, 3], [0, 0], "ring 3 is not 1 or 2"),
+    # Once an IndexError out of ingest_events.
+    ([1, 1], [0, 7], "step 7 is not in 0-5"),
+    # Once named ring 1's p2 end by a negative index.
+    ([1, 1], [0, -1], "step -1 is not in 0-5"),
+    ([1], [0, 1], "columns must be one-dimensional and of equal length"),
+    ([1, 1], [[0, 1]], "columns must be one-dimensional and of equal length"),
+])
+def test_event_log_rejects_rings_and_steps_off_the_pattern(ring, step, reason):
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        EventLog([0, 1000], ring, step)
+
+
+def test_event_log_holds_int64_times_and_int8_rings_and_steps():
+    log = EventLog([0.0, 2**62 + 1], np.array([1, 2]), (5, 0))
+    assert log_columns(log) == [("<i8", [0, 2**62 + 1]), ("|i1", [1, 2]), ("|i1", [5, 0])]
 
 
 def test_integer_columns_take_whole_floats_and_int64_arrays():
@@ -1014,14 +1050,15 @@ def _reference_read_event_csv(source) -> EventLog:
                 if len(ts) > 18 and not _INT64_MIN <= t <= _INT64_MAX:
                     raise ValueError(f"timestamp {ts} ms does not fit in int64")
                 times.append(t)
-                code = _RAW_EVENT_CODE.get((ring, phase, kind))
+                code = _EVENT_CODE.get((ring, phase, kind))
                 if code is None:  # another spelling, or an invalid event
                     ev = PhaseEvent(t, int(ring), phase, kind)
-                    code = _EVENT_CODE[ev.ring, ev.phase, ev.kind]
+                    code = _EVENT_CODE[str(ev.ring), ev.phase, ev.kind]
                 codes.append(code)
         except (ValueError, csv.Error) as exc:
             raise MalformedRow(rows.line_num, str(exc)) from exc
-    return EventLog._from_codes(times, codes)
+    code = np.array(codes, dtype=np.int64)
+    return EventLog(times, code >> 3, code & 7)
 
 
 _EVENT_SPELLINGS = [
@@ -1079,7 +1116,7 @@ def _event_outcome(read, source):
         log = read(source)
     except (sc.SpatError, ValueError) as exc:
         return type(exc), str(exc)
-    return [(col.dtype.str, col.tolist()) for col in (log.timestamp_ms, log.ring, log.step)]
+    return log_columns(log)
 
 
 _HEADER_LINE = ",".join(_EVENT_HEADER)
@@ -1153,4 +1190,4 @@ def test_canonical_event_csv_skips_per_row_loop(tmp_path, sep):
         with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
             for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
                 with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
-                    assert list(sc.read_event_csv(path)) == list(events), start
+                    assert log_columns(sc.read_event_csv(path)) == log_columns(events), start

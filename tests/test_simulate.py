@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
+from conftest import event_log, log_columns
 from spatcast.cli import main
 from spatcast.cycles import (
     _EVENT_HEADER,
@@ -18,7 +19,6 @@ from spatcast.cycles import (
     _INT64_MIN,
     DURATION_KEY,
     RING_SEQUENCE,
-    PhaseEvent,
 )
 from spatcast.ioutil import text_sink
 
@@ -137,12 +137,11 @@ class TestEmitEvents:
     def test_twelve_events_per_cycle(self, build_table):
         events = sc.emit_events(build_table([(36, 0, 0)]))
         assert len(events) == 12
-        starts = [e for e in events if e.kind == "start"]
-        ends = [e for e in events if e.kind == "end"]
-        assert len(starts) == len(ends) == 6
+        starts = events.step % 2 == 0
+        assert starts.sum() == (~starts).sum() == 6
 
     def test_empty_table_empty_stream(self):
-        assert list(sc.emit_events(sc.CycleTable(()))) == []
+        assert len(sc.emit_events(sc.CycleTable(()))) == 0
 
     def test_simulate_round_trip(self):
         table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(9), 100)
@@ -233,7 +232,8 @@ def test_simulated_tables_always_satisfy_barrier_identities(seed, n_cycles):
 
 def _reference_emit_events(table):
     """The per-record emit_events, kept as the oracle; ``getattr`` stands in
-    for the deleted ``CycleRecord.duration``."""
+    for the deleted ``CycleRecord.duration``.  Events are (timestamp_ms,
+    ring, phase, kind) tuples."""
     events = []
     for rec in table:
         for ring, seq in RING_SEQUENCE.items():
@@ -242,10 +242,10 @@ def _reference_emit_events(table):
                 dur = getattr(rec, DURATION_KEY[phase])
                 start_ms = rec.cycle_start_ms + int(round(elapsed * 1000))
                 end_ms = rec.cycle_start_ms + int(round((elapsed + dur) * 1000))
-                events.append(PhaseEvent(start_ms, ring, phase, "start"))
-                events.append(PhaseEvent(end_ms, ring, phase, "end"))
+                events.append((start_ms, ring, phase, "start"))
+                events.append((end_ms, ring, phase, "end"))
                 elapsed += dur
-    events.sort(key=lambda ev: ev.timestamp_ms)  # stable: per-ring order kept
+    events.sort(key=lambda ev: ev[0])  # stable: per-ring order kept
     return events
 
 
@@ -254,8 +254,7 @@ def _reference_write_event_csv(events, target):
     with text_sink(target) as f:
         w = csv.writer(f)
         w.writerow(_EVENT_HEADER)
-        for ev in events:
-            w.writerow([ev.timestamp_ms, ev.ring, ev.phase, ev.kind])
+        w.writerows(events)
 
 
 def _fits_int64(table):
@@ -263,7 +262,7 @@ def _fits_int64(table):
         events = _reference_emit_events(table)
     except OverflowError:
         return False
-    return all(_INT64_MIN <= ev.timestamp_ms <= _INT64_MAX for ev in events)
+    return all(_INT64_MIN <= ev[0] <= _INT64_MAX for ev in events)
 
 
 # Durations: zero, on the 0.01 s grid, any float, on a half millisecond
@@ -318,7 +317,7 @@ def test_emit_events_matches_per_record_loop(table):
         return
     want = _reference_emit_events(table)
     log = sc.emit_events(table)
-    assert list(log) == want
+    assert log_columns(log) == log_columns(event_log(want))
     assert [col.dtype for col in (log.timestamp_ms, log.ring, log.step)] == [
         np.int64, np.int8, np.int8
     ]
@@ -344,12 +343,11 @@ def test_emit_events_rejects_times_past_int64(start, d4):
 
 
 def test_event_log_is_the_only_form_ingest_takes(build_table):
-    events = list(sc.emit_events(build_table([(36, 5, 5)])))
+    log = sc.emit_events(build_table([(36, 5, 5)]))
+    columns = [log.timestamp_ms.tolist(), log.ring.tolist(), log.step.tolist()]
     with pytest.raises(TypeError, match="^expected an EventLog, got list$"):
-        sc.ingest_events(events)
-    assert sc.ingest_events(sc.EventLog.from_events(events)) == sc.ingest_events(
-        sc.emit_events(build_table([(36, 5, 5)]))
-    )
+        sc.ingest_events(list(zip(*columns)))
+    assert sc.ingest_events(sc.EventLog(*columns)) == sc.ingest_events(log)
 
 
 def test_d6_rounding_to_zero_raises_instead_of_redrawing():
