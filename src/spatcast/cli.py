@@ -215,9 +215,9 @@ def _cmd_evaluate(args) -> int:
         predictors, dist, table, metrics,
         grid_step=args.step, leave_one_out=args.leave_one_out,
     )
-    ev.write_comparison_csv(rows, args.output)
-    if args.plot_data:
+    if args.plot_data:  # first, so a plot-data path that fails leaves -o untouched
         ev.write_plot_data(dist, args.plot_data, bin_width=args.bin_width)
+    ev.write_comparison_csv(rows, args.output)
     return 0
 
 

@@ -309,7 +309,8 @@ class EventLog:
     ``simulate.emit_events``, or from three columns, which must be
     one-dimensional and of equal length: timestamps that are integers in
     int64, rings of 1 or 2 and steps of 0 to 5.  Otherwise ValueError names
-    the first bad value of the first column that has one.
+    the first bad value of the first column that has one.  The log keeps
+    read-only copies of the columns.
     """
 
     timestamp_ms: np.ndarray
@@ -328,9 +329,11 @@ class EventLog:
             ok = np.isin(col, allowed)
             if not ok.all():
                 raise ValueError(f"{name} {col[ok.argmin()]} is not {text}")
-        object.__setattr__(self, "timestamp_ms", times)
-        object.__setattr__(self, "ring", ring.astype(np.int8, copy=False))
-        object.__setattr__(self, "step", step.astype(np.int8, copy=False))
+        for name, col, dtype in (("timestamp_ms", times, np.int64), ("ring", ring, np.int8),
+                                 ("step", step, np.int8)):
+            col = np.array(col, dtype=dtype)  # a copy, which the log owns
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return len(self.timestamp_ms)

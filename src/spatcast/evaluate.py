@@ -3,9 +3,13 @@
 For a grid of times t, the error at t averages a loss between the
 prediction made at t and the realized duration, over exactly the cycles
 whose duration exceeds t (the cycles for which a prediction at t was ever
-needed).  In-sample evaluation is the default.  Leave-one-out predicts each
-cycle from the training sample without that cycle; it is exact (closed form,
-no refit) and defined only for in-sample evaluation.
+needed).  In-sample evaluation is the default: one walk over the grid
+conditions the training sample once per t, applies each method once, and
+scores every metric from that method's errors, so ``compare`` makes one
+prediction per method and t whatever the number of metrics.  Leave-one-out
+predicts each cycle from the training sample without that cycle; it is
+exact (closed form, no refit), defined only for in-sample evaluation, and
+still runs one curve per (method, metric).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def _loss(metric: str) -> tuple[Callable[[np.ndarray], np.ndarray], str]:
 
 
 def _eval_arrays(
-    dist_or_joint, eval_table: CycleTable
+    dist_or_joint, eval_table: CycleTable, grid_step: float
 ) -> tuple[np.ndarray, np.ndarray, Callable[[float], EmpiricalDist]]:
     """(survival key, prediction target) per evaluation cycle, and the training condition.
 
@@ -67,13 +71,21 @@ def _eval_arrays(
     condition is ``condition_gt``.  For joint samples the survival key is the
     leading duration (predictions exist while the lead phase runs), the
     target is the per-cycle sum and the condition is ``sum_given_lead_gt``.
+    Raises ValueError unless ``grid_step`` is positive, and EmptyGrid when
+    no evaluation cycle survives t = 0.
     """
+    if grid_step <= 0:
+        raise ValueError("grid_step must be positive")
     if isinstance(dist_or_joint, JointSamples):
-        lead = eval_table.column(dist_or_joint.lead_quantity)
-        follow = eval_table.column(dist_or_joint.follow_quantity)
-        return lead, lead + follow, dist_or_joint.sum_given_lead_gt
-    values = eval_table.column(dist_or_joint.quantity)
-    return values, values, dist_or_joint.condition_gt
+        key = eval_table.column(dist_or_joint.lead_quantity)
+        target = key + eval_table.column(dist_or_joint.follow_quantity)
+        condition = dist_or_joint.sum_given_lead_gt
+    else:
+        key = target = eval_table.column(dist_or_joint.quantity)
+        condition = dist_or_joint.condition_gt
+    if key.size == 0 or not np.any(key > 0):
+        raise EmptyGrid("no evaluation sample survives any t >= 0")
+    return key, target, condition
 
 
 def _require_in_sample(dist_or_joint, key: np.ndarray, target: np.ndarray) -> None:
@@ -86,6 +98,57 @@ def _require_in_sample(dist_or_joint, key: np.ndarray, target: np.ndarray) -> No
         same = np.array_equal(np.sort(key), dist_or_joint.values)
     if not same:
         raise ValueError("leave-one-out requires in-sample evaluation")
+
+
+def _in_sample_curves(
+    methods: Sequence[Method],
+    dist_or_joint,
+    eval_table: CycleTable,
+    metrics: Sequence[str],
+    grid_step: float,
+) -> list[ErrorCurve]:
+    """The in-sample curve of each (method, metric), in that order, from one
+    walk over the grid.
+
+    At each t the survivors and the training condition are taken once,
+    each method predicts once, and every metric scores that prediction's
+    errors.  Where the training distribution is exhausted, every method
+    holds.
+    """
+    losses = [_loss(metric) for metric in metrics]
+    key, target, condition = _eval_arrays(dist_or_joint, eval_table, grid_step)
+    ts, counts = [], []
+    values = [[[] for _ in losses] for _ in methods]  # per method, per metric
+    with np.errstate(over="ignore"):  # ErrorCurve rejects an overflowed value
+        for t in np.arange(0.0, float(key.max()), grid_step):
+            mask = key > t
+            n = int(mask.sum())
+            if n == 0:
+                continue
+            x = target[mask]
+            try:
+                cond = condition(t)
+            except EmptyCondition:
+                cond = None
+            ts.append(t)
+            counts.append(n)
+            for method, per_metric in zip(methods, values):
+                err = (hold(t) if cond is None else float(method.apply(cond))) - x
+                for (loss, _), out in zip(losses, per_metric):
+                    out.append(float(loss(err).mean()))
+    if not ts:
+        raise EmptyGrid("no grid point has surviving samples")
+    return [
+        ErrorCurve(
+            ts=np.array(ts),
+            values=np.array(out),
+            counts=np.array(counts, dtype=np.int64),
+            predictor=method.label,
+            metric=name,
+        )
+        for method, per_metric in zip(methods, values)
+        for (_, name), out in zip(losses, per_metric)
+    ]
 
 
 def error_curve(
@@ -109,14 +172,11 @@ def error_curve(
     ``eval_table`` holding exactly the training cycles.  A lone survivor
     then has no training data left and holds.
     """
+    if not leave_one_out:
+        return _in_sample_curves([predictor], dist_or_joint, eval_table, [metric], grid_step)[0]
     loss, name = _loss(metric)
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
-    key, target, condition = _eval_arrays(dist_or_joint, eval_table)
-    if key.size == 0 or not np.any(key > 0):
-        raise EmptyGrid("no evaluation sample survives any t >= 0")
-    if leave_one_out:
-        _require_in_sample(dist_or_joint, key, target)
+    key, target, condition = _eval_arrays(dist_or_joint, eval_table, grid_step)
+    _require_in_sample(dist_or_joint, key, target)
 
     ts = np.arange(0.0, float(key.max()), grid_step)
 
@@ -130,12 +190,10 @@ def error_curve(
             cond = condition(t)
         except EmptyCondition:
             cond = None
-        if cond is None or (leave_one_out and cond.n == 1):
+        if cond is None or cond.n == 1:
             pred = hold(t)
-        elif leave_one_out:
-            pred = predictor.apply_loo(cond, x)
         else:
-            pred = float(predictor.apply(cond))
+            pred = predictor.apply_loo(cond, x)
         return t, float(loss(pred - x).mean()), n
 
     with np.errstate(over="ignore"):  # ErrorCurve rejects an overflowed value
@@ -157,24 +215,39 @@ def compare(
     dist_or_joint,
     eval_table: CycleTable,
     metrics: Sequence[str] = ("mae", "mse"),
-    **kwargs,
+    *,
+    grid_step: float = 1.0,
+    leave_one_out: bool = False,
 ) -> list[tuple[float, str, str, float, int]]:
-    """Long-format rows (t, predictor, metric, value, n) for each curve."""
+    """Long-format rows (t, predictor, metric, value, n) for each curve, in
+    (predictor, metric) order.
+
+    In-sample, every curve comes from one walk over the grid; leave-one-out
+    computes one ``error_curve`` per (predictor, metric).
+    """
     if not predictors:
         raise ValueError("at least one predictor is required")
     if not metrics:
         raise ValueError("at least one metric is required")
     for metric in metrics:
         _loss(metric)  # a bad spec fails before any curve is computed
-    rows = []
-    for label, pred in predictors:
-        for metric in metrics:
-            curve = error_curve(pred, dist_or_joint, eval_table, metric, **kwargs)
-            rows.extend(
-                (float(t), label, curve.metric, float(v), int(n))
-                for t, v, n in zip(curve.ts, curve.values, curve.counts)
-            )
-    return rows
+    if leave_one_out:
+        curves = [
+            error_curve(pred, dist_or_joint, eval_table, metric,
+                        grid_step=grid_step, leave_one_out=True)
+            for _, pred in predictors
+            for metric in metrics
+        ]
+    else:
+        curves = _in_sample_curves(
+            [pred for _, pred in predictors], dist_or_joint, eval_table, metrics, grid_step
+        )
+    labels = [label for label, _ in predictors for _ in metrics]
+    return [
+        (float(t), label, curve.metric, float(v), int(n))
+        for label, curve in zip(labels, curves)
+        for t, v, n in zip(curve.ts, curve.values, curve.counts)
+    ]
 
 
 def write_comparison_csv(rows, target) -> None:

@@ -79,6 +79,8 @@ class TimingPlan:
         for _, _, length in self.schedule:
             if not math.isfinite(length):
                 raise ValueError(f"schedule: cycle length must be finite, got {length}")
+            if not math.isfinite(length * 1000):  # simulate's clock counts milliseconds
+                raise ValueError(f"schedule: cycle length must be finite in ms, got {length} s")
             if length <= 0:
                 raise ValueError("cycle length must be positive")
             if self.min_green_p4 + self.max_d1 >= length:

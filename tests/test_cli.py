@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
@@ -371,6 +371,23 @@ class TestEvaluate:
         assert rc == 0
         assert (tmp_path / "d4_pdf.csv").exists()
         assert (tmp_path / "d4_cdf.csv").exists()
+
+    @pytest.mark.parametrize("existing", [None, b"t,predictor\r\n"])
+    def test_plot_data_into_missing_directory_leaves_output_alone(
+        self, tmp_path, capsys, cycles_csv, existing
+    ):
+        # Once exited 1 after writing the whole comparison CSV.
+        out = tmp_path / "cmp.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        rc = main(["evaluate", "--input", str(cycles_csv), "--compare", "expectation",
+                   "--plot-data", str(tmp_path / "missing" / "x"), "-o", str(out)])
+        assert rc == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == existing
 
     def test_leave_one_out_on_other_training_data_exits_1(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -919,6 +936,7 @@ def _config_text(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_config_text())
+@example("schedule = 0-24@1e308\n")
 def test_simulate_survives_random_config(text):
     with tempfile.TemporaryDirectory() as tmp:
         cfg, cycles = Path(tmp) / "sim.cfg", Path(tmp) / "cycles.csv"

@@ -1017,6 +1017,18 @@ def test_event_log_holds_int64_times_and_int8_rings_and_steps():
     assert log_columns(log) == [("<i8", [0, 2**62 + 1]), ("|i1", [1, 2]), ("|i1", [5, 0])]
 
 
+def test_event_log_columns_are_read_only_copies():
+    # A write into a column once escaped ingest_events as a bare IndexError.
+    log = sc.emit_events(sc.simulate(sc.TimingPlan(), sc.peaked_demand(0), 3))
+    for col in (log.timestamp_ms, log.ring, log.step):
+        with pytest.raises(ValueError, match="read-only"):
+            col[5] = 7
+    times, ring, step = np.array([0, 1000]), np.array([1, 1], np.int8), np.array([0, 1], np.int8)
+    log = EventLog(times, ring, step)
+    times[0], ring[0], step[0] = 5, 2, 3  # the caller's arrays stay theirs
+    assert log_columns(log) == [("<i8", [0, 1000]), ("|i1", [1, 1]), ("|i1", [0, 1])]
+
+
 def test_integer_columns_take_whole_floats_and_int64_arrays():
     big = 2**62 + 1  # not a float64: a list mixing it with floats keeps its digits
     two_cycles = [col * 2 for col in _ONE_CYCLE]

@@ -252,13 +252,16 @@ class TestCompare:
 
     def test_bad_metric_rejected_before_any_curve(self, build_table, monkeypatch):
         table = table_from_d4([30.0, 40.0], build_table)
-        curves = []
-        monkeypatch.setattr("spatcast.evaluate.error_curve",
-                            lambda *args, **kwargs: curves.append(args))
-        with pytest.raises(sc.NonpositiveWeight):
-            compare([("expectation", sc.Expectation())], sc.fit(table, "d4"), table,
-                    metrics=("mae", "loss:1:inf"))
-        assert curves == []
+        dist = sc.fit(table, "d4")
+
+        def grid_point(self, t):  # every grid point conditions the training sample
+            pytest.fail(f"grid point t = {t} computed before the bad metric was rejected")
+
+        monkeypatch.setattr(sc.EmpiricalDist, "condition_gt", grid_point)
+        for leave_one_out in (False, True):
+            with pytest.raises(sc.NonpositiveWeight):
+                compare([("expectation", sc.Expectation())], dist, table,
+                        metrics=("mae", "loss:1:inf"), leave_one_out=leave_one_out)
 
     def test_empty_predictors_rejected(self, build_table):
         table = table_from_d4([30.0], build_table)
@@ -350,3 +353,74 @@ def test_leave_one_out_matches_refit(cycles, method, quantity, grid_step, leave_
         np.testing.assert_array_equal(curve.counts, [e.size for _, e in points])
         np.testing.assert_allclose(curve.values, [loss(e).mean() for _, e in points],
                                    rtol=0, atol=1e-9)
+
+
+def reference_loss(metric):
+    """(loss of prediction minus realization, output name) of a metric spec."""
+    if metric == "mae":
+        return np.abs, "mae"
+    if metric == "mse":
+        return (lambda err: err * err), "mse"
+    weights = sc.AsymmetricLoss.parse(metric, "loss metric")
+    return weights.loss, f"loss({weights.c1:g},{weights.c2:g})"
+
+
+def reference_rows(predictors, fitted, table, metrics, grid_step):
+    """In-sample comparison rows one (method, metric) curve at a time, each
+    grid point conditioned and predicted afresh for every curve."""
+    if isinstance(fitted, sc.JointSamples):
+        key = table.column(fitted.lead_quantity)
+        target = key + table.column(fitted.follow_quantity)
+        condition = fitted.sum_given_lead_gt
+    else:
+        key = target = table.column(fitted.quantity)
+        condition = fitted.condition_gt
+    rows = []
+    for label, method in predictors:
+        for metric in metrics:
+            loss, name = reference_loss(metric)
+            for t in np.arange(0.0, float(key.max()), grid_step):
+                mask = key > t
+                n = int(mask.sum())
+                if n == 0:
+                    continue
+                x = target[mask]
+                try:
+                    pred = float(method.apply(condition(t)))
+                except sc.EmptyCondition:
+                    pred = t + DEFAULT_HOLD_S
+                rows.append((float(t), label, name, float(loss(pred - x).mean()), n))
+    return rows
+
+
+METRIC_SPECS = st.sampled_from(["mae", "mse"]) | st.tuples(
+    st.sampled_from([0.5, 1, 2, 3]), st.sampled_from([0.5, 1, 3, 5])
+).map(lambda w: f"loss:{w[0]:g}:{w[1]:g}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    TIE_CYCLES,
+    st.lists(LOO_METHODS, min_size=1, max_size=3),
+    st.lists(METRIC_SPECS, min_size=1, max_size=3),
+    st.sampled_from(["d4", "d4+d1", "joint"]),
+    st.sampled_from([0.1, 1.0, 2.5]),
+    st.none() | TIE_CYCLES,
+)
+@example([(0, 0), (1, 2)], [sc.Expectation(), sc.Confidence(0.8), sc.AsymmetricLoss(3, 1)],
+         ["mae", "mse", "loss:1:3"], "d4", 1.0, [(0, 1), (6, 4), (3, 0)])
+@example([(2, 1), (0, 3)], [sc.AsymmetricLoss(1, 3), sc.Expectation()], ["loss:3:1", "mse"],
+         "joint", 0.1, [(5, 2), (0, 0)])
+@example([(1, 1)], [sc.Confidence(0.5)], ["mae"], "d4+d1", 2.5, None)
+def test_compare_in_sample_rows_equal_per_curve_reference(
+    cycles, methods, metrics, quantity, grid_step, other
+):
+    """One walk over the grid gives the rows of a walk per (method, metric),
+    on the training table or on ``other``, where the history may run out."""
+    train = tie_table(cycles)
+    table = train if other is None else tie_table(other)
+    fitted = sc.fit_joint(train, "d4", "d1") if quantity == "joint" else sc.fit(train, quantity)
+    predictors = [(method.label, method) for method in methods]
+    assert compare(predictors, fitted, table, metrics, grid_step=grid_step) == reference_rows(
+        predictors, fitted, table, metrics, grid_step
+    )

@@ -121,6 +121,9 @@ class TestSimulate:
         ({"min_green_p4": math.inf}, "min_green_p4 must be finite, got inf"),
         ({"max_d4": -math.inf}, "max_d4 must be finite, got -inf"),
         ({"max_d1": math.nan}, "max_d1 must be finite, got nan"),
+        # Once an OverflowError out of simulate's millisecond clock.
+        ({"schedule": ((0.0, 24.0, 1e308),)},
+         "schedule: cycle length must be finite in ms, got 1e+308 s"),
     ])
     def test_non_finite_plan_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
