@@ -19,6 +19,7 @@ reads.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as dt
 import io
@@ -324,9 +325,13 @@ class EventLog:
             raise ValueError("columns must be one-dimensional and of equal length")
         if fault is not None:
             raise fault[1]
-        for name, col, allowed, text in (("ring", ring, (1, 2), "1 or 2"),
-                                         ("step", step, range(6), "in 0-5")):
-            ok = np.isin(col, allowed)
+        for name, col, lo, hi, text in (("ring", ring, 1, 2, "1 or 2"),
+                                        ("step", step, 0, 5, "in 0-5")):
+            # Integers compare in their own dtype, where none wraps.
+            if col.dtype.kind in "biu":
+                ok = (col >= lo) & (col <= hi)
+            else:
+                ok = np.isin(col, range(lo, hi + 1))
             if not ok.all():
                 raise ValueError(f"{name} {col[ok.argmin()]} is not {text}")
         for name, col, dtype in (("timestamp_ms", times, np.int64), ("ring", ring, np.int8),
@@ -369,13 +374,13 @@ def ingest_events(
     # int64, Python integers keep the differences exact.
     if len(ts) and int(ts[-1]) - int(ts[0]) > _INT64_MAX:
         ts = ts.astype(object)
+    at = {ring: np.flatnonzero(log.ring == ring) for ring in RING_SEQUENCE}
     r1, r2 = (
-        _ring_cycles(ts[log.ring == ring], log.step[log.ring == ring], ring, tol_ms)
-        for ring in RING_SEQUENCE
+        _ring_cycles(ts[at[ring]], log.step[at[ring]], ring, tol_ms) for ring in RING_SEQUENCE
     )
 
     # Drop unpaired leading cycles until both rings open together.
-    a, b = r1[:, 0].tolist(), r2[:, 0].tolist()
+    a, b = r1[:, 0], r2[:, 0]
     i = j = 0
     while i < len(a) and j < len(b) and abs(a[i] - b[j]) > tol_ms:
         if a[i] < b[j]:
@@ -400,6 +405,9 @@ def ingest_events(
     return CycleTable.from_columns(*columns, site_id=site_id)
 
 
+_STEPS = np.arange(6, dtype=np.int8)  # a cycle's steps in order
+
+
 def _ring_cycles(t: np.ndarray, step: np.ndarray, ring: int, tol_ms: int) -> np.ndarray:
     """One ring's complete cycles, one row of its six transition times each.
 
@@ -417,7 +425,10 @@ def _ring_cycles(t: np.ndarray, step: np.ndarray, ring: int, tol_ms: int) -> np.
         raise RingSequenceViolation(f"ring {ring}: no {seq[0]} start in stream")
     t, step = t[opens[0]:], step[opens[0]:]
     n = len(t)
-    wrong = np.flatnonzero(step != np.arange(n) % 6)
+    k = n // 6
+    wrong = np.flatnonzero(step[:6 * k].reshape(k, 6) != _STEPS)
+    if not wrong.size:
+        wrong = np.flatnonzero(step[6 * k:] != _STEPS[:n - 6 * k]) + 6 * k
     gaps = np.flatnonzero(t[2::2] - t[1:-1:2] > tol_ms)  # start vs. the end before it
     bad = wrong[0] if wrong.size else n
     gap = 2 * gaps[0] + 2 if gaps.size else n
@@ -432,7 +443,6 @@ def _ring_cycles(t: np.ndarray, step: np.ndarray, ring: int, tol_ms: int) -> np.
             f"ring {ring}: {seq[gap // 2 % 3]} starts at {t[gap]} ms but "
             f"{seq[(gap - 1) // 2 % 3]} ended at {t[gap - 1]} ms (stream not contiguous)"
         )
-    k = n // 6
     return t[:6 * k].reshape(k, 6)
 
 
@@ -513,34 +523,47 @@ def write_event_csv(log: EventLog, target) -> None:
 
 # Rows as the writers write them are parsed a block of about this many
 # bytes at a time, cut at a line end; blocks keep numpy's temporaries small.
-# Of 64, 128 and 256 KB, 256 KB read the ingest-month event and cycle
-# files fastest.
+# Of 64 KB, 256 KB, 1 MB and 4 MB, 256 KB read the ingest-month event and
+# cycle files fastest: 1 MB and 4 MB blocks read both slower (event file
+# 28 and 37 ms against 26, cycle file 19 and 19 ms against 14).
 _BLOCK_BYTES = 1 << 18
 _MAX_DIGITS = 18  # every integer of up to 18 digits fits in int64
 # A row's tail is one of the twelve spellings, which end in "start" (10
 # bytes) or "end" (8 bytes).  Its first 8 bytes, read as one little-endian
-# word, tell the twelve apart: each head, sorted, with its tail's length
-# and code.  A 10-byte tail's "rt" is checked apart from its head.
-_HEADS = sorted(
-    (int.from_bytes(spelled.encode()[:8], "little"), len(spelled), code)
-    for code, spelled in _SPELLING.items()
-)
-_HEAD_WORDS = np.array([word for word, _, _ in _HEADS], dtype="<u8")
-_HEAD_LENGTHS = np.array([length for _, length, _ in _HEADS])
-_HEAD_CODES = np.array([code for _, _, code in _HEADS], dtype=np.int8)
+# word, tell the twelve apart.  A multiply-shift hash, the top 4 bits of
+# head * _HEAD_HASH, puts the twelve heads in distinct slots of a 16-slot
+# table, which holds each slot's head, tail length and code.  An empty
+# slot has length 0, which no tail has, so no head matches it.  A 10-byte
+# tail's "rt" is checked apart from its head.
+_HEAD_HASH = np.uint64(0x9E3779B97F4A7C1F)  # odd; the first past 2**64 / phi that works
+_HEAD_SHIFT = np.uint64(60)
+
+
+def _head_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of the 16 slots' head word, tail length and code."""
+    words, lengths, codes = np.zeros(16, "<u8"), np.zeros(16, np.int64), np.zeros(16, np.int8)
+    for code, spelled in _SPELLING.items():
+        head = int.from_bytes(spelled.encode()[:8], "little")
+        slot = head * int(_HEAD_HASH) % 2**64 >> int(_HEAD_SHIFT)
+        words[slot], lengths[slot], codes[slot] = head, len(spelled), code
+    return words, lengths, codes
+
+
+_HEAD_WORDS, _HEAD_LENGTHS, _HEAD_CODES = _head_table()
 
 
 def read_event_csv(source) -> EventLog:
     """Read a phase-event CSV; a bad row raises MalformedRow with its line.
 
     ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
-    whole.  After the header, rows in write_event_csv's form -- a timestamp
-    of 1 to 18 ASCII digits, one of the twelve ``ring,phase,kind``
-    spellings, and a line end of ``\\n`` or ``\\r\\n`` -- are parsed in numpy
-    blocks.  The first row in any other form, and every row after it, goes
-    through the per-row loop read_cycle_csv shares, where the timestamp and
-    ring are parsed with ``int()``, which accepts other spellings (``01``,
-    `` 2``, quotes), and the ring, phase and kind are checked in that order.
+    whole, past one leading BOM.  After the header, rows in
+    write_event_csv's form -- a timestamp of 1 to 18 ASCII digits, one of
+    the twelve ``ring,phase,kind`` spellings, and a line end of ``\\n`` or
+    ``\\r\\n`` -- are parsed in numpy blocks.  The first row in any other
+    form, and every row after it, goes through the per-row loop
+    read_cycle_csv shares, where the timestamp and ring are parsed with
+    ``int()``, which accepts other spellings (``01``, `` 2``, quotes), and
+    the ring, phase and kind are checked in that order.
     A header in any other form sends the whole file through that loop.  A
     byte that is not UTF-8 raises MalformedRow for its line.
     """
@@ -554,21 +577,22 @@ def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list
     """The columns of a CSV file's rows, in parts, one part per block.
 
     ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
-    whole.  After ``header`` and a ``\\n`` or ``\\r\\n``, blocks of whole
-    lines go to ``parse_block(buf, pos) -> (columns, pos)``: ``buf`` is the
-    file's bytes up to the block's end, which lets a parser read back past
-    the block's start at ``pos``.  It parses the block's leading rows in the
-    writer's form and gives the position after them.  The first row it
-    leaves, and every row after it, goes to
+    whole; one leading BOM is skipped, and line numbers do not change.
+    After ``header`` and a ``\\n`` or ``\\r\\n``, blocks of whole lines go
+    to ``parse_block(buf, pos) -> (columns, pos)``: ``buf`` is the file's
+    bytes, the BOM skipped, up to the block's end, which lets a parser read
+    back past the block's start at ``pos``.  It parses the block's leading
+    rows in the writer's form and gives the position after them.  The first
+    row it leaves, and every row after it, goes to
     ``read_rows(lines, line) -> columns``; ``line`` is the file line before
     ``lines``, which start with the header when it is 0.
     """
     if hasattr(source, "read"):
-        text = source.read()
+        text = source.read().removeprefix("\ufeff")
         # A lone surrogate stays in the text for the per-row loop to reject.
         data = text.encode("utf-8", "surrogatepass")
     else:
-        text, data = None, Path(source).read_bytes()
+        text, data = None, Path(source).read_bytes().removeprefix(codecs.BOM_UTF8)
     head = ",".join(header).encode()
     parts = []
     pos = line = 0
@@ -613,9 +637,8 @@ def _parse_event_block(buf: np.ndarray, pos: int) -> tuple[list[np.ndarray], int
     ends, first, width, tail_len = (a[:k] for a in (ends, first, width, tail_len))
 
     # The tail's head: its first 8 bytes, one unaligned word read per row.
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
-    head = words[first + 1]
-    key = np.searchsorted(_HEAD_WORDS, head).clip(max=len(_HEADS) - 1)
+    head = _words(buf)[first + 1]
+    key = ((head * _HEAD_HASH) >> _HEAD_SHIFT).astype(np.intp)  # a cast gathers faster
     tail_ok = (
         (buf[first] == ord(","))
         & (_HEAD_WORDS[key] == head)
@@ -657,7 +680,7 @@ def _digits(buf: np.ndarray, end: np.ndarray, width: np.ndarray) -> tuple[np.nda
     A field's words may start up to 15 bytes before it, so ``buf`` must
     hold those bytes; both CSV headers are longer.
     """
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+    words = _words(buf)
     value, ok = _eight(words[end - 8], width.clip(max=8))
     if width.max(initial=0) > 8:
         high, high_ok = _eight(words[end - 16], (width - 8).clip(0, 8))
@@ -669,6 +692,12 @@ def _digits(buf: np.ndarray, end: np.ndarray, width: np.ndarray) -> tuple[np.nda
         value[wide] += top * np.uint64(10**16)
         ok[wide] &= top_ok
     return value.view(np.int64), ok
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The unaligned little-endian uint64 word starting at each byte of
+    ``buf`` that has 8 bytes from it, as a view."""
+    return np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
 
 
 def _eight(word: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -799,13 +828,14 @@ def read_cycle_csv(source, site_id: str = "") -> CycleTable:
     """Read a cycle-record CSV into a table.
 
     ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
-    whole.  After the header, rows in write_cycle_csv's form -- two integers
-    of 1 to 18 ASCII digits, seven durations of 1 to 13 digits, a point and
-    two digits, and a line end of ``\\n`` or ``\\r\\n`` -- are parsed in
-    numpy blocks.  The first row in any other form, and every row after it,
-    goes through the per-row loop read_event_csv shares, where fields are
-    parsed with ``int()`` and ``float()`` and the rows parsed are checked
-    together.  The first bad row raises MalformedRow with its file line:
+    whole, past one leading BOM.  After the header, rows in
+    write_cycle_csv's form -- two integers of 1 to 18 ASCII digits, seven
+    durations of 1 to 13 digits, a point and two digits, and a line end of
+    ``\\n`` or ``\\r\\n`` -- are parsed in numpy blocks.  The first row in
+    any other form, and every row after it, goes through the per-row loop
+    read_event_csv shares, where fields are parsed with ``int()`` and
+    ``float()`` and the rows parsed are checked together.  The first bad
+    row raises MalformedRow with its file line:
     a wrong field count, a field that does not parse, an integer outside
     int64, values ``CycleTable`` rejects, or a byte that is not UTF-8.
     Barrier identities are not checked.
@@ -822,6 +852,15 @@ _MAX_UNITS = 13
 # point and two decimals.
 _MIN_WIDTH = np.array([1] * 2 + [4] * 7)
 _MAX_WIDTH = np.array([_MAX_DIGITS] * 2 + [_MAX_UNITS + 3] * 7)
+# A row's separators in form: eight commas, then its line end.
+_ROW_ENDS = np.array([False] * 8 + [True])
+# A duration's last 8 bytes, read as one little-endian word, hold its last
+# five unit digits in bytes 0-4, its point in byte 5 and its two decimals
+# in bytes 6-7.  Shifting bytes 0-4 up over the point squeezes it out and
+# leaves up to 7 digits of hundredths in bytes 1-7, for _eight to read.
+_UNITS_LOW = np.uint64(0x000000FFFFFFFFFF)
+_CENTS = np.uint64(0xFFFF000000000000)
+_SQUEEZED_UNITS = 5
 
 
 def _parse_cycle_block(buf: np.ndarray, pos: int) -> tuple[list[np.ndarray], int]:
@@ -829,36 +868,49 @@ def _parse_cycle_block(buf: np.ndarray, pos: int) -> tuple[list[np.ndarray], int
     ``pos`` to the end of ``buf`` that are in write_cycle_csv's form and
     pass ``_check``, and where those rows end.  A row that breaks a rule is
     left to the per-row loop, which reports it."""
-    ends = np.flatnonzero(buf[pos:] == ord("\n")) + pos
-    commas = np.flatnonzero(buf[pos:] == ord(",")) + pos
-    k = _first(np.diff(np.searchsorted(commas, ends), prepend=0) != 8)
-    ends = ends[:k]
-    cr = buf[ends - 1] == ord("\r")
-    # Field j of a row lies strictly between the row's separators j and
-    # j + 1: the line end before the row, its commas, and its "\r" or "\n".
-    sep = np.empty((k, 10), np.int64)
-    sep[:, 0] = np.concatenate(([pos - 1], ends[:-1]))
-    sep[:, 1:9] = commas[:8 * k].reshape(k, 8)
-    sep[:, 9] = ends - cr
-    width = np.diff(sep) - 1
+    # Every comma and line end in one scan, nine to a row in form; the
+    # first row off that grid is the first line without eight commas.
+    block = buf[pos:]
+    seps = np.flatnonzero((block == ord(",")) | (block == ord("\n"))) + pos
+    k = len(seps) // 9
+    grid = seps[:9 * k].reshape(k, 9)
+    k = _first(((buf[grid] == ord("\n")) != _ROW_ENDS).any(axis=1))
+    # Field j of a row starts after the separator before it (the line end
+    # before the row for j = 0) and ends at the row's separator j, a "\r"
+    # before the line end left out.
+    line_ends = grid[:k, 8]
+    bounds = np.concatenate(([pos - 1], seps[:9 * k]))
+    width = np.diff(bounds).reshape(k, 9) - 1
+    field_end = bounds[1:].reshape(k, 9)
+    cr = buf[line_ends - 1] == ord("\r")
+    width[:, 8] -= cr
+    field_end[:, 8] -= cr
     in_form = (
         ((width >= _MIN_WIDTH) & (width <= _MAX_WIDTH)).all(axis=1)
-        & (buf[sep[:, 3:] - 3] == ord(".")).all(axis=1)
+        & (buf[field_end[:, 2:] - 3] == ord(".")).all(axis=1)
     )
     k = _first(~in_form)
-    sep, width = sep[:k], width[:k]
+    field_end, width = field_end[:k], width[:k]
 
-    # Each field's digits before its point, and each duration's two after;
-    # a row is in form when they all are digits.
-    index, index_ok = _digits(buf, sep[:, 1], width[:, 0])
-    start, start_ok = _digits(buf, sep[:, 2], width[:, 1])
-    units, units_ok = _digits(buf, (sep[:, 3:] - 3).ravel(), (width[:, 2:] - 3).ravel())
-    cents, cents_ok = _digits(buf, sep[:, 3:].ravel(), np.full(7 * k, 2))
-    hundredths = units.reshape(k, 7) * 100 + cents.reshape(k, 7)
-    columns, fault = _check([index, start, *(hundredths / 100).T])
-    digits_ok = index_ok & start_ok & (units_ok & cents_ok).reshape(k, 7).all(axis=1)
+    # Each field's digits, and a duration's as hundredths: its last five
+    # unit digits and two decimals from its squeezed last word, the unit
+    # digits before those from the word before, as _digits reads them.
+    index, index_ok = _digits(buf, field_end[:, 0], width[:, 0])
+    start, start_ok = _digits(buf, field_end[:, 1], width[:, 1])
+    end = field_end[:, 2:].ravel()
+    units = width[:, 2:].ravel() - 3
+    last = _words(buf)[end - 8]
+    hundredths, durations_ok = _eight(
+        ((last & _UNITS_LOW) << _BITS_8) | (last & _CENTS), units.clip(max=_SQUEEZED_UNITS) + 2
+    )
+    if units.max(initial=0) > _SQUEEZED_UNITS:
+        high, high_ok = _digits(buf, end - 8, (units - _SQUEEZED_UNITS).clip(min=0))
+        hundredths += high.view(np.uint64) * np.uint64(10 ** (_SQUEEZED_UNITS + 2))
+        durations_ok &= high_ok
+    columns, fault = _check([index, start, *(hundredths.view(np.int64).reshape(k, 7) / 100).T])
+    digits_ok = index_ok & start_ok & durations_ok.reshape(k, 7).all(axis=1)
     k = min(_first(~digits_ok), fault[0] if fault else k)
-    return [values[:k] for values in columns], int(ends[k - 1]) + 1 if k else pos
+    return [values[:k] for values in columns], int(line_ends[k - 1]) + 1 if k else pos
 
 
 def _read_cycle_rows(lines: Iterable[str], line: int) -> list[np.ndarray]:

@@ -64,6 +64,17 @@ class TestIngest:
         assert main(["ingest", "--events", str(events_csv), "-o", str(out)]) == 0
         assert out.read_bytes() == cycles_csv.read_bytes()
 
+    def test_leading_bom_is_skipped(self, tmp_path, cycles_csv):
+        # Excel's "CSV UTF-8" starts the file with one; it used to exit 1
+        # with "expected header [...], got ['\ufefftimestamp_ms', ...]".
+        events_csv = tmp_path / "events.csv"
+        sc.write_event_csv(sc.emit_events(sc.read_cycle_csv(cycles_csv)), events_csv)
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + events_csv.read_bytes())
+        out = tmp_path / "re.csv"
+        assert main(["ingest", "--events", str(bom_csv), "-o", str(out)]) == 0
+        assert out.read_bytes() == cycles_csv.read_bytes()
+
     def test_missing_file_is_data_error(self, tmp_path):
         rc = main(["ingest", "--events", str(tmp_path / "nope.csv"),
                    "-o", str(tmp_path / "out.csv")])
@@ -101,6 +112,15 @@ class TestFit:
         assert lines[0] == "value,probability"
         probs = [float(l.split(",")[1]) for l in lines[1:]]
         assert sum(probs) == pytest.approx(1.0)
+
+    def test_leading_bom_is_skipped(self, tmp_path, cycles_csv):
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(b"\xef\xbb\xbf" + cycles_csv.read_bytes())
+        outs = [tmp_path / "plain.csv", tmp_path / "bom_out.csv"]
+        for source, out in zip((cycles_csv, bom_csv), outs):
+            assert main(["fit", "--input", str(source), "--quantity", "d4+d1",
+                         "-o", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_empty_stratum_exits_1(self, tmp_path, cycles_csv):
         rc = main(["fit", "--input", str(cycles_csv), "--cycle-length", "90",

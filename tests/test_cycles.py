@@ -3,6 +3,7 @@ import datetime as dt
 import io
 import math
 import tempfile
+import warnings
 from collections import namedtuple
 from contextlib import contextmanager
 from pathlib import Path
@@ -45,11 +46,13 @@ class PhaseEvent(namedtuple("PhaseEvent", "timestamp_ms ring phase kind")):
 @contextmanager
 def _opened(source):
     """``source`` when it is an open handle, else the file it names, opened
-    as UTF-8 text with newline=""."""
+    as UTF-8 text with newline=""; either way past one leading BOM."""
     if hasattr(source, "read"):
+        if source.read(1) != "\ufeff":
+            source.seek(0)
         yield source
     else:
-        with open(source, encoding="utf-8", newline="") as f:
+        with open(source, encoding="utf-8-sig", newline="") as f:
             yield f
 
 
@@ -771,6 +774,8 @@ def _cycle_csv(*rows, sep="\r\n"):
 _VALID_ROW = "0,0,120.00,36.00,0.00,84.00,36.00,0.00,84.00"
 _ROW_1 = "1,120000,120.00,36.00,5.00,79.00,36.00,5.00,79.00"
 _ROW_2 = "2,240000,120.00,41.25,5.50,73.25,41.25,5.50,73.25"
+# Durations of 1, 5, 6, 7 and 13 digits before the point.
+_WIDE = "1.00,12345.67,123456.78,1234567.89,1234567890123.45,5.00,0.00"
 
 
 @settings(max_examples=400, deadline=None)
@@ -789,7 +794,9 @@ _ROW_2 = "2,240000,120.00,41.25,5.50,73.25,41.25,5.50,73.25"
 # A row that breaks a rule in form comes before a row that does not parse.
 @example(_cycle_csv(_VALID_ROW.replace("120.00", "0.00"), _ROW_1.replace("36.00", "x", 1)), 7)
 @example(_cycle_csv(_VALID_ROW, _ROW_1.replace(",5.00,", ",5.00\r,", 1), _ROW_2), 7)
+# One leading BOM is skipped; a second is part of the header.
 @example("\ufeff" + _cycle_csv(_VALID_ROW), 7)
+@example("\ufeff\ufeff" + _cycle_csv(_VALID_ROW), 7)
 # 13 digits before the point are in form; 14 are not.
 @example(_cycle_csv(_VALID_ROW.replace("84.00", "9007199254740.99"),
                     _ROW_1.replace("79.00", "90071992547409.93")), 7)
@@ -797,6 +804,23 @@ _ROW_2 = "2,240000,120.00,41.25,5.50,73.25,41.25,5.50,73.25"
 # Starts of 8, 9, 16, 17 and 18 digits take one, two and three words.
 @example(_cycle_csv(*(f"{n},{'1' * n}" + _VALID_ROW[3:] for n in (8, 9, 16, 17, 18))), 7)
 @example(_cycle_csv(*(f"{n},{'1' * n}" + _VALID_ROW[3:] for n in (8, 9, 16, 17, 18))), 120)
+# A duration's last five unit digits and its decimals are read from its
+# last word with the point squeezed out, and units past five from the word
+# before it: on the first row, whose words read back into the header, on
+# rows next to block edges, and with a non-digit just before the point, as
+# the last byte, and among the units of the word before.
+@example(_cycle_csv("0,0," + _WIDE), 7)
+@example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE, "2,2," + _WIDE), 1)
+@example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE, "2,2," + _WIDE), 120)
+@example(_cycle_csv("0,0," + _WIDE.replace("1234567890123.45", "0.00")), 7)  # 7 at most
+@example(_cycle_csv("0,0,1.00,12345.67,123456.78,5.00,0.00,5.00,0.00"), 7)  # 6 at most
+@example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE.replace("12345.67", "1234:.67")), 7)
+@example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE.replace("3.45", "/.45")), 7)
+@example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE.replace("1.00", "/.00")), 7)
+@example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE.replace("123456.78", "123456.7:")), 7)
+@example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE.replace("0.00", "0.0/")), 7)
+@example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE.replace("1234567.89", ":234567.89")), 7)
+@example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE.replace("0123.45", "0 23.45")), 7)
 # Durations with 6, 8, 9 and 13 digits before the point, and an 18-digit
 # start on the first row, whose words reach back into the header.
 @example(_cycle_csv("0,123456789012345678,120.00,123456.78,12345678.90,123456789.01,"
@@ -811,9 +835,9 @@ def test_read_cycle_csv_matches_per_row_reader(text, block_bytes):
                     assert _read_outcome(sc.read_cycle_csv, source()) == want, (name, size)
 
 
-@pytest.mark.parametrize("sep", ["\r\n", "\n"])
-def test_canonical_cycle_csv_skips_per_row_loop(tmp_path, sep):
-    table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(4), 30, start_ms=10**17)
+def _assert_block_read(tmp_path, table, sep):
+    """read_cycle_csv reads ``table`` as written, with ``sep`` line ends,
+    on the block path alone, as the per-row reference does."""
     buf = io.StringIO()
     sc.write_cycle_csv(table, buf)
     path = tmp_path / "cycles.csv"
@@ -823,6 +847,23 @@ def test_canonical_cycle_csv_skips_per_row_loop(tmp_path, sep):
         for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
             with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
                 assert _read_outcome(sc.read_cycle_csv, path) == want
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\n"])
+def test_canonical_cycle_csv_skips_per_row_loop(tmp_path, sep):
+    table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(4), 30, start_ms=10**17)
+    _assert_block_read(tmp_path, table, sep)
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\n"])
+def test_wide_durations_skip_per_row_loop(tmp_path, sep):
+    # Every duration column takes 1, 5, 6, 7 and 13 digits before the point.
+    durations = np.array([1.0, 12345.67, 123456.78, 1234567.89, 1234567890123.45, 5.0, 0.01])
+    rows = np.arange(30)
+    table = sc.CycleTable.from_columns(
+        rows, rows * 120_000, *(durations[(rows + j) % 7] for j in range(7))
+    )
+    _assert_block_read(tmp_path, table, sep)
 
 
 def _reference_write_cycle_csv(records):
@@ -1012,6 +1053,38 @@ def test_event_log_rejects_rings_and_steps_off_the_pattern(ring, step, reason):
         EventLog([0, 1000], ring, step)
 
 
+@pytest.mark.parametrize("ring, step, reason", [
+    # Integers that would wrap into range as int8.
+    (np.array([1, 257]), [0, 1], "ring 257 is not 1 or 2"),
+    (np.array([1, 2]), np.array([0, 300]), "step 300 is not in 0-5"),
+    (np.array([-255, 1]), [0, 1], "ring -255 is not 1 or 2"),
+    (np.array([1, 1]), np.array([0, -255]), "step -255 is not in 0-5"),
+    (np.array([1, 2], np.uint64), np.array([0, 2**64 - 1], np.uint64),
+     f"step {2**64 - 1} is not in 0-5"),
+    # Floats, nan among them, and bools.
+    (np.array([1.0, 1.5]), [0, 1], "ring 1.5 is not 1 or 2"),
+    ([1, 2], np.array([0.0, np.nan]), "step nan is not in 0-5"),
+    ([np.nan, 1], [0, 1], "ring nan is not 1 or 2"),
+    (np.array([2.0, 1.0]), np.array([5.0, 0.0]), None),
+    (np.array([True, False]), [0, 1], "ring False is not 1 or 2"),
+    (np.array([True, True]), np.array([False, True]), None),
+    # uint8, whose 0 is in range for a step and not for a ring.
+    (np.array([1, 0], np.uint8), [0, 1], "ring 0 is not 1 or 2"),
+    ([1, 1], np.array([0, 255], np.uint8), "step 255 is not in 0-5"),
+    (np.array([2, 1], np.uint8), np.array([0, 5], np.uint8), None),
+])
+def test_event_log_checks_rings_and_steps_of_any_dtype(ring, step, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if reason is not None:
+            with pytest.raises(ValueError, match=f"^{reason}$"):
+                EventLog([0, 1000], ring, step)
+            return
+        log = EventLog([0, 1000], ring, step)
+    assert log_columns(log)[1:] == [("|i1", np.asarray(ring).astype(int).tolist()),
+                                    ("|i1", np.asarray(step).astype(int).tolist())]
+
+
 def test_event_log_holds_int64_times_and_int8_rings_and_steps():
     log = EventLog([0.0, 2**62 + 1], np.array([1, 2]), (5, 0))
     assert log_columns(log) == [("<i8", [0, 2**62 + 1]), ("|i1", [1, 2]), ("|i1", [5, 0])]
@@ -1159,7 +1232,15 @@ def _stamped(*stamps):
 @example(_ONE_ROW + "0,1,p4,endrt\r\n", 64)
 @example(_ONE_ROW + "0,1,p4,end\r\r\n", 1)
 @example(_ONE_ROW + "0,1,p4,end\r\r\n", 64)
-@example("﻿" + _HEADER_LINE + "\r\n0,1,p4,start\r\n", 1)
+# Heads that hash to an empty slot ("1,p3,end" to slot 11), and onto the
+# slot of another spelling ("2,p4,end" onto "1,p4,start"'s, "1,p5,end"
+# onto "2,p6,start"'s).
+@example(_ONE_ROW + "0,1,p3,end\r\n", 1)
+@example(_ONE_ROW + "0,2,p4,end\r\n", 1)
+@example(_ONE_ROW + "0,1,p5,end\r\n", 64)
+# One leading BOM is skipped; a second is part of the header.
+@example("\ufeff" + _HEADER_LINE + "\r\n0,1,p4,start\r\n", 1)
+@example("\ufeff\ufeff" + _HEADER_LINE + "\r\n0,1,p4,start\r\n", 1)
 @example(_HEADER_LINE + "\r\n0,1,p4,start\r1,1,p4,end\r\n", 1)
 @example(_HEADER_LINE + "\r\n0,1,p4,start\r\n" + "9" * 19 + ",1,p4,end\r\n", 7)
 @example(_HEADER_LINE, 1)
@@ -1187,6 +1268,52 @@ def test_read_event_csv_matches_per_row_reader(text, block_bytes):
             for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
                 with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
                     assert _event_outcome(sc.read_event_csv, source()) == want, (name, size)
+
+
+def _head_slot(spelled: str) -> int:
+    """The head table slot of a tail: the top 4 bits of its first 8 bytes,
+    as a little-endian word, times the hash multiplier, mod 2**64."""
+    head = int.from_bytes(spelled.encode()[:8], "little")
+    return head * int(spatcast.cycles._HEAD_HASH) % 2**64 >> 60
+
+
+def test_event_heads_take_distinct_slots_and_empty_slots_reject():
+    cyc = spatcast.cycles
+    slots = {_head_slot(spelled): code for code, spelled in cyc._SPELLING.items()}
+    assert len(slots) == 12
+    for slot, code in slots.items():
+        spelled = cyc._SPELLING[code]
+        assert cyc._HEAD_WORDS[slot] == int.from_bytes(spelled.encode()[:8], "little")
+        assert (cyc._HEAD_LENGTHS[slot], cyc._HEAD_CODES[slot]) == (len(spelled), code)
+    empty = sorted(set(range(16)) - set(slots))
+    assert empty and all(cyc._HEAD_LENGTHS[slot] == 0 for slot in empty)
+    # Tails of 8 bytes whose heads land in every empty slot, and 8 NULs, a
+    # head equal to an empty slot's word: the block parser takes none.
+    tails = ["\0" * 8] + [f"{r},p{p},{kind}" for r in "0123" for p in range(10)
+                          for kind in ("end", "stb", "enb")]
+    found = {}
+    for tail in tails:
+        found.setdefault(_head_slot(tail), tail)
+    assert set(empty) <= set(found)
+    for tail in [found[slot] for slot in empty] + ["\0" * 8]:
+        buf = np.frombuffer((_ONE_ROW + f"0,{tail}\r\n").encode(), np.uint8)
+        pos = len(_ONE_ROW)
+        columns, end = cyc._parse_event_block(buf, pos)
+        assert (len(columns[0]), end) == (0, pos), tail
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("0,3,p4,start", "unknown ring 3"),
+    ("0,1,p8,start", "phase 'p8' is not on ring 1"),
+    ("0,1,p4,stb", "kind must be 'start' or 'end', got 'stb'"),
+    # An end head on a 10-byte tail.
+    ("0,1,p4,endrt", "kind must be 'start' or 'end', got 'endrt'"),
+])
+def test_near_miss_heads_go_per_row_with_their_texts(tmp_path, row, reason):
+    path = tmp_path / "events.csv"
+    path.write_bytes((_ONE_ROW + "1,1,p4,end\r\n" + row + "\r\n").encode())
+    with pytest.raises(MalformedRow, match=f"^line 4: {reason}$"):
+        sc.read_event_csv(path)
 
 
 @pytest.mark.parametrize("sep", ["\r\n", "\n"])
