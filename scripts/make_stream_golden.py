@@ -26,8 +26,7 @@ def build_table() -> CycleTable:
     d6 = [b + c - e for b, c, e in zip(d1, d2, d5)]
     n = len(ROWS)
     return CycleTable.from_columns(
-        range(n), [120_000 * i for i in range(n)], [120.0] * n, d4, d1, d2, d4, d5, d6,
-        site_id="golden",
+        range(n), [120_000 * i for i in range(n)], [120.0] * n, d4, d1, d2, d4, d5, d6
     )
 
 
@@ -37,7 +36,7 @@ def main() -> None:
     target = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_stream.ndjson"
     target.parent.mkdir(parents=True, exist_ok=True)
     with open(target, "w", encoding="utf-8", newline="") as out:
-        count = stream(table, dists, out, cadence_ms=5000, alpha=0.8)
+        count = stream(table, dists, out, cadence_ms=5000, alpha=0.8, site_id="golden")
     print(f"wrote {count} messages to {target}")
 
 

@@ -23,9 +23,7 @@ COLUMNS = ("cycle_start_ms", "length_s", "d4", "d1", "d2", "d8", "d5", "d6")
 def concat(tables):
     """The tables' cycles in order, as one table numbered from 0."""
     columns = [np.concatenate([getattr(t, name) for t in tables]) for name in COLUMNS]
-    return sc.CycleTable.from_columns(
-        np.arange(len(columns[0])), *columns, site_id=tables[0].site_id
-    )
+    return sc.CycleTable.from_columns(np.arange(len(columns[0])), *columns)
 
 
 def main() -> None:

@@ -92,7 +92,7 @@ _INT_FIELDS = _FIELDS[:2]
 
 
 class CycleTable:
-    """Ordered, immutable collection of one site's cycles, held as columns.
+    """Ordered, immutable collection of cycles, held as its nine columns.
 
     ``cycle_index`` and ``cycle_start_ms`` are int64 arrays; ``length_s`` and
     the six durations ``d4`` ... ``d6`` are float64 arrays; all are
@@ -104,33 +104,27 @@ class CycleTable:
     and >= 0 and lengths finite and > 0, and that starts strictly increase.
     Tables straight out of ingestion or simulation are contiguous in time
     (each cycle starts where the previous one ended); slices produced by
-    ``stratify`` or ``window`` keep order but not contiguity.
+    ``stratify`` or ``window`` keep order but not contiguity.  Tables are
+    equal when their columns are; a table carries nothing else.
     """
 
-    __slots__ = (*_FIELDS, "site_id", "provenance", "_records")
+    __slots__ = (*_FIELDS, "_records")
 
-    def __init__(
-        self,
-        records: Iterable[CycleRecord] = (),
-        site_id: str = "",
-        provenance: str | None = None,
-    ) -> None:
+    def __init__(self, records: Iterable[CycleRecord] = ()) -> None:
         records = tuple(records)
         columns = [[getattr(r, name) for r in records] for name in _FIELDS]
-        self._set(columns, site_id, provenance, records)
+        self._set(columns, records)
 
     @classmethod
-    def from_columns(
-        cls, *columns, site_id: str = "", provenance: str | None = None
-    ) -> "CycleTable":
+    def from_columns(cls, *columns) -> "CycleTable":
         """A table from nine columns in CycleRecord field order, copied."""
         if len(columns) != len(_FIELDS):
             raise TypeError(f"expected {len(_FIELDS)} columns, got {len(columns)}")
         table = cls.__new__(cls)
-        table._set(columns, site_id, provenance, None)
+        table._set(columns, None)
         return table
 
-    def _set(self, columns, site_id, provenance, records) -> None:
+    def _set(self, columns, records) -> None:
         arrays, fault = _check(columns)
         if fault is not None:
             raise fault[1]
@@ -140,9 +134,7 @@ class CycleTable:
             raise ValueError("cycle_start_ms must be strictly increasing")
         for arr in arrays:
             arr.setflags(write=False)
-        attrs = (*zip(_FIELDS, arrays), ("site_id", site_id), ("provenance", provenance),
-                 ("_records", records))
-        for name, value in attrs:
+        for name, value in (*zip(_FIELDS, arrays), ("_records", records)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value) -> None:
@@ -169,15 +161,12 @@ class CycleTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycleTable):
             return NotImplemented
-        return (self.site_id, self.provenance) == (other.site_id, other.provenance) and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS
-        )
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"CycleTable(<{len(self)} cycles>, site_id={self.site_id!r}, "
-                f"provenance={self.provenance!r})")
+        return f"CycleTable(<{len(self)} cycles>)"
 
     def column(self, quantity: str) -> np.ndarray:
         """Per-cycle values of a duration, or of a per-cycle sum like 'd4+d1'."""
@@ -202,12 +191,8 @@ class CycleTable:
         if fault is not None:
             raise fault[1]
 
-    def _select(self, keep: np.ndarray, tag: str) -> "CycleTable":
-        prov = tag if self.provenance is None else f"{self.provenance},{tag}"
-        return CycleTable.from_columns(
-            *(getattr(self, name)[keep] for name in _FIELDS),
-            site_id=self.site_id, provenance=prov,
-        )
+    def _select(self, keep: np.ndarray) -> "CycleTable":
+        return CycleTable.from_columns(*(getattr(self, name)[keep] for name in _FIELDS))
 
 
 def _check(
@@ -347,7 +332,6 @@ class EventLog:
 def ingest_events(
     log: EventLog,
     tolerance: float = DEFAULT_TOLERANCE_S,
-    site_id: str = "",
 ) -> CycleTable:
     """Reconstruct per-cycle duration records from a phase-event log.
 
@@ -360,16 +344,21 @@ def ingest_events(
     when the phase order breaks a ring pattern (or the stream has a time
     gap), and BarrierViolation when the barrier identities fail beyond
     ``tolerance`` seconds.  Each names the first failing event or cycle.
+    A tolerance that is not a finite number >= 0 in milliseconds raises
+    ValueError.
     """
     if not isinstance(log, EventLog):
         raise TypeError(f"expected an EventLog, got {type(log).__name__}")
+    tol_ms = tolerance * 1000
+    if not 0 <= tol_ms < np.inf:  # nan fails too
+        raise ValueError(f"tolerance must be a finite number >= 0 in ms, got {tolerance!r} s")
+    tol_ms = int(round(tol_ms))
     ts = log.timestamp_ms
     back = np.flatnonzero(ts[1:] < ts[:-1])
     if back.size:
         i = back[0] + 1
         raise OutOfOrderEvent(f"timestamp {ts[i]} ms after {ts[i - 1]} ms")
 
-    tol_ms = int(round(tolerance * 1000))
     # Every time difference taken below is at most the log's span; past
     # int64, Python integers keep the differences exact.
     if len(ts) and int(ts[-1]) - int(ts[0]) > _INT64_MAX:
@@ -402,7 +391,7 @@ def ingest_events(
         raise BarrierViolation(f"cycle {far[0]}: rings open {apart[far[0]]} ms apart")
     if fault is not None:
         raise fault[1]
-    return CycleTable.from_columns(*columns, site_id=site_id)
+    return CycleTable.from_columns(*columns)
 
 
 _STEPS = np.arange(6, dtype=np.int8)  # a cycle's steps in order
@@ -468,7 +457,7 @@ def stratify(table: CycleTable, cycle_length: float) -> CycleTable:
     keep = np.array([stratum_key(x) == key for x in lengths.tolist()], dtype=bool)[inverse]
     if not keep.any():
         raise EmptyStratum(f"no cycles with L = {key} s")
-    return table._select(keep, f"L={key:g}")
+    return table._select(keep)
 
 
 def day_number(day: "dt.date | int") -> int:
@@ -496,7 +485,7 @@ def window(table: CycleTable, target_day: "dt.date | int", delta_days: int) -> C
     keep = (lo <= days) & (days <= hi)
     if not keep.any():
         raise EmptyStratum(f"no cycles in days [{lo}, {hi}]")
-    return table._select(keep, f"days[{lo},{hi}]")
+    return table._select(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -824,7 +813,7 @@ def _per_distinct(values: np.ndarray, fn=None) -> list:
     return np.array(found, dtype=object)[inverse].tolist()
 
 
-def read_cycle_csv(source, site_id: str = "") -> CycleTable:
+def read_cycle_csv(source) -> CycleTable:
     """Read a cycle-record CSV into a table.
 
     ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
@@ -841,7 +830,7 @@ def read_cycle_csv(source, site_id: str = "") -> CycleTable:
     Barrier identities are not checked.
     """
     parts = _read_blocks(source, _CYCLE_HEADER, _parse_cycle_block, _read_cycle_rows)
-    return CycleTable.from_columns(*map(np.concatenate, zip(*parts)), site_id=site_id)
+    return CycleTable.from_columns(*map(np.concatenate, zip(*parts)))
 
 
 # A duration of up to 13 digits before its point is exact in float64 as a

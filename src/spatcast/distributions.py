@@ -43,14 +43,12 @@ class EmpiricalDist:
 
     ``values`` is kept sorted ascending.  ``quantity`` names what was
     sampled (a duration like ``d4`` or a per-cycle sum like ``d4+d1``),
-    ``stratum`` is the cycle length the samples were drawn from, and
-    ``provenance`` describes the slice of data behind them.
+    and ``stratum`` is the cycle length the samples were drawn from.
     """
 
     values: np.ndarray
     quantity: str
     stratum: float | None = None
-    provenance: str | None = None
 
     def __post_init__(self) -> None:
         arr = np.sort(np.asarray(self.values, dtype=float))
@@ -100,7 +98,7 @@ class EmpiricalDist:
             raise EmptyCondition(
                 f"no {self.quantity} sample exceeds t = {t:g} s"
             )
-        return EmpiricalDist(self.values[i:], self.quantity, self.stratum, self.provenance)
+        return EmpiricalDist(self.values[i:], self.quantity, self.stratum)
 
     def upper_quantile(self, alpha: float) -> float:
         """Largest support value d with P(X >= d) >= alpha.
@@ -145,7 +143,6 @@ class JointSamples:
     lead_quantity: str = "d4"
     follow_quantity: str = "d1"
     stratum: float | None = None
-    provenance: str | None = None
 
     def __post_init__(self) -> None:
         lead = np.array(self.lead, dtype=float)
@@ -172,9 +169,7 @@ class JointSamples:
         return f"{self.lead_quantity}+{self.follow_quantity}"
 
     def sum_dist(self) -> EmpiricalDist:
-        return EmpiricalDist(
-            self.lead + self.follow, self.sum_quantity, self.stratum, self.provenance
-        )
+        return EmpiricalDist(self.lead + self.follow, self.sum_quantity, self.stratum)
 
     def sum_given_lead_gt(self, t: float) -> EmpiricalDist:
         """Distribution of lead+follow over exactly the pairs with lead > t."""
@@ -183,10 +178,7 @@ class JointSamples:
             raise EmptyCondition(
                 f"no {self.lead_quantity} sample exceeds t = {t:g} s"
             )
-        return EmpiricalDist(
-            self.lead[mask] + self.follow[mask],
-            self.sum_quantity, self.stratum, self.provenance,
-        )
+        return EmpiricalDist(self.lead[mask] + self.follow[mask], self.sum_quantity, self.stratum)
 
 
 def _single_stratum(table: CycleTable) -> float:
@@ -213,9 +205,7 @@ def fit(table: CycleTable, quantity: str) -> EmpiricalDist:
     be nonempty and single-stratum.
     """
     stratum = _single_stratum(table)
-    return EmpiricalDist(
-        table.column(quantity), quantity, stratum=stratum, provenance=table.provenance
-    )
+    return EmpiricalDist(table.column(quantity), quantity, stratum=stratum)
 
 
 def fit_joint(
@@ -225,6 +215,5 @@ def fit_joint(
     stratum = _single_stratum(table)
     return JointSamples(
         table.column(lead), table.column(follow),
-        lead_quantity=lead, follow_quantity=follow,
-        stratum=stratum, provenance=table.provenance,
+        lead_quantity=lead, follow_quantity=follow, stratum=stratum,
     )

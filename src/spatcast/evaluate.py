@@ -276,13 +276,13 @@ def write_plot_data(dist: EmpiricalDist, prefix: str, bin_width: float = 1.0) ->
     hi = np.ceil(dist.support_max() / bin_width) * bin_width
     edges = np.arange(lo, hi + bin_width, bin_width)
     hist, _ = np.histogram(dist.values, bins=edges)
-    with open(f"{prefix}_pdf.csv", "w", encoding="utf-8", newline="") as f:
+    with text_sink(f"{prefix}_pdf.csv") as f:
         w = csv.writer(f)
         w.writerow(["bin_left", "bin_right", "probability"])
         for left, right, count in zip(edges[:-1], edges[1:], hist):
             w.writerow([f"{left:g}", f"{right:g}", f"{count / dist.n:.10g}"])
     values, probs = dist.pdf()
-    with open(f"{prefix}_cdf.csv", "w", encoding="utf-8", newline="") as f:
+    with text_sink(f"{prefix}_cdf.csv") as f:
         w = csv.writer(f)
         w.writerow(["value", "cdf"])
         cum = 0.0

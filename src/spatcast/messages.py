@@ -205,12 +205,14 @@ def stream(
     *,
     cadence_ms: int = 100,
     alpha: float = 0.8,
-    site_id: str | None = None,
+    site_id: str = "",
     speed: float | None = None,
 ) -> int:
     """Replay a cycle table as NDJSON messages at a fixed cadence.
 
-    Each tick emits one message per ring's active phase (ring 1 first).
+    Each tick emits one message per ring's active phase (ring 1 first),
+    each naming the site ``site_id``: the site is a field of the message,
+    not of the table, as in ``compose``.
     ``speed`` of None replays as fast as possible; a positive value paces
     ticks at cadence/speed wall seconds (1.0 is real time), at most
     ``threading.TIMEOUT_MAX``, the longest wait a sleep is sure to take;
@@ -223,7 +225,6 @@ def stream(
         raise ValueError("cadence_ms must be >= 10 (the log clock resolution)")
     if speed is not None and speed <= 0:
         raise ValueError("speed must be positive")
-    sid = table.site_id if site_id is None else site_id
     pace = None if speed is None else (cadence_ms / 1000.0) / speed
     if pace is not None and pace > threading.TIMEOUT_MAX:
         raise ValueError(f"speed {speed:g} at cadence_ms {cadence_ms} paces ticks {pace:g} s "
@@ -253,7 +254,7 @@ def stream(
                 stats = cache.get(key)
                 if stats is None:
                     stats = cache[key] = _conditional_stats(dists, phase, t, alpha)
-                msg = _message(sid, cycle_index, phase, t, phase_start, alpha, stats)
+                msg = _message(site_id, cycle_index, phase, t, phase_start, alpha, stats)
                 try:
                     out.write(msg.to_ndjson() + "\n")
                 except (SinkClosed, BrokenPipeError, ValueError):

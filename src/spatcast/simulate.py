@@ -150,7 +150,6 @@ def simulate(
     n_cycles: int,
     *,
     start_ms: int = 0,
-    site_id: str = "sim",
 ) -> CycleTable:
     """Generate ``n_cycles`` records under the actuation rule.
 
@@ -186,9 +185,7 @@ def simulate(
         lengths.append(length)
         durations.append((d4, d1, d2, d4, d5, d6))
         t_ms += int(round(length * 1000))
-    return CycleTable.from_columns(
-        range(n_cycles), starts, lengths, *zip(*durations), site_id=site_id
-    )
+    return CycleTable.from_columns(range(n_cycles), starts, lengths, *zip(*durations))
 
 
 def emit_events(table: CycleTable) -> EventLog:

@@ -16,7 +16,7 @@ def log_columns(log: EventLog) -> list:
     return [(col.dtype.str, col.tolist()) for col in (log.timestamp_ms, log.ring, log.step)]
 
 
-def _build_table(rows, site_id="t", start_ms=0, length=120.0):
+def _build_table(rows, start_ms=0, length=120.0):
     """Build a contiguous table from (d4, d1, d5) rows.
 
     d2 and d6 are derived so the barrier identities hold exactly; d8 = d4.
@@ -39,7 +39,7 @@ def _build_table(rows, site_id="t", start_ms=0, length=120.0):
             d4=d4, d1=d1, d2=d2, d8=d4, d5=d5, d6=d6,
         ))
         t_ms += int(round(cycle_len * 1000))
-    return CycleTable(tuple(records), site_id=site_id)
+    return CycleTable(tuple(records))
 
 
 @pytest.fixture

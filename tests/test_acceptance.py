@@ -192,7 +192,7 @@ def _concat(tables) -> sc.CycleTable:
     records = tuple(
         replace(rec, cycle_index=i) for i, rec in enumerate(records)
     )
-    return sc.CycleTable(records, site_id=tables[0].site_id)
+    return sc.CycleTable(records)
 
 
 def test_criterion_6_sliding_window_tracks_demand_shift():

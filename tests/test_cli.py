@@ -632,6 +632,21 @@ def test_non_finite_float_flag_is_usage_error(capsys, argv):
     assert f"argument {argv[-2]}: expected {wanted}, got {argv[-1]}" in err
 
 
+# A tolerance the flag accepts but that is infinite in ms once raised out of
+# ingest_events as OverflowError, with a traceback.
+def test_tolerance_infinite_in_ms_exits_1_before_writing(tmp_path, capsys, cycles_csv):
+    events_csv = tmp_path / "events.csv"
+    sc.write_event_csv(sc.emit_events(sc.read_cycle_csv(cycles_csv)), events_csv)
+    out_file = tmp_path / "c.csv"
+    rc = main(["ingest", "--events", str(events_csv), "--tolerance", "1e308",
+               "-o", str(out_file)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: tolerance must be a finite number >= 0 in ms, got 1e+308 s\n"
+    assert not out_file.exists()
+
+
 # Each argparse type helper, given text that int() or float() rejects: the
 # error names the flag and what it expects, never the helper.
 @pytest.mark.parametrize("argv, expected", [

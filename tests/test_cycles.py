@@ -75,6 +75,14 @@ def _ingest(events, *args):
 
 
 class TestIngest:
+    @pytest.mark.parametrize("tolerance", [1e308, math.inf, math.nan, -0.5])
+    def test_tolerance_must_be_finite_ms_and_nonnegative(self, tolerance):
+        events = _cycle_events(0, (36, 0, 84), (36, 0, 84))
+        with pytest.raises(ValueError) as exc:
+            _ingest(events, tolerance)
+        assert str(exc.value) == (
+            f"tolerance must be a finite number >= 0 in ms, got {tolerance!r} s")
+
     def test_single_cycle_with_zero_duration_left_turn(self):
         events = _cycle_events(0, (36, 0, 84), (36, 0, 84))
         assert len(events) == 12
@@ -164,7 +172,6 @@ class TestStratify:
         low, high = sc.stratify(table, 100.35), sc.stratify(table, 100.45)
         assert [r.length_s for r in low] == [100.35]
         assert [r.length_s for r in high] == [100.45]
-        assert (low.provenance, high.provenance) == ("L=100.3", "L=100.5")
         with pytest.raises(sc.EmptyStratum, match="no cycles with L = 100.4 s"):
             sc.stratify(table, 100.4)
         with pytest.raises(sc.MixedStrata,
@@ -235,6 +242,13 @@ class TestCsv:
         back = sc.read_cycle_csv(io.StringIO(buf.getvalue()))
         for name in ("d4", "d1", "d2", "d8", "d5", "d6"):
             np.testing.assert_allclose(back.column(name), table.column(name), atol=1e-9)
+        # A table is its columns: a simulated one reads back equal, and a
+        # stratum that keeps every cycle is the table itself.
+        sim = sc.simulate(sc.TimingPlan(), sc.peaked_demand(0), 30)
+        buf = io.StringIO()
+        sc.write_cycle_csv(sim, buf)
+        assert sc.read_cycle_csv(io.StringIO(buf.getvalue())) == sim
+        assert sc.stratify(sim, 120) == sim
 
     def test_cycle_csv_header_checked(self):
         with pytest.raises(ValueError):
@@ -473,8 +487,10 @@ def _reference_ring_spans(events, ring, tol_ms):
     return spans
 
 
-def _reference_ingest(stream, tolerance=sc.DEFAULT_TOLERANCE_S, site_id=""):
+def _reference_ingest(stream, tolerance=sc.DEFAULT_TOLERANCE_S):
     """The per-event ingest loop, kept as the oracle for ingest_events."""
+    if not 0 <= tolerance * 1000 < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0 in ms, got {tolerance!r} s")
     events = list(stream)
     prev_ts = None
     for ev in events:
@@ -513,7 +529,7 @@ def _reference_ingest(stream, tolerance=sc.DEFAULT_TOLERANCE_S, site_id=""):
         row = (idx, cycle_start, length, *(durs[name] for name in _DURATIONS))
         _reference_check_row(row, tolerance)
         records.append(sc.CycleRecord(*row))
-    return sc.CycleTable(tuple(records), site_id=site_id)
+    return sc.CycleTable(tuple(records))
 
 
 # Green durations in ms: coarse values make zero-length phases and cycles,
@@ -595,7 +611,7 @@ def _drifting_events(ring1, ring2):
 
 def _outcome(ingest, events, tolerance):
     try:
-        return ingest(events, tolerance, "s")
+        return ingest(events, tolerance)
     except (sc.SpatError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -650,7 +666,7 @@ def _reference_parse_cycle_row(row, line):
         raise sc.MalformedRow(line, str(exc)) from exc
 
 
-def _reference_read_cycle_csv(source, site_id=""):
+def _reference_read_cycle_csv(source):
     """The per-row cycle CSV reader, kept as the oracle for read_cycle_csv."""
     with _opened(source) as f:
         rows = csv.reader(f)
@@ -664,7 +680,7 @@ def _reference_read_cycle_csv(source, site_id=""):
     starts = [r.cycle_start_ms for r in records]
     if any(b <= a for a, b in zip(starts, starts[1:])):
         raise ValueError("cycle_start_ms must be strictly increasing")
-    return sc.CycleTable(tuple(records), site_id=site_id)
+    return sc.CycleTable(tuple(records))
 
 
 _DAY_MS = 86_400_000
@@ -746,12 +762,12 @@ _COLUMNS = ("cycle_index", "cycle_start_ms", "length_s", *_DURATIONS)
 
 def _read_outcome(read, source):
     try:
-        table = read(source, site_id="s")
+        table = read(source)
     except (sc.SpatError, ValueError) as exc:
         return type(exc), str(exc)
     # Each column's dtype and bits, so that -0.0 and 0.0 differ.
     columns = [getattr(table, name) for name in _COLUMNS]
-    return table.site_id, [(col.dtype.str, col.tobytes()) for col in columns]
+    return [(col.dtype.str, col.tobytes()) for col in columns]
 
 
 def _sources(text, tmp):
@@ -918,7 +934,7 @@ def _sliced(table, slicer, *args):
         sub = slicer(table, *args)
     except sc.EmptyStratum as exc:
         return str(exc)
-    return sub.records, sub.site_id, sub.provenance
+    return sub.records
 
 
 def _fitted(table, quantity):
@@ -926,25 +942,24 @@ def _fitted(table, quantity):
         dist = sc.fit(table, quantity)
     except (sc.EmptyInput, sc.MixedStrata) as exc:
         return type(exc), str(exc)
-    return dist.values.tolist(), dist.stratum, dist.provenance
+    return dist.values.tolist(), dist.stratum
 
 
 @settings(max_examples=200, deadline=None)
 @given(_cycle_columns(), st.integers(-2, 8), st.integers(1, 4))
 def test_table_operations_match_record_tuple(columns, target, delta):
-    table = sc.CycleTable.from_columns(*columns, site_id="s")
+    table = sc.CycleTable.from_columns(*columns)
     rows = list(zip(*columns))
     for row in rows:
         _reference_check_row(row)
     records = tuple(sc.CycleRecord(*row) for row in rows)
-    ref = sc.CycleTable(records, site_id="s")
+    ref = sc.CycleTable(records)
     assert table.records == records
     assert [repr(r) for r in table] == [repr(r) for r in records]  # -0.0 keeps its sign
     assert [table[i] for i in range(len(records))] == list(records)
     assert table == ref
-    assert table != sc.CycleTable(records, site_id="t")
     if records:
-        assert table != sc.CycleTable(records[:-1], site_id="s")
+        assert table != sc.CycleTable(records[:-1])
 
     buf = io.StringIO()
     sc.write_cycle_csv(table, buf)
@@ -964,13 +979,13 @@ def test_table_operations_match_record_tuple(columns, target, delta):
     for cycle_length in {100.0, 100.35, 100.4, 100.45, 100.5, 120.0, 110.0}:
         key = round(cycle_length, 1)
         kept = tuple(r for r in records if round(r.length_s, 1) == key)
-        want = (kept, "s", f"L={key:g}") if kept else f"no cycles with L = {key} s"
+        want = kept if kept else f"no cycles with L = {key} s"
         assert _sliced(table, sc.stratify, cycle_length) == want
 
     day = (records[0].day_index if records else 0) + target
     lo, hi = day - delta, day - 1
     kept = tuple(r for r in records if lo <= r.day_index <= hi)
-    want = (kept, "s", f"days[{lo},{hi}]") if kept else f"no cycles in days [{lo}, {hi}]"
+    want = kept if kept else f"no cycles in days [{lo}, {hi}]"
     assert _sliced(table, sc.window, day, delta) == want
 
     strata = {round(r.length_s, 1) for r in records}
@@ -980,7 +995,7 @@ def test_table_operations_match_record_tuple(columns, target, delta):
         elif len(strata) > 1:
             want = sc.MixedStrata, f"table mixes cycle lengths {sorted(strata)}; stratify first"
         else:
-            want = sorted(_reference_column(records, quantity).tolist()), min(strata), None
+            want = sorted(_reference_column(records, quantity).tolist()), min(strata)
         assert _fitted(table, quantity) == want
 
 

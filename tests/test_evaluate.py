@@ -31,17 +31,14 @@ def _drop_one(dist_or_joint, key_value, target_value):
         return sc.JointSamples(
             dist_or_joint.lead[keep], dist_or_joint.follow[keep],
             dist_or_joint.lead_quantity, dist_or_joint.follow_quantity,
-            dist_or_joint.stratum, dist_or_joint.provenance,
+            dist_or_joint.stratum,
         )
     values = dist_or_joint.values
     pos = int(np.searchsorted(values, key_value))
     assert values[pos] == key_value
     if values.size == 1:
         return None
-    return sc.EmpiricalDist(
-        np.delete(values, pos), dist_or_joint.quantity,
-        dist_or_joint.stratum, dist_or_joint.provenance,
-    )
+    return sc.EmpiricalDist(np.delete(values, pos), dist_or_joint.quantity, dist_or_joint.stratum)
 
 
 def refit_loo_errors(method, dist_or_joint, key, target, grid_step):

@@ -227,7 +227,7 @@ class TestStream:
         lines = {}
         for name, table in (("plain", plain), ("skewed", skewed)):
             out = io.StringIO()
-            sc.stream(table, sc.fit_message_dists(table), out, cadence_ms=500)
+            sc.stream(table, sc.fit_message_dists(table), out, cadence_ms=500, site_id="t")
             lines[name] = out.getvalue().splitlines()
         held = [
             f'{{"site":"t","cycle":1,"phase":"{phase}","madeAt":120.00,'
@@ -263,13 +263,10 @@ class TestStream:
         assert emitted == 37
 
     def test_golden_stream(self, build_table):
-        table = build_table(
-            [(36.0, 0.0, 0.0), (41.0, 5.0, 10.0), (46.0, 10.0, 0.0)],
-            site_id="golden",
-        )
+        table = build_table([(36.0, 0.0, 0.0), (41.0, 5.0, 10.0), (46.0, 10.0, 0.0)])
         dists = sc.fit_message_dists(table)
         out = io.StringIO()
-        sc.stream(table, dists, out, cadence_ms=5000, alpha=0.8)
+        sc.stream(table, dists, out, cadence_ms=5000, alpha=0.8, site_id="golden")
         import pathlib
         golden = pathlib.Path(__file__).parent / "data" / "golden_stream.ndjson"
         assert out.getvalue() == golden.read_text(encoding="utf-8")
@@ -297,7 +294,7 @@ def table_of(rows, skew_at=None):
         records.append(sc.CycleRecord(i, t_ms, length, d4=d4, d1=d1, d2=d2,
                                       d8=d4, d5=d5, d6=d6))
         t_ms += int(round(length * 1000))
-    return sc.CycleTable(tuple(records), site_id="t")
+    return sc.CycleTable(tuple(records))
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,7 +331,7 @@ def _active_phase(rec, ring, t):
     return "p6", rec.d8 + rec.d5
 
 
-def _reference_stream(table, dists, out, *, cadence_ms, alpha):
+def _reference_stream(table, dists, out, *, cadence_ms, alpha, site_id):
     """The stream one record and one SpatMessage at a time, ring phases by name."""
     emitted = 0
     for rec in table.records:
@@ -345,7 +342,7 @@ def _reference_stream(table, dists, out, *, cadence_ms, alpha):
                 min_end, max_end, likely, conf, next_time, degraded = _conditional_stats(
                     dists, phase, t, alpha)
                 msg = sc.SpatMessage(
-                    site_id=table.site_id, cycle_index=rec.cycle_index, phase=phase,
+                    site_id=site_id, cycle_index=rec.cycle_index, phase=phase,
                     made_at=t, start_time=phase_start, min_end_time=min_end,
                     max_end_time=max_end, likely_time=likely, confidence_alpha=alpha,
                     confidence_value=conf, next_time=next_time, degraded=degraded,
@@ -381,13 +378,14 @@ def test_stream_lines_equal_composed_messages(rows, skew_at, cadence_ms, alpha, 
     table = table_of(rows, skew_at)
     dists = sc.fit_message_dists(table)
     out, ref = io.StringIO(), io.StringIO()
-    emitted = sc.stream(table, dists, out, cadence_ms=cadence_ms, alpha=alpha)
-    assert emitted == _reference_stream(table, dists, ref, cadence_ms=cadence_ms, alpha=alpha)
+    opts = {"cadence_ms": cadence_ms, "alpha": alpha, "site_id": "t"}
+    emitted = sc.stream(table, dists, out, **opts)
+    assert emitted == _reference_stream(table, dists, ref, **opts)
     assert out.getvalue() == ref.getvalue()
     # A sink that closes stops both at the same line.
     sink, ref_sink = _ClosingSink(close_after), _ClosingSink(close_after)
-    assert (sc.stream(table, dists, sink, cadence_ms=cadence_ms, alpha=alpha)
-            == _reference_stream(table, dists, ref_sink, cadence_ms=cadence_ms, alpha=alpha)
+    assert (sc.stream(table, dists, sink, **opts)
+            == _reference_stream(table, dists, ref_sink, **opts)
             == min(close_after, emitted))
     assert sink.lines == ref_sink.lines
     for line in out.getvalue().splitlines():
