@@ -3,18 +3,19 @@
 For a grid of times t, the error at t averages a loss between the
 prediction made at t and the realized duration, over exactly the cycles
 whose duration exceeds t (the cycles for which a prediction at t was ever
-needed).  In-sample evaluation is the default: one walk over the grid
-conditions the training sample once per t, applies each method once, and
-scores every metric from that method's errors, so ``compare`` makes one
-prediction per method and t whatever the number of metrics.  Leave-one-out
-predicts each cycle from the training sample without that cycle; it is
-exact (closed form, no refit), defined only for in-sample evaluation, and
-still runs one curve per (method, metric).
+needed).  Both modes share one walk over the grid: it conditions the
+training sample once per t, applies each method once, and scores every
+metric from that method's errors.  In-sample evaluation is the default.
+Leave-one-out predicts each cycle from the training sample without that
+cycle; it is exact (closed form, no refit) and defined only for in-sample
+evaluation.  ``compare`` walks once for all its curves in-sample, and for
+leave-one-out still calls ``error_curve`` once per (method, metric).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -100,23 +101,28 @@ def _require_in_sample(dist_or_joint, key: np.ndarray, target: np.ndarray) -> No
         raise ValueError("leave-one-out requires in-sample evaluation")
 
 
-def _in_sample_curves(
+def _curves(
     methods: Sequence[Method],
     dist_or_joint,
     eval_table: CycleTable,
     metrics: Sequence[str],
     grid_step: float,
+    leave_one_out: bool = False,
 ) -> list[ErrorCurve]:
-    """The in-sample curve of each (method, metric), in that order, from one
-    walk over the grid.
+    """The curve of each (method, metric), in that order, from one walk over
+    the grid.
 
     At each t the survivors and the training condition are taken once,
     each method predicts once, and every metric scores that prediction's
     errors.  Where the training distribution is exhausted, every method
-    holds.
+    holds.  With ``leave_one_out`` each survivor is predicted by
+    ``apply_loo`` from the condition without it, so the evaluated cycles
+    must be the training sample; a lone survivor leaves nothing and holds.
     """
     losses = [_loss(metric) for metric in metrics]
     key, target, condition = _eval_arrays(dist_or_joint, eval_table, grid_step)
+    if leave_one_out:
+        _require_in_sample(dist_or_joint, key, target)
     ts, counts = [], []
     values = [[[] for _ in losses] for _ in methods]  # per method, per metric
     with np.errstate(over="ignore"):  # ErrorCurve rejects an overflowed value
@@ -130,10 +136,18 @@ def _in_sample_curves(
                 cond = condition(t)
             except EmptyCondition:
                 cond = None
+            if leave_one_out and cond is not None and cond.n == 1:
+                cond = None  # a lone survivor leaves no sample to predict from
             ts.append(t)
             counts.append(n)
             for method, per_metric in zip(methods, values):
-                err = (hold(t) if cond is None else float(method.apply(cond))) - x
+                if cond is None:
+                    pred = hold(t)
+                elif leave_one_out:
+                    pred = method.apply_loo(cond, x)
+                else:
+                    pred = float(method.apply(cond))
+                err = pred - x
                 for (loss, _), out in zip(losses, per_metric):
                     out.append(float(loss(err).mean()))
     if not ts:
@@ -172,42 +186,7 @@ def error_curve(
     ``eval_table`` holding exactly the training cycles.  A lone survivor
     then has no training data left and holds.
     """
-    if not leave_one_out:
-        return _in_sample_curves([predictor], dist_or_joint, eval_table, [metric], grid_step)[0]
-    loss, name = _loss(metric)
-    key, target, condition = _eval_arrays(dist_or_joint, eval_table, grid_step)
-    _require_in_sample(dist_or_joint, key, target)
-
-    ts = np.arange(0.0, float(key.max()), grid_step)
-
-    def at(t: float):
-        mask = key > t
-        n = int(mask.sum())
-        if n == 0:
-            return None
-        x = target[mask]
-        try:
-            cond = condition(t)
-        except EmptyCondition:
-            cond = None
-        if cond is None or cond.n == 1:
-            pred = hold(t)
-        else:
-            pred = predictor.apply_loo(cond, x)
-        return t, float(loss(pred - x).mean()), n
-
-    with np.errstate(over="ignore"):  # ErrorCurve rejects an overflowed value
-        points = [p for p in map(at, ts) if p is not None]
-    if not points:
-        raise EmptyGrid("no grid point has surviving samples")
-
-    return ErrorCurve(
-        ts=np.array([p[0] for p in points]),
-        values=np.array([p[1] for p in points]),
-        counts=np.array([p[2] for p in points], dtype=np.int64),
-        predictor=predictor.label,
-        metric=name,
-    )
+    return _curves([predictor], dist_or_joint, eval_table, [metric], grid_step, leave_one_out)[0]
 
 
 def compare(
@@ -239,7 +218,7 @@ def compare(
             for metric in metrics
         ]
     else:
-        curves = _in_sample_curves(
+        curves = _curves(
             [pred for _, pred in predictors], dist_or_joint, eval_table, metrics, grid_step
         )
     labels = [label for label, _ in predictors for _ in metrics]
@@ -272,8 +251,13 @@ def write_plot_data(dist: EmpiricalDist, prefix: str, bin_width: float = 1.0) ->
     """Emit binned pdf and exact cdf CSVs for external plotting."""
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    lo = np.floor(dist.support_min() / bin_width) * bin_width
-    hi = np.ceil(dist.support_max() / bin_width) * bin_width
+    # Python floats, so an edge past the largest float is inf without a warning.
+    lo = float(np.floor(dist.support_min() / bin_width)) * bin_width
+    hi = float(np.ceil(dist.support_max() / bin_width)) * bin_width
+    if not math.isfinite(hi + bin_width):
+        raise ValueError(
+            f"bin_width = {bin_width:g} s puts the last bin edge past the largest float"
+        )
     edges = np.arange(lo, hi + bin_width, bin_width)
     hist, _ = np.histogram(dist.values, bins=edges)
     with text_sink(f"{prefix}_pdf.csv") as f:

@@ -37,8 +37,17 @@ DEFAULT_HOLD_S = 1.0  # broadcast fallback when history is exhausted
 
 
 def hold(t: float) -> float:
-    """The predicted end at elapsed time t once history is exhausted."""
-    return t + DEFAULT_HOLD_S
+    """The predicted end at elapsed time t once history is exhausted.
+
+    Raises ValueError when t + ``DEFAULT_HOLD_S`` is not above t (t of
+    2**53 s or more, where the hold rounds back to t).
+    """
+    held = t + DEFAULT_HOLD_S
+    if not held > t:
+        raise ValueError(
+            f"t = {t:g} s is too large to hold: t + {DEFAULT_HOLD_S:g} s is not above t"
+        )
+    return held
 
 
 # The quantity whose conditional distribution predicts each phase's end: the
@@ -259,12 +268,10 @@ def predict_schedule(
             f"schedule from {current_phase} needs the {quantity!r} distribution"
         )
     else:
-        p = predict(dists[quantity], t, Expectation())
+        past_t = dists[quantity].condition_gt(t)
         # The float mean of equal samples can miss their value by an ulp;
-        # the end stays within the samples past t, the top n of the sorted
-        # values.
-        past_t = dists[quantity].values[-p.n_conditioning_samples:]
-        end = min(max(p.predicted_duration, float(past_t[0])), float(past_t[-1]))
+        # the end stays within the samples past t.
+        end = min(max(past_t.mean(), past_t.support_min()), past_t.support_max())
 
     next_green = length
     for dist in (first, mid)[:seq.index(current_phase)]:

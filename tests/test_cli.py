@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,17 @@ class TestPredict:
             assert msg["degraded"] is True
             assert msg["likelyTime"] == float(t) + 1.0
 
+    @pytest.mark.parametrize("t", ["1e16", "1e308"])
+    def test_t_too_large_to_hold_exits_1(self, capsys, cycles_csv, t):
+        # Past history the message holds at t + 1 s, which rounds back to t
+        # here.  Once a held line with likelyTime equal to madeAt (1e16), and
+        # an error about nextTime that named no flag (1e308).
+        rc = main(["message", "--input", str(cycles_csv), "--phase", "p4", "--t", t])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", f"error: t = {float(t):g} s is too large to hold: t + 1 s is not above t\n"
+        )
+
     @pytest.mark.parametrize("argv, flag, reason", [
         (["predict", "--input", "c.csv", "--t", "10", "--phase-start", "5"],
          "--phase-start", None),
@@ -421,6 +433,20 @@ class TestEvaluate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: leave-one-out requires in-sample evaluation\n"
+
+    def test_bin_width_past_the_largest_float_exits_1(self, tmp_path, capsys, cycles_csv):
+        # Once numpy's overflow RuntimeWarning, then "Maximum allowed size exceeded".
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["evaluate", "--input", str(cycles_csv), "--compare", "expectation",
+                       "--plot-data", str(tmp_path / "p"), "--bin-width", "1e308",
+                       "-o", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == (
+            "", "error: bin_width = 1e+308 s puts the last bin edge past the largest float\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == [cycles_csv.name]
 
     def test_unknown_metric_is_data_error(self, tmp_path, cycles_csv):
         rc = main(["evaluate", "--input", str(cycles_csv),

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
-from spatcast.evaluate import compare, error_curve, write_comparison_csv
+from spatcast.evaluate import compare, error_curve, write_comparison_csv, write_plot_data
 from spatcast.predict import DEFAULT_HOLD_S
 
 
@@ -235,6 +236,18 @@ class TestOptimality:
         assert curve.values[-1] < curve.values[0]
 
 
+class TestPlotData:
+    def test_bin_width_past_the_largest_float_rejected(self, tmp_path):
+        dist = dist_of([36.0, 41.0])
+        with pytest.raises(ValueError, match=re.escape(
+            "bin_width = 1e+308 s puts the last bin edge past the largest float"
+        )):
+            write_plot_data(dist, str(tmp_path / "p"), bin_width=1e308)
+        assert list(tmp_path.iterdir()) == []
+        write_plot_data(dist, str(tmp_path / "p"), bin_width=1e307)
+        assert (tmp_path / "p_pdf.csv").read_text().splitlines()[1:] == ["0,1e+307,1"]
+
+
 class TestCompare:
     def test_long_format_rows(self, build_table):
         table = table_from_d4([30.0, 40.0, 50.0], build_table)
@@ -395,6 +408,23 @@ METRIC_SPECS = st.sampled_from(["mae", "mse"]) | st.tuples(
 ).map(lambda w: f"loss:{w[0]:g}:{w[1]:g}")
 
 
+def loo_reference_rows(predictors, fitted, table, metrics, grid_step):
+    """Leave-one-out comparison rows one (method, metric) curve at a time,
+    each cycle's prediction refitted without that cycle."""
+    if isinstance(fitted, sc.JointSamples):
+        key = table.column(fitted.lead_quantity)
+        target = key + table.column(fitted.follow_quantity)
+    else:
+        key = target = table.column(fitted.quantity)
+    rows = []
+    for label, method in predictors:
+        points = refit_loo_errors(method, fitted, key, target, grid_step)
+        for metric in metrics:
+            loss, name = reference_loss(metric)
+            rows.extend((float(t), label, name, float(loss(e).mean()), e.size) for t, e in points)
+    return rows
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     TIE_CYCLES,
@@ -403,21 +433,36 @@ METRIC_SPECS = st.sampled_from(["mae", "mse"]) | st.tuples(
     st.sampled_from(["d4", "d4+d1", "joint"]),
     st.sampled_from([0.1, 1.0, 2.5]),
     st.none() | TIE_CYCLES,
+    st.booleans(),
 )
 @example([(0, 0), (1, 2)], [sc.Expectation(), sc.Confidence(0.8), sc.AsymmetricLoss(3, 1)],
-         ["mae", "mse", "loss:1:3"], "d4", 1.0, [(0, 1), (6, 4), (3, 0)])
+         ["mae", "mse", "loss:1:3"], "d4", 1.0, [(0, 1), (6, 4), (3, 0)], False)
 @example([(2, 1), (0, 3)], [sc.AsymmetricLoss(1, 3), sc.Expectation()], ["loss:3:1", "mse"],
-         "joint", 0.1, [(5, 2), (0, 0)])
-@example([(1, 1)], [sc.Confidence(0.5)], ["mae"], "d4+d1", 2.5, None)
+         "joint", 0.1, [(5, 2), (0, 0)], False)
+@example([(1, 1)], [sc.Confidence(0.5)], ["mae"], "d4+d1", 2.5, None, False)
+@example([(0, 0), (2, 1), (2, 3)], [sc.Expectation(), sc.Confidence(0.8), sc.AsymmetricLoss(3, 1)],
+         ["mae", "mse", "loss:1:3"], "joint", 1.0, None, True)
+@example([(1, 1)], [sc.Confidence(0.5), sc.Expectation()], ["loss:3:1"], "d4", 0.1, None, True)
 def test_compare_in_sample_rows_equal_per_curve_reference(
-    cycles, methods, metrics, quantity, grid_step, other
+    cycles, methods, metrics, quantity, grid_step, other, leave_one_out
 ):
     """One walk over the grid gives the rows of a walk per (method, metric),
-    on the training table or on ``other``, where the history may run out."""
+    on the training table or on ``other``, where the history may run out.
+    Leave-one-out (drawn only when ``other`` is None) gives the refit
+    reference's (t, label, metric, n) and its values within 1e-9."""
     train = tie_table(cycles)
     table = train if other is None else tie_table(other)
+    leave_one_out = leave_one_out and other is None
     fitted = sc.fit_joint(train, "d4", "d1") if quantity == "joint" else sc.fit(train, quantity)
     predictors = [(method.label, method) for method in methods]
-    assert compare(predictors, fitted, table, metrics, grid_step=grid_step) == reference_rows(
-        predictors, fitted, table, metrics, grid_step
-    )
+    rows = compare(predictors, fitted, table, metrics, grid_step=grid_step,
+                   leave_one_out=leave_one_out)
+    if not leave_one_out:
+        assert rows == reference_rows(predictors, fitted, table, metrics, grid_step)
+        return
+    expected = loo_reference_rows(predictors, fitted, table, metrics, grid_step)
+    assert [(t, label, name, n) for t, label, name, _, n in rows] == [
+        (t, label, name, n) for t, label, name, _, n in expected
+    ]
+    np.testing.assert_allclose([row[3] for row in rows], [row[3] for row in expected],
+                               rtol=0, atol=1e-9)

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
+from spatcast.predict import DEFAULT_HOLD_S, hold
 
 
 def dist_of(values, quantity="d4", stratum=120.0):
@@ -163,6 +165,19 @@ class TestSumPredictors:
             assert p.predicted_duration == 45.0
 
 
+class TestHold:
+    def test_holds_one_second_past_t(self):
+        assert hold(36.0) == 36.0 + DEFAULT_HOLD_S
+        assert hold(2.0**53 - 1) == 2.0**53
+
+    @pytest.mark.parametrize("t", [2.0**53, 1e16, 1e308, math.inf, math.nan])
+    def test_t_whose_hold_is_not_past_t_rejected(self, t):
+        with pytest.raises(ValueError, match=re.escape(
+            f"t = {t:g} s is too large to hold: t + 1 s is not above t"
+        )):
+            hold(t)
+
+
 class TestSchedule:
     def point_mass_dists(self):
         values = {"d4": [36.0] * 3, "d1": [5.0] * 3, "d2": [79.0] * 3}
@@ -188,6 +203,13 @@ class TestSchedule:
     def test_coordination_phase_past_cycle_length_is_exhausted(self):
         with pytest.raises(sc.EmptyCondition, match="beyond the cycle length 120 s"):
             sc.predict_schedule(self.point_mass_dists(), "p2", 120.0)
+
+    def test_compose_past_history_where_the_hold_is_not_past_t_rejected(self):
+        # Once a held message whose likelyTime equalled its madeAt.
+        dists = self.point_mass_dists()
+        assert sc.compose(dists, "p4", 1e15, 0.8).likely_time == 1e15 + DEFAULT_HOLD_S
+        with pytest.raises(ValueError, match="too large to hold"):
+            sc.compose(dists, "p4", 1e16, 0.8)
 
     def test_distributions_without_a_stratum_rejected(self):
         dists = {k: sc.EmpiricalDist(d.values, d.quantity)
