@@ -20,6 +20,7 @@ reads.
 from __future__ import annotations
 
 import codecs
+import collections
 import csv
 import datetime as dt
 import io
@@ -510,71 +511,44 @@ def write_event_csv(log: EventLog, target) -> None:
                              for t, c in zip(times.tolist(), codes.tolist())]))
 
 
-# Rows as the writers write them are parsed a block of about this many
-# bytes at a time, cut at a line end; blocks keep numpy's temporaries small.
-# Of 64 KB, 256 KB, 1 MB and 4 MB, 256 KB read the ingest-month event and
-# cycle files fastest: 1 MB and 4 MB blocks read both slower (event file
-# 28 and 37 ms against 26, cycle file 19 and 19 ms against 14).
+# Rows in block form are parsed a block of about this many bytes at a time,
+# cut at a line end; blocks keep numpy's temporaries small.  Blocks of
+# 128 KB, 256 KB, 512 KB and 1 MB read the ingest-month event file in 21.5,
+# 18.2, 17.5 and 19.4 ms and its cycle file in 11.5, 9.8, 10.7 and 12.7 ms
+# (medians of 9 on a shared 2-core x86-64 host).
 _BLOCK_BYTES = 1 << 18
-_MAX_DIGITS = 18  # every integer of up to 18 digits fits in int64
-# A row's tail is one of the twelve spellings, which end in "start" (10
-# bytes) or "end" (8 bytes).  Its first 8 bytes, read as one little-endian
-# word, tell the twelve apart.  A multiply-shift hash, the top 4 bits of
-# head * _HEAD_HASH, puts the twelve heads in distinct slots of a 16-slot
-# table, which holds each slot's head, tail length and code.  An empty
-# slot has length 0, which no tail has, so no head matches it.  A 10-byte
-# tail's "rt" is checked apart from its head.
-_HEAD_HASH = np.uint64(0x9E3779B97F4A7C1F)  # odd; the first past 2**64 / phi that works
-_HEAD_SHIFT = np.uint64(60)
-
-
-def _head_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each of the 16 slots' head word, tail length and code."""
-    words, lengths, codes = np.zeros(16, "<u8"), np.zeros(16, np.int64), np.zeros(16, np.int8)
-    for code, spelled in _SPELLING.items():
-        head = int.from_bytes(spelled.encode()[:8], "little")
-        slot = head * int(_HEAD_HASH) % 2**64 >> int(_HEAD_SHIFT)
-        words[slot], lengths[slot], codes[slot] = head, len(spelled), code
-    return words, lengths, codes
-
-
-_HEAD_WORDS, _HEAD_LENGTHS, _HEAD_CODES = _head_table()
 
 
 def read_event_csv(source) -> EventLog:
     """Read a phase-event CSV; a bad row raises MalformedRow with its line.
 
     ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
-    whole, past one leading BOM.  After the header, rows in
-    write_event_csv's form -- a timestamp of 1 to 18 ASCII digits, one of
-    the twelve ``ring,phase,kind`` spellings, and a line end of ``\\n`` or
-    ``\\r\\n`` -- are parsed in numpy blocks.  The first row in any other
-    form, and every row after it, goes through the per-row loop
-    read_cycle_csv shares, where the timestamp and ring are parsed with
-    ``int()``, which accepts other spellings (``01``, `` 2``, quotes), and
-    the ring, phase and kind are checked in that order.
-    A header in any other form sends the whole file through that loop.  A
-    byte that is not UTF-8 raises MalformedRow for its line.
+    whole, past one leading BOM.  After the header, rows in block form are
+    parsed in numpy blocks: an ``int`` timestamp of 1 to 18 ASCII digits,
+    then one ``enum`` field, one of the twelve ``ring,phase,kind`` spellings
+    write_event_csv writes, and a line end of ``\\n`` or ``\\r\\n``.  The
+    first row in any other form (a sign, a space, a quote, a timestamp of
+    19 digits, a ring spelled ``01``), and every row after it, goes through
+    the per-row loop read_cycle_csv shares, where the timestamp and ring
+    are parsed with ``int()`` and the ring, phase and kind are checked in
+    that order.  A header in any other form sends the whole file through
+    that loop.  A byte that is not UTF-8 raises MalformedRow for its line.
     """
     # The parts are joined once the file's bytes are freed.
-    parts = _read_blocks(source, _EVENT_HEADER, _parse_event_block, _read_event_rows)
-    times, codes = map(np.concatenate, zip(*parts))
+    times, codes = map(np.concatenate, zip(*_read_blocks(source, _EVENT_SCHEMA)))
     return EventLog(times, codes >> 3, codes & 7)
 
 
-def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list[np.ndarray]]:
+def _read_blocks(source, schema) -> list[list[np.ndarray]]:
     """The columns of a CSV file's rows, in parts, one part per block.
 
     ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
     whole; one leading BOM is skipped, and line numbers do not change.
-    After ``header`` and a ``\\n`` or ``\\r\\n``, blocks of whole lines go
-    to ``parse_block(buf, pos) -> (columns, pos)``: ``buf`` is the file's
-    bytes, the BOM skipped, up to the block's end, which lets a parser read
-    back past the block's start at ``pos``.  It parses the block's leading
-    rows in the writer's form and gives the position after them.  The first
-    row it leaves, and every row after it, goes to
-    ``read_rows(lines, line) -> columns``; ``line`` is the file line before
-    ``lines``, which start with the header when it is 0.
+    After the schema's header and a ``\\n`` or ``\\r\\n``, blocks of whole
+    lines go to ``_parse_block``.  The first row it leaves, and every row
+    after it, goes to ``_read_per_row(lines, line, schema) -> columns``;
+    ``line`` is the file line before ``lines``, which start with the header
+    when it is 0.
     """
     if hasattr(source, "read"):
         text = source.read().removeprefix("\ufeff")
@@ -582,7 +556,7 @@ def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list
         data = text.encode("utf-8", "surrogatepass")
     else:
         text, data = None, Path(source).read_bytes().removeprefix(codecs.BOM_UTF8)
-    head = ",".join(header).encode()
+    head = ",".join(schema.header).encode()
     parts = []
     pos = line = 0
     for eol in (b"\n", b"\r\n"):
@@ -591,7 +565,7 @@ def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list
     # One block at least, which gives a file without rows its typed columns.
     while line:
         end = data.find(b"\n", pos + _BLOCK_BYTES - 1) + 1 or len(data)
-        columns, pos = parse_block(np.frombuffer(data, np.uint8, end), pos)
+        columns, pos = _parse_block(np.frombuffer(data, np.uint8, end), pos, schema)
         parts.append(columns)
         line += len(columns[0])
         if pos < end or pos == len(data):
@@ -604,39 +578,131 @@ def _read_blocks(source, header: list[str], parse_block, read_rows) -> list[list
             # line end when it reads universal newlines, else at "\n".
             newline = "\n" if getattr(source, "newlines", None) is None else ""
             lines = io.StringIO(text[pos:], newline=newline)  # the prefix is ASCII
-        parts.append(read_rows(lines, line))
+        parts.append(_read_per_row(lines, line, schema))
     return parts
 
 
-def _parse_event_block(buf: np.ndarray, pos: int) -> tuple[list[np.ndarray], int]:
-    """Timestamps and event codes of the leading canonical rows of the block
-    of whole lines from ``pos`` to the end of ``buf``, and where they end."""
-    # A tail's last byte gives its length, and so where the comma before it
-    # is.  (An empty first line reads the line end before it; its width is
-    # below 1.)
-    ends = np.flatnonzero(buf[pos:] == ord("\n")) + pos
-    starts = np.concatenate(([pos], ends[:-1] + 1))
-    tail_end = ends - (buf[ends - 1] == ord("\r"))
-    tail_len = np.where(buf[tail_end - 1] == ord("t"), 10, 8)
-    first = tail_end - tail_len - 1
-    width = first - starts
-    k = _first((width < 1) | (width > _MAX_DIGITS))
-    if k == 0:
-        return [np.zeros(0, np.int64), np.zeros(0, np.int8)], pos
-    ends, first, width, tail_len = (a[:k] for a in (ends, first, width, tail_len))
+def _parse_block(buf: np.ndarray, pos: int, schema) -> tuple[list[np.ndarray], int]:
+    """The columns of the leading rows in ``schema``'s form of the block of
+    whole lines from ``pos`` to the end of ``buf``, and where they end.
 
-    # The tail's head: its first 8 bytes, one unaligned word read per row.
-    head = _words(buf)[first + 1]
-    key = ((head * _HEAD_HASH) >> _HEAD_SHIFT).astype(np.intp)  # a cast gathers faster
-    tail_ok = (
-        (buf[first] == ord(","))
-        & (_HEAD_WORDS[key] == head)
-        & (_HEAD_LENGTHS[key] == tail_len)
-        & ((tail_len == 8) | (buf[first + 9] == ord("r")))
-    )
-    stamps, digits_ok = _digits(buf, first, width)
-    k = _first(~(digits_ok & tail_ok))
-    return [stamps[:k], _HEAD_CODES[key[:k]]], int(ends[k - 1]) + 1 if k else pos
+    A row is in form when its commas and line end cut it into one field per
+    column, each in its column kind's form, and its values pass
+    ``schema.check``; the first row that is not is left to the per-row
+    loop, which reports it.  ``buf`` holds the file from its start, so a
+    field's words may read back past ``pos``.
+    """
+    # end[j] holds each row's end of field j: its comma, or for the last
+    # field its line end, a "\r" before that left out.
+    n = sum(m for _, m in schema.kinds)
+    if isinstance(schema.kinds[-1][0], _Enum):
+        # A last column of kind enum is found from the line end: its last
+        # byte gives its width, and so the comma before it, and only line
+        # ends are scanned.  A scan for every comma doubles the event
+        # reader's time.  (take gathers by a byte faster than indexing.)
+        line_ends = np.flatnonzero(buf[pos:] == ord("\n")) + pos
+        last = line_ends - (buf[line_ends - 1] == ord("\r"))
+        end = np.stack([last - schema.kinds[-1][0].width_by_last.take(buf[last - 1]) - 1,
+                        last])
+        off_grid = buf[end[0]] != ord(",")
+    else:
+        # Every comma and line end in one scan, n to a row in form.
+        seps = np.flatnonzero((buf[pos:] == ord(",")) | (buf[pos:] == ord("\n"))) + pos
+        grid = seps[:len(seps) // n * n].reshape(-1, n).T
+        off_grid = (buf[grid] != np.array([[ord(",")]] * (n - 1) + [[ord("\n")]])).any(axis=0)
+        line_ends = grid[-1]
+        end = np.concatenate([grid[:-1], [line_ends - (buf[line_ends - 1] == ord("\r"))]])
+    k = _first(off_grid)
+    end, line_ends = end[:, :k], line_ends[:k]
+    # Field j starts after field j - 1's comma, or after the line end before the row.
+    width = end - np.vstack([np.concatenate(([pos - 1], line_ends))[:k], end[:-1]]) - 1
+    values, ok, j = [], np.ones(k, bool), 0
+    for kind, m in schema.kinds:  # m columns of one kind in one call
+        got, got_ok = kind(buf, end[j:j + m].ravel(), width[j:j + m].ravel())
+        values += list(got.reshape(m, k))
+        ok &= got_ok.reshape(m, k).all(axis=0) if m > 1 else got_ok
+        j += m
+    columns, fault = schema.check(values)
+    k = min(_first(~ok), fault[0] if fault else k)
+    return [values[:k] for values in columns], int(line_ends[k - 1]) + 1 if k else pos
+
+
+# A column kind reads a column's fields from their ends and widths in buf,
+# as kind(buf, end, width) -> (values, ok), ok telling whether each field is
+# in the kind's form; a field out of form, of any width, reads as any value.
+# The int kind is _digits, below.
+_MAX_DIGITS = 18  # every integer of up to 18 digits fits in int64
+
+
+# A decimal of up to 15 digits is an integer k below 2**53 over 10**d, two
+# exact doubles, so one correctly rounded division gives float()'s value
+# (Clinger, "How to Read Floating Point Numbers Accurately", PLDI 1990).  In
+# its last 8 bytes, read as one word, a point before d decimals is byte 7 -
+# d: a multiply gathers which of bytes 4-7 are points into bits 24-27, and
+# _POINT_AT makes them p = d + 1, or 0 for none (of two points, either
+# fails the digits).  Moving the bytes before the point up one byte
+# squeezes it out and leaves the last 7 digits in bytes 1-7, for _eight;
+# with no point, byte 0 goes.
+_MAX_DECIMAL_DIGITS = 15
+_IN_FIELD = np.array([0b0000, 0b1000, 0b1100, 0b1110, 0b1111], np.uint32)  # by width to 4
+_POINT_AT = np.array([0] + [5 - bits.bit_length() for bits in range(1, 16)])
+_SCALE = np.array([1.0, 1.0, 10.0, 100.0, 1000.0])  # 10**d by p
+_BEFORE_POINT = np.array([(1 << 8 * ((8 - p) % 8)) - 1 for p in range(5)], np.uint64)
+_AFTER_POINT = np.array([2**64 - (1 << 8 * ((8 - p) % 8 + 1)) for p in range(5)], np.uint64)
+
+
+def _decimal_field(buf: np.ndarray, end: np.ndarray, width: np.ndarray):
+    """The ``decimal`` kind: 1 to 15 ASCII digits with at most one point,
+    which has at most three digits after it, as float64."""
+    last = _words(buf)[end - 8]
+    dots = ((last >> _BITS_32).astype(np.uint32).view(np.uint8) == ord(".")).view("<u4")
+    point = _POINT_AT.take(dots * np.uint32(0x01020408) >> np.uint32(24)
+                           & _IN_FIELD[width.clip(max=4)])
+    digits = width - (point > 0)
+    squeezed = ((last & _BEFORE_POINT[point]) << _BITS_8) | (last & _AFTER_POINT[point])
+    k, ok = _eight(squeezed, digits.clip(0, 7))
+    rest = (digits - 7).clip(0, _MAX_DECIMAL_DIGITS - 7)  # digits before those
+    if rest.max(initial=0):
+        high, high_ok = _digits(buf, end - 8 + (point == 0), rest)
+        k += high.view(np.uint64) * np.uint64(10**7)
+        ok &= high_ok | (rest == 0)
+    return (k.view(np.int64) / _SCALE[point],
+            ok & (digits >= 1) & (digits <= _MAX_DECIMAL_DIGITS))
+
+
+_HASH = np.uint64(0x9E3779B97F4A7C15)  # odd, near 2**64 / phi
+
+
+class _Enum:
+    """The ``enum`` kind: one of a few spellings of 8 to 16 bytes, as its
+    small value.
+
+    A field's key is its last 8 bytes, read as one little-endian word; the
+    top 4 bits of key * _HASH pick its slot in a 16-slot table of each
+    spelling's key, width, value and bytes before the key.  An empty slot
+    has width -1, which no field has.
+    """
+
+    def __init__(self, spellings: dict[str, int]) -> None:
+        self.keys, self.widths, self.values = (np.zeros(16, "<u8"), np.full(16, -1),
+                                               np.zeros(16, np.int8))
+        # before[p - 9][slot]: byte p from the end of the slot's spelling.
+        self.before = np.zeros((max(map(len, spellings)) - 8, 16), np.uint8)
+        self.width_by_last = np.zeros(256, np.int64)  # a spelling's width by its last byte
+        for s, value in zip(map(str.encode, spellings), spellings.values()):
+            key = int.from_bytes(s[-8:], "little")
+            slot = key * int(_HASH) % 2**64 >> 60  # distinct for the event tails
+            self.keys[slot], self.widths[slot], self.values[slot] = key, len(s), value
+            self.before[:len(s) - 8, slot] = list(s[-9::-1])
+            self.width_by_last[s[-1]] = len(s)
+
+    def __call__(self, buf: np.ndarray, end: np.ndarray, width: np.ndarray):
+        key = _words(buf)[end - 8]
+        slot = ((key * _HASH) >> np.uint64(60)).astype(np.intp)  # a cast gathers faster
+        ok = (self.keys[slot] == key) & (self.widths[slot] == width)
+        for p, table in enumerate(self.before, 9):
+            ok &= (buf[end - p] == table[slot]) | (width < p)
+        return self.values[slot], ok
 
 
 # _digits reads a field of up to 18 ASCII digits as int64, eight digits to
@@ -662,25 +728,26 @@ _SHORT_LANES = np.uint64(0x0000FFFF0000FFFF)
 _BITS_8, _BITS_16, _BITS_32 = (np.uint64(bits) for bits in (8, 16, 32))
 
 
-def _digits(buf: np.ndarray, end: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fields of ``width`` (1 to 18) ASCII digits ending before each
-    ``end`` in ``buf`` as int64, and whether every byte is a digit.
+def _digits(buf: np.ndarray, end: np.ndarray, width: np.ndarray):
+    """The ``int`` kind: the fields of 1 to 18 ASCII digits ending before
+    each ``end`` in ``buf``, as int64, and whether each is one.
 
     A field's words may start up to 15 bytes before it, so ``buf`` must
     hold those bytes; both CSV headers are longer.
     """
-    words = _words(buf)
-    value, ok = _eight(words[end - 8], width.clip(max=8))
-    if width.max(initial=0) > 8:
-        high, high_ok = _eight(words[end - 16], (width - 8).clip(0, 8))
+    words, digits = _words(buf), width.clip(0, _MAX_DIGITS)
+    value, ok = _eight(words[end - 8], digits.clip(max=8))
+    widest = digits.max(initial=0)
+    if widest > 8:
+        high, high_ok = _eight(words[end - 16], (digits - 8).clip(0, 8))
         value += high * np.uint64(10**8)
         ok &= high_ok
-    wide = np.flatnonzero(width > 16)
-    if wide.size:
-        top, top_ok = _eight(words[end[wide] - 24], width[wide] - 16)
+    if widest > 16:
+        wide = np.flatnonzero(digits > 16)
+        top, top_ok = _eight(words[end[wide] - 24], digits[wide] - 16)
         value[wide] += top * np.uint64(10**16)
         ok[wide] &= top_ok
-    return value.view(np.int64), ok
+    return value.view(np.int64), ok & (width >= 1) & (width <= _MAX_DIGITS)
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -755,12 +822,18 @@ def _read_rows(lines: Iterable[str], line: int, header: list[str], parse_row):
     return parsed, lines_at, None
 
 
-def _read_event_rows(lines: Iterable[str], line: int) -> list[np.ndarray]:
-    """Timestamps and event codes of rows parsed one at a time."""
-    rows, _, fault = _read_rows(lines, line, _EVENT_HEADER, _parse_event_row)
+def _read_per_row(lines: Iterable[str], line: int, schema) -> list[np.ndarray]:
+    """The columns of rows parsed one at a time, checked together."""
+    rows, lines_at, fault = _read_rows(lines, line, schema.header, schema.parse_row)
+    columns, checked = schema.check(list(zip(*rows)) or [()] * sum(m for _, m in schema.kinds))
+    # A parsed row that breaks a rule comes before a later row that fails
+    # to read or parse.
+    if checked is not None:
+        i, exc = checked
+        raise MalformedRow(lines_at[i], str(exc)) from exc
     if fault is not None:
         raise fault
-    return list(np.array(rows, dtype=np.int64).reshape(-1, 2).T)
+    return columns
 
 
 def _parse_event_row(fields: list[str]) -> tuple[int, int]:
@@ -817,103 +890,21 @@ def read_cycle_csv(source) -> CycleTable:
     """Read a cycle-record CSV into a table.
 
     ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
-    whole, past one leading BOM.  After the header, rows in
-    write_cycle_csv's form -- two integers of 1 to 18 ASCII digits, seven
-    durations of 1 to 13 digits, a point and two digits, and a line end of
-    ``\\n`` or ``\\r\\n`` -- are parsed in numpy blocks.  The first row in
-    any other form, and every row after it, goes through the per-row loop
-    read_event_csv shares, where fields are parsed with ``int()`` and
-    ``float()`` and the rows parsed are checked together.  The first bad
-    row raises MalformedRow with its file line:
+    whole, past one leading BOM.  After the header, rows in block form are
+    parsed in numpy blocks: two ``int`` fields of 1 to 18 ASCII digits,
+    seven ``decimal`` durations of 1 to 15 ASCII digits with at most one
+    point and at most three digits after it (``36``, ``36.0``, ``36.00``),
+    and a line end of ``\\n`` or ``\\r\\n``.  The first row in any other
+    form (a sign, an exponent, a quote, a space, a duration of 16 or more
+    digits, an integer of 19 digits), and every row after it, goes through
+    the per-row loop read_event_csv shares, where fields are parsed with
+    ``int()`` and ``float()`` and the rows parsed are checked together.
+    The first bad row raises MalformedRow with its file line:
     a wrong field count, a field that does not parse, an integer outside
     int64, values ``CycleTable`` rejects, or a byte that is not UTF-8.
     Barrier identities are not checked.
     """
-    parts = _read_blocks(source, _CYCLE_HEADER, _parse_cycle_block, _read_cycle_rows)
-    return CycleTable.from_columns(*map(np.concatenate, zip(*parts)))
-
-
-# A duration of up to 13 digits before its point is exact in float64 as a
-# count of hundredths, so that count / 100 rounds the decimal once, as
-# float() does.
-_MAX_UNITS = 13
-# Each field's width in form: an integer's digits, or a duration's digits,
-# point and two decimals.
-_MIN_WIDTH = np.array([1] * 2 + [4] * 7)
-_MAX_WIDTH = np.array([_MAX_DIGITS] * 2 + [_MAX_UNITS + 3] * 7)
-# A row's separators in form: eight commas, then its line end.
-_ROW_ENDS = np.array([False] * 8 + [True])
-# A duration's last 8 bytes, read as one little-endian word, hold its last
-# five unit digits in bytes 0-4, its point in byte 5 and its two decimals
-# in bytes 6-7.  Shifting bytes 0-4 up over the point squeezes it out and
-# leaves up to 7 digits of hundredths in bytes 1-7, for _eight to read.
-_UNITS_LOW = np.uint64(0x000000FFFFFFFFFF)
-_CENTS = np.uint64(0xFFFF000000000000)
-_SQUEEZED_UNITS = 5
-
-
-def _parse_cycle_block(buf: np.ndarray, pos: int) -> tuple[list[np.ndarray], int]:
-    """The columns of the leading rows of the block of whole lines from
-    ``pos`` to the end of ``buf`` that are in write_cycle_csv's form and
-    pass ``_check``, and where those rows end.  A row that breaks a rule is
-    left to the per-row loop, which reports it."""
-    # Every comma and line end in one scan, nine to a row in form; the
-    # first row off that grid is the first line without eight commas.
-    block = buf[pos:]
-    seps = np.flatnonzero((block == ord(",")) | (block == ord("\n"))) + pos
-    k = len(seps) // 9
-    grid = seps[:9 * k].reshape(k, 9)
-    k = _first(((buf[grid] == ord("\n")) != _ROW_ENDS).any(axis=1))
-    # Field j of a row starts after the separator before it (the line end
-    # before the row for j = 0) and ends at the row's separator j, a "\r"
-    # before the line end left out.
-    line_ends = grid[:k, 8]
-    bounds = np.concatenate(([pos - 1], seps[:9 * k]))
-    width = np.diff(bounds).reshape(k, 9) - 1
-    field_end = bounds[1:].reshape(k, 9)
-    cr = buf[line_ends - 1] == ord("\r")
-    width[:, 8] -= cr
-    field_end[:, 8] -= cr
-    in_form = (
-        ((width >= _MIN_WIDTH) & (width <= _MAX_WIDTH)).all(axis=1)
-        & (buf[field_end[:, 2:] - 3] == ord(".")).all(axis=1)
-    )
-    k = _first(~in_form)
-    field_end, width = field_end[:k], width[:k]
-
-    # Each field's digits, and a duration's as hundredths: its last five
-    # unit digits and two decimals from its squeezed last word, the unit
-    # digits before those from the word before, as _digits reads them.
-    index, index_ok = _digits(buf, field_end[:, 0], width[:, 0])
-    start, start_ok = _digits(buf, field_end[:, 1], width[:, 1])
-    end = field_end[:, 2:].ravel()
-    units = width[:, 2:].ravel() - 3
-    last = _words(buf)[end - 8]
-    hundredths, durations_ok = _eight(
-        ((last & _UNITS_LOW) << _BITS_8) | (last & _CENTS), units.clip(max=_SQUEEZED_UNITS) + 2
-    )
-    if units.max(initial=0) > _SQUEEZED_UNITS:
-        high, high_ok = _digits(buf, end - 8, (units - _SQUEEZED_UNITS).clip(min=0))
-        hundredths += high.view(np.uint64) * np.uint64(10 ** (_SQUEEZED_UNITS + 2))
-        durations_ok &= high_ok
-    columns, fault = _check([index, start, *(hundredths.view(np.int64).reshape(k, 7) / 100).T])
-    digits_ok = index_ok & start_ok & durations_ok.reshape(k, 7).all(axis=1)
-    k = min(_first(~digits_ok), fault[0] if fault else k)
-    return [values[:k] for values in columns], int(line_ends[k - 1]) + 1 if k else pos
-
-
-def _read_cycle_rows(lines: Iterable[str], line: int) -> list[np.ndarray]:
-    """The columns of rows parsed one at a time, checked together."""
-    rows, lines_at, fault = _read_rows(lines, line, _CYCLE_HEADER, _parse_cycle_row)
-    columns, checked = _check(list(zip(*rows)) or [()] * len(_FIELDS))
-    # A parsed row that breaks a rule comes before a later row that fails
-    # to read or parse.
-    if checked is not None:
-        i, exc = checked
-        raise MalformedRow(lines_at[i], str(exc)) from exc
-    if fault is not None:
-        raise fault
-    return columns
+    return CycleTable.from_columns(*map(np.concatenate, zip(*_read_blocks(source, _CYCLE_SCHEMA))))
 
 
 def _parse_cycle_row(fields: list[str]) -> tuple:
@@ -927,3 +918,16 @@ def _parse_cycle_row(fields: list[str]) -> tuple:
         if not _INT64_MIN <= ints[-1] <= _INT64_MAX:
             raise ValueError(f"{name} {ints[-1]} does not fit in int64")
     return (*ints, *map(float, fields[2:]))
+
+
+# A CSV form: its header, its columns' kinds as (kind, count) runs, the
+# per-row parser, and check(columns) -> (columns, fault), fault as _check
+# gives it.
+_Schema = collections.namedtuple("_Schema", "header kinds parse_row check")
+_EVENT_SCHEMA = _Schema(
+    _EVENT_HEADER, ((_digits, 1), (_Enum({s: c for c, s in _SPELLING.items()}), 1)),
+    _parse_event_row,
+    lambda values: ([np.asarray(values[0], np.int64), np.asarray(values[1], np.int8)], None),
+)
+_CYCLE_SCHEMA = _Schema(_CYCLE_HEADER, ((_digits, 2), (_decimal_field, 7)), _parse_cycle_row,
+                        _check)

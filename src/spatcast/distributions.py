@@ -168,9 +168,6 @@ class JointSamples:
     def sum_quantity(self) -> str:
         return f"{self.lead_quantity}+{self.follow_quantity}"
 
-    def sum_dist(self) -> EmpiricalDist:
-        return EmpiricalDist(self.lead + self.follow, self.sum_quantity, self.stratum)
-
     def sum_given_lead_gt(self, t: float) -> EmpiricalDist:
         """Distribution of lead+follow over exactly the pairs with lead > t."""
         mask = self.lead > t

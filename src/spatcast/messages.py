@@ -213,10 +213,13 @@ def stream(
     Each tick emits one message per ring's active phase (ring 1 first),
     each naming the site ``site_id``: the site is a field of the message,
     not of the table, as in ``compose``.
-    ``speed`` of None replays as fast as possible; a positive value paces
-    ticks at cadence/speed wall seconds (1.0 is real time), at most
-    ``threading.TIMEOUT_MAX``, the longest wait a sleep is sure to take;
-    a slower pace raises ValueError before the first line.  Returns the
+    ``speed`` of None replays as fast as possible and reads no clock; a
+    positive value paces ticks at cadence/speed wall seconds (1.0 is real
+    time), at most ``threading.TIMEOUT_MAX``, the longest wait a sleep is
+    sure to take; a slower pace raises ValueError before the first line.
+    Tick k is due k paces after the first: a tick waits for its due time,
+    and a tick already late goes out at once, so the stream keeps the
+    signal's clock however long each tick's writes take.  Returns the
     number of messages written; a sink that stops accepting writes ends the
     stream cleanly.  Each line equals ``compose``'s for its cycle, phase,
     t and phase start.
@@ -236,7 +239,8 @@ def stream(
     ]
 
     cache: dict[tuple[str, int], tuple] = {}
-    emitted = 0
+    emitted = ticks = 0
+    start = None if pace is None else time.monotonic()
     columns = (table.cycle_index.tolist(), table.length_s.tolist())
     for i, (cycle_index, length_s) in enumerate(zip(*columns)):
         # Per ring: its phases, and where its opening and middle phases end.
@@ -261,5 +265,8 @@ def stream(
                     return emitted
                 emitted += 1
             if pace is not None:
-                time.sleep(pace)
+                ticks += 1
+                late = time.monotonic() - (start + ticks * pace)
+                if late < 0:
+                    time.sleep(-late)
     return emitted

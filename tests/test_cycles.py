@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 import tempfile
 import warnings
 from collections import namedtuple
@@ -718,16 +719,34 @@ _ODD_SPELLINGS = [
     "-0.0", "x", "", '"36.0"', "1e2", " 36.0", "+5", "1_0", "0x10", "١٢", '"1\n"',
     '"3', str(2**63 - 1), str(-(2**63)),
 ]
+# Durations as other tools write them: no decimals, one, three, a bare
+# point, no units, leading zeros; and past the block form, four decimals,
+# two points and 16 digits.
+_DECIMAL_SPELLINGS = [
+    "36", "36.", "36.0", "36.000", ".5", "0.125", "036.50", "000", "5.1234", "5..0",
+    "1234567890123.45", "123456789012345", "1234567890123456", "12345678901234.5",
+]
+# How a whole table's durations are spelled: as written, as repr(float)
+# (pandas' to_csv), and whole ones as integers (awk's $4 + 0).
+_STYLES = {
+    "written": lambda text: text,
+    "repr": lambda text: repr(float(text)),
+    "int": lambda text: text.removesuffix(".00"),
+}
 
 
 @st.composite
 def _cycle_csv_texts(draw):
-    """A cycle CSV from write_cycle_csv with up to three corruptions: rows
-    dropped, duplicated or swapped; short, long or blank rows; a field
-    replaced by an invalid value, another spelling or random text."""
+    """A cycle CSV from write_cycle_csv, its durations respelled in a drawn
+    style, with up to three corruptions: rows dropped, duplicated or
+    swapped; short, long or blank rows; a field replaced by an invalid
+    value, another spelling or random text."""
     buf = io.StringIO()
     sc.write_cycle_csv(sc.CycleTable.from_columns(*draw(_cycle_columns())), buf)
     lines = buf.getvalue().split("\r\n")[:-1]
+    style = _STYLES[draw(st.sampled_from(list(_STYLES)))]
+    lines[1:] = [",".join(fields[:2] + [style(f) for f in fields[2:]])
+                 for fields in (line.split(",") for line in lines[1:])]
     for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
         i = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))  # the header alone
         op = draw(st.sampled_from(
@@ -750,6 +769,7 @@ def _cycle_csv_texts(draw):
             fields[draw(st.integers(0, len(fields) - 1))] = draw(st.one_of(
                 st.sampled_from(_BAD_VALUES),
                 st.sampled_from(_ODD_SPELLINGS),
+                st.sampled_from(_DECIMAL_SPELLINGS),
                 st.text(alphabet="0123456789-+._ eExn\"", max_size=6),
             ))
             lines[i] = ",".join(fields)
@@ -800,7 +820,8 @@ _WIDE = "1.00,12345.67,123456.78,1234567.89,1234567890123.45,5.00,0.00"
 @example(",".join(_CYCLE_HEADER) + '\n1,0,nan,0,0,0,0,0,0\n"' + "1" * 200_000 + "\n", 64)
 @example('"' + "h" * 200_000 + "\n" + _VALID_ROW + "\n", 64)
 @example(",".join(_CYCLE_HEADER) + "\n" + _VALID_ROW + "\n" + _VALID_ROW + "\n", 64)
-# In form, then a duration without its decimals, then in form again.
+# A duration without its decimals, a sign, and a point moved: the first
+# and last stay on the block path, the sign sends its row per row.
 @example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "36", 1), _ROW_2), 7)
 @example(_cycle_csv(_VALID_ROW, _ROW_1.replace(",5.00,", ",-0.00,", 1)), 7)
 @example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "360.0", 1)), 7)  # point moved
@@ -813,18 +834,24 @@ _WIDE = "1.00,12345.67,123456.78,1234567.89,1234567890123.45,5.00,0.00"
 # One leading BOM is skipped; a second is part of the header.
 @example("\ufeff" + _cycle_csv(_VALID_ROW), 7)
 @example("\ufeff\ufeff" + _cycle_csv(_VALID_ROW), 7)
-# 13 digits before the point are in form; 14 are not.
+# Two points, a bare point and four decimals are out of form; the row
+# with four decimals reads per row, the others fail there.
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "3.6.0", 1)), 7)
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "36..", 1)), 7)
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", ".", 1)), 7)
+@example(_cycle_csv(_VALID_ROW, _ROW_1.replace("36.00", "36.0001", 1), _ROW_2), 7)
+# 15 digits in all are in form; 16 are not.
 @example(_cycle_csv(_VALID_ROW.replace("84.00", "9007199254740.99"),
                     _ROW_1.replace("79.00", "90071992547409.93")), 7)
 @example(_cycle_csv(_VALID_ROW) + _ROW_1 + "\n" + _ROW_2 + "\r\n", 7)  # mixed line ends
 # Starts of 8, 9, 16, 17 and 18 digits take one, two and three words.
 @example(_cycle_csv(*(f"{n},{'1' * n}" + _VALID_ROW[3:] for n in (8, 9, 16, 17, 18))), 7)
 @example(_cycle_csv(*(f"{n},{'1' * n}" + _VALID_ROW[3:] for n in (8, 9, 16, 17, 18))), 120)
-# A duration's last five unit digits and its decimals are read from its
-# last word with the point squeezed out, and units past five from the word
-# before it: on the first row, whose words read back into the header, on
-# rows next to block edges, and with a non-digit just before the point, as
-# the last byte, and among the units of the word before.
+# A duration's last seven digits are read from its last word with the
+# point squeezed out, and digits before those from the word before it: on
+# the first row, whose words read back into the header, on rows next to
+# block edges, and with a non-digit just before the point, as the last
+# byte, and among the digits of the word before.
 @example(_cycle_csv("0,0," + _WIDE), 7)
 @example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE, "2,2," + _WIDE), 1)
 @example(_cycle_csv("0,0," + _WIDE, "1,1," + _WIDE, "2,2," + _WIDE), 120)
@@ -851,13 +878,17 @@ def test_read_cycle_csv_matches_per_row_reader(text, block_bytes):
                     assert _read_outcome(sc.read_cycle_csv, source()) == want, (name, size)
 
 
-def _assert_block_read(tmp_path, table, sep):
-    """read_cycle_csv reads ``table`` as written, with ``sep`` line ends,
-    on the block path alone, as the per-row reference does."""
+def _assert_block_read(tmp_path, table, sep, respell=None):
+    """read_cycle_csv reads ``table`` as written, with ``sep`` line ends and
+    each duration's text passed through ``respell``, on the block path
+    alone, as the per-row reference does."""
     buf = io.StringIO()
     sc.write_cycle_csv(table, buf)
+    text = buf.getvalue()
+    if respell is not None:
+        text = re.sub(r"(?<=,)[0-9]+\.[0-9]{2}(?=[,\r])", lambda m: respell(m[0]), text)
     path = tmp_path / "cycles.csv"
-    path.write_bytes(buf.getvalue().replace("\r\n", sep).encode())
+    path.write_bytes(text.replace("\r\n", sep).encode())
     want = _read_outcome(_reference_read_cycle_csv, path)
     with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
         for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
@@ -873,13 +904,60 @@ def test_canonical_cycle_csv_skips_per_row_loop(tmp_path, sep):
 
 @pytest.mark.parametrize("sep", ["\r\n", "\n"])
 def test_wide_durations_skip_per_row_loop(tmp_path, sep):
+    _assert_block_read(tmp_path, _wide_table(), sep)
+
+
+def _wide_table():
     # Every duration column takes 1, 5, 6, 7 and 13 digits before the point.
     durations = np.array([1.0, 12345.67, 123456.78, 1234567.89, 1234567890123.45, 5.0, 0.01])
     rows = np.arange(30)
-    table = sc.CycleTable.from_columns(
+    return sc.CycleTable.from_columns(
         rows, rows * 120_000, *(durations[(rows + j) % 7] for j in range(7))
     )
-    _assert_block_read(tmp_path, table, sep)
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\n"])
+@pytest.mark.parametrize("style", ["repr", "int"])
+@pytest.mark.parametrize("wide", [False, True])
+def test_pandas_style_and_integer_durations_skip_per_row_loop(tmp_path, sep, style, wide):
+    # Durations as pandas writes them (36.0, 12345.67), and whole ones as
+    # integers (36).
+    table = _wide_table() if wide else sc.simulate(sc.TimingPlan(), sc.peaked_demand(4), 30)
+    _assert_block_read(tmp_path, table, sep, _STYLES[style])
+
+
+@st.composite
+def _decimal_fields(draw):
+    """A decimal of 1 to 15 digits and 0 to 3 decimals, with or without a
+    point, often with leading zeros."""
+    n = draw(st.integers(1, 15))
+    decimals = draw(st.integers(0, min(3, n)))
+    zeros = draw(st.integers(0, n))
+    digits = "0" * zeros + "".join(draw(st.lists(st.sampled_from("0123456789"),
+                                                 min_size=n - zeros, max_size=n - zeros)))
+    point = "." if decimals or draw(st.booleans()) else ""
+    return digits[:n - decimals] + point + digits[n - decimals:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_decimal_fields(), min_size=1, max_size=40), st.integers(1, 120),
+       st.sampled_from(["\r\n", "\n"]))
+@example(["9" * 15, "9" * 12 + ".999", "0" * 15, "0.000", ".001", "5.", "900719925474.993"], 1, "\n")
+def test_decimal_kind_is_float(fields, block_bytes, sep):
+    # Six durations a row, on the block path alone; each is bit-equal to
+    # float() of its text.
+    padded = fields + ["0"] * (-len(fields) % 6)
+    rows = [f"{i},{i},120.00," + ",".join(padded[6 * i:6 * i + 6]) for i in range(len(padded) // 6)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cycles.csv"
+        path.write_bytes(_cycle_csv(*rows, sep=sep).encode())
+        with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
+            for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
+                with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                    table = sc.read_cycle_csv(path)
+                    got = np.stack([getattr(table, name) for name in _DURATIONS], axis=1)
+                    want = np.array([float(text) for text in padded]).reshape(-1, 6)
+                    assert got.tobytes() == want.tobytes(), size
 
 
 def _reference_write_cycle_csv(records):
@@ -1173,9 +1251,9 @@ _EDGE_STAMPS = [
 @st.composite
 def _event_csv_texts(draw):
     """An event CSV from write_event_csv with up to three mutations: another
-    spelling of a field, a blank line, a lone \r, an edge timestamp, a NUL,
-    a BOM, the other line end, a 3-field row followed by a 5-field one, and
-    no final line end."""
+    spelling of a field, a blank line, a lone \r, an edge timestamp, leading
+    zeros on a timestamp, a NUL, a BOM, the other line end, a 3-field row
+    followed by a 5-field one, and no final line end."""
     start = draw(st.sampled_from([0, 1_500_000_000_000, 10**17 - 200_000, 10**18 - 200_000]))
     table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(draw(st.integers(0, 9))),
                         draw(st.integers(1, 3)), start_ms=start)
@@ -1188,13 +1266,15 @@ def _event_csv_texts(draw):
         i = draw(st.integers(1, len(lines) - 1))
         fields = lines[i].split(",")
         op = draw(st.sampled_from(
-            ["spelling", "stamp", "blank", "cr", "nul", "bom", "end", "split"]
+            ["spelling", "stamp", "zeros", "blank", "cr", "nul", "bom", "end", "split"]
         ))
         if op == "spelling":
             fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_EVENT_SPELLINGS))
             lines[i] = ",".join(fields)
         elif op == "stamp":
             lines[i] = ",".join([draw(st.sampled_from(_EDGE_STAMPS)), *fields[1:]])
+        elif op == "zeros":
+            lines[i] = "0" * draw(st.integers(1, 6)) + lines[i]
         elif op == "blank":
             lines.insert(i, "")
             ends.insert(i, sep)
@@ -1234,9 +1314,9 @@ def _stamped(*stamps):
 @example(_HEADER_LINE + "\n0,1,p4\n0,1,p4,start,x\n", 1)  # 3 + 5 fields: 6 commas
 @example(_HEADER_LINE + "\n0,1,p4\n0,1,p4,start,x\n", 64)
 # Rows that a single check on the tail keeps off the block path: no comma
-# before it (3 fields, whose head "2,p8,sta" matches), a start head with a
-# wrong 9th byte, an end head on a 10-byte tail (alone caught by the head's
-# length when that tail ends in "rt"), and a doubled "\r".
+# where its last byte puts it (3 fields, whose last 8 bytes "p8,start"
+# match), last 8 bytes that match no spelling's ("p4,staxt", "p4,endxt",
+# "p4,endrt"), and a doubled "\r".
 @example(_ONE_ROW + "952,p8,start\r\n", 1)
 @example(_ONE_ROW + "952,p8,start\r\n", 64)
 @example(_ONE_ROW + "0,1,p4,staxt\r\n", 1)
@@ -1247,12 +1327,17 @@ def _stamped(*stamps):
 @example(_ONE_ROW + "0,1,p4,endrt\r\n", 64)
 @example(_ONE_ROW + "0,1,p4,end\r\r\n", 1)
 @example(_ONE_ROW + "0,1,p4,end\r\r\n", 64)
-# Heads that hash to an empty slot ("1,p3,end" to slot 11), and onto the
-# slot of another spelling ("2,p4,end" onto "1,p4,start"'s, "1,p5,end"
-# onto "2,p6,start"'s).
+# Tails that hash to an empty slot ("2,p4,end" to slot 2), onto the slot
+# of a spelling of another width ("1,p3,end" onto "1,p1,start"'s,
+# "1,p5,end" onto "2,p8,start"'s) or of the same width ("0,p0,end" onto
+# "2,p8,end"'s), and tails whose last 8 bytes match a spelling's but whose
+# 9th or 10th byte from the end does not.
 @example(_ONE_ROW + "0,1,p3,end\r\n", 1)
 @example(_ONE_ROW + "0,2,p4,end\r\n", 1)
 @example(_ONE_ROW + "0,1,p5,end\r\n", 64)
+@example(_ONE_ROW + "0,0,p0,end\r\n", 64)
+@example(_ONE_ROW + "0,1;p4,start\r\n", 1)
+@example(_ONE_ROW + "0,9,p4,start\r\n", 64)
 # One leading BOM is skipped; a second is part of the header.
 @example("\ufeff" + _HEADER_LINE + "\r\n0,1,p4,start\r\n", 1)
 @example("\ufeff\ufeff" + _HEADER_LINE + "\r\n0,1,p4,start\r\n", 1)
@@ -1285,36 +1370,41 @@ def test_read_event_csv_matches_per_row_reader(text, block_bytes):
                     assert _event_outcome(sc.read_event_csv, source()) == want, (name, size)
 
 
-def _head_slot(spelled: str) -> int:
-    """The head table slot of a tail: the top 4 bits of its first 8 bytes,
-    as a little-endian word, times the hash multiplier, mod 2**64."""
-    head = int.from_bytes(spelled.encode()[:8], "little")
-    return head * int(spatcast.cycles._HEAD_HASH) % 2**64 >> 60
+def _tail_slot(spelled: str) -> int:
+    """The enum table slot of an event tail: the top 4 bits of its last 8
+    bytes, as a little-endian word, times _HASH, mod 2**64."""
+    key = int.from_bytes(spelled.encode()[-8:], "little")
+    return key * int(spatcast.cycles._HASH) % 2**64 >> 60
 
 
-def test_event_heads_take_distinct_slots_and_empty_slots_reject():
+def test_event_tails_take_distinct_slots_and_empty_slots_reject():
     cyc = spatcast.cycles
-    slots = {_head_slot(spelled): code for code, spelled in cyc._SPELLING.items()}
+    tail = cyc._EVENT_SCHEMA.kinds[-1][0]
+    slots = {_tail_slot(spelled): code for code, spelled in cyc._SPELLING.items()}
     assert len(slots) == 12
     for slot, code in slots.items():
-        spelled = cyc._SPELLING[code]
-        assert cyc._HEAD_WORDS[slot] == int.from_bytes(spelled.encode()[:8], "little")
-        assert (cyc._HEAD_LENGTHS[slot], cyc._HEAD_CODES[slot]) == (len(spelled), code)
+        spelled = cyc._SPELLING[code].encode()
+        assert tail.keys[slot] == int.from_bytes(spelled[-8:], "little")
+        assert (tail.widths[slot], tail.values[slot]) == (len(spelled), code)
+        assert list(tail.before[:len(spelled) - 8, slot]) == list(spelled[-9::-1])
     empty = sorted(set(range(16)) - set(slots))
-    assert empty and all(cyc._HEAD_LENGTHS[slot] == 0 for slot in empty)
-    # Tails of 8 bytes whose heads land in every empty slot, and 8 NULs, a
-    # head equal to an empty slot's word: the block parser takes none.
-    tails = ["\0" * 8] + [f"{r},p{p},{kind}" for r in "0123" for p in range(10)
-                          for kind in ("end", "stb", "enb")]
+    assert empty and all(tail.widths[slot] == -1 for slot in empty)
+    # Tails of 8 bytes whose keys land in every empty slot: the block
+    # parser takes none.
+    tails = [f"{r},p{p},{kind}" for r in "0123" for p in range(10) for kind in ("end", "and")]
     found = {}
-    for tail in tails:
-        found.setdefault(_head_slot(tail), tail)
+    for text in tails:
+        found.setdefault(_tail_slot(text), text)
     assert set(empty) <= set(found)
-    for tail in [found[slot] for slot in empty] + ["\0" * 8]:
-        buf = np.frombuffer((_ONE_ROW + f"0,{tail}\r\n").encode(), np.uint8)
+    for text in [found[slot] for slot in empty]:
+        buf = np.frombuffer((_ONE_ROW + f"0,{text}\r\n").encode(), np.uint8)
         pos = len(_ONE_ROW)
-        columns, end = cyc._parse_event_block(buf, pos)
-        assert (len(columns[0]), end) == (0, pos), tail
+        columns, end = cyc._parse_block(buf, pos, cyc._EVENT_SCHEMA)
+        assert (len(columns[0]), end) == (0, pos), text
+    # 8 NULs, whose key equals an empty slot's word, are no spelling either.
+    buf = np.frombuffer(("0" * 8 + "\0" * 8).encode(), np.uint8)
+    values, ok = tail(buf, np.array([16]), np.array([8]))
+    assert not ok.any()
 
 
 @pytest.mark.parametrize("row, reason", [

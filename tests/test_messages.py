@@ -1,12 +1,14 @@
 import io
 import json
 import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spatcast as sc
+import spatcast.messages
 from spatcast.errors import SinkClosed
 from spatcast.messages import _conditional_stats
 
@@ -396,3 +398,69 @@ def test_stream_lines_equal_composed_messages(rows, skew_at, cadence_ms, alpha, 
         one_shot = sc.compose(dists, msg["phase"], msg["madeAt"], alpha, site_id="t",
                               cycle_index=msg["cycle"], phase_start=phase_start)
         assert one_shot.to_ndjson() == line
+
+
+class _FakeClock:
+    """Stands in for the time module: monotonic reads the clock, and sleep
+    advances it.  Start, pace and costs are binary fractions, so every sum
+    is exact."""
+
+    def __init__(self, now):
+        self.now, self.sleeps = now, []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class _TimedSink:
+    """Keeps each line and the clock's time at its write, which then costs
+    the next of ``costs`` seconds."""
+
+    def __init__(self, clock, costs):
+        self.clock, self.costs, self.lines, self.at = clock, costs, [], []
+
+    def write(self, text):
+        self.at.append(self.clock.now)
+        self.clock.now += self.costs[len(self.lines)]
+        self.lines.append(text)
+
+
+class _NoClock:
+    def __getattr__(self, name):
+        raise AssertionError(f"time.{name} read")
+
+
+@settings(max_examples=40, deadline=None)
+@given(duration_rows, st.sampled_from([0.5, 1.0, 10.0]), st.integers(0, 10**6), st.data())
+def test_paced_stream_keeps_the_signal_clock(rows, speed, start, data):
+    table = table_of(rows)
+    dists = sc.fit_message_dists(table)
+    plain = io.StringIO()
+    with patch.object(spatcast.messages, "time", _NoClock()):  # speed=None reads no clock
+        lines = sc.stream(table, dists, plain, cadence_ms=5000)
+    ticks = lines // 2  # one line per ring a tick
+    pace = 5.0 / speed
+    # Each write costs up to a quarter pace, and one drawn tick's first
+    # write up to three paces more, which makes the ticks after it late.
+    costs = data.draw(st.lists(st.integers(0, 4).map(lambda q: q * pace / 16),
+                               min_size=lines, max_size=lines))
+    costs[2 * data.draw(st.integers(0, ticks - 1))] += data.draw(st.integers(0, 48)) * pace / 16
+    clock = _FakeClock(float(start))
+    sink = _TimedSink(clock, costs)
+    with patch.object(spatcast.messages, "time", clock):
+        assert sc.stream(table, dists, sink, cadence_ms=5000, speed=speed) == lines
+    assert "".join(sink.lines) == plain.getvalue()  # no tick skipped, same bytes
+    # Tick k goes out at its due time, start + k paces, or, when the ticks
+    # before ran late, as soon as they are done; only an early tick sleeps.
+    work = [costs[2 * k] + costs[2 * k + 1] for k in range(ticks)]
+    done = start
+    for k in range(ticks):
+        assert sink.at[2 * k] == max(start + k * pace, done)
+        done = sink.at[2 * k] + work[k]
+    assert clock.now == max(start + ticks * pace, done)
+    assert clock.now <= start + ticks * pace + max(work)
+    assert all(seconds > 0 for seconds in clock.sleeps)
