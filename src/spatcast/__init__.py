@@ -55,11 +55,9 @@ from .predict import (
     AsymmetricLoss,
     Confidence,
     Expectation,
-    Prediction,
     parse_method,
     predict,
     predict_schedule,
-    predict_sum_joint,
 )
 from .simulate import (
     DemandProfile,

@@ -29,15 +29,7 @@ from .distributions import fit, fit_joint
 from .errors import SpatError
 from .ioutil import text_sink
 from .messages import _fit_dists, compose, fit_message_dists, stream
-from .predict import (
-    PHASE_QUANTITY,
-    Expectation,
-    Prediction,
-    parse_method,
-    predict,
-    predict_schedule,
-    predict_sum_joint,
-)
+from .predict import PHASE_QUANTITY, parse_method, predict_schedule
 from .simulate import (
     SimulationConfig,
     TimingPlan,
@@ -125,18 +117,6 @@ def _load_table(args, path=None):
     return table
 
 
-def _print_prediction(p: Prediction) -> None:
-    print(json.dumps({
-        "quantity": p.quantity,
-        "method": p.method,
-        "madeAt": round(p.made_at, 4),
-        "predictedDuration": round(p.predicted_duration, 4),
-        "residual": round(p.residual, 4),
-        "n": p.n_conditioning_samples,
-        "degraded": p.degraded,
-    }))
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -178,21 +158,25 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     table = _load_table(args)
-    method = Expectation() if args.method is None else parse_method(args.method)
+    method = parse_method(args.method)
     quantity = PHASE_QUANTITY[args.phase]
     if quantity is None:
         # Unchecked: the phase ends at L on a table that cannot stream too.
         end, _ = predict_schedule(_fit_dists(table), args.phase, args.t)
-        p = Prediction(
-            made_at=args.t, quantity="cycle_end", method="identity",
-            predicted_duration=end, residual=end - args.t,
-            n_conditioning_samples=len(table),
-        )
-    elif args.approach == 2:
-        p = predict_sum_joint(fit_joint(table, *quantity.split("+")), args.t, method)
+        quantity, label, n = "cycle_end", "identity", len(table)
     else:
-        p = predict(fit(table, quantity), args.t, method)
-    _print_prediction(p)
+        source = (fit_joint(table, *quantity.split("+")) if args.approach == 2
+                  else fit(table, quantity))
+        cond = source.condition_gt(args.t)
+        end, label, n = float(method.apply(cond)), method.label, cond.n
+    print(json.dumps({
+        "quantity": quantity,
+        "method": label,
+        "madeAt": round(args.t, 4),
+        "predictedDuration": round(end, 4),
+        "residual": round(end - args.t, 4),
+        "n": n,
+    }))
     return 0
 
 
@@ -300,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="print a residual-time prediction")
     add_phase_query(p)
-    p.add_argument("--method", default=None,
+    p.add_argument("--method", default="expectation",
                    help="expectation (the default), confidence:alpha or "
                         "asymmetric:c1:c2, as in evaluate --compare; p2/p6 "
                         "end at L whatever the method")

@@ -1,12 +1,14 @@
 """Empirical distributions over phase durations, with exact conditioning.
 
 No binning, no smoothing, no parametric fits: all probability mass sits on
-the observed sample values, so pdf, cdf, quantile, and conditional queries
+the observed sample values, so pdf, quantile and conditional queries
 are exact order statistics of the sample multiset.  Distributions are
 immutable after fitting and safe for concurrent reads.
 
 Conditioning is strict: ``condition_gt(t)`` keeps samples strictly greater
 than t, matching the event "the phase is still running at elapsed time t".
+Joint pairs condition the same way on their lead and give the distribution
+of the pair sums kept.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def lower_rank(n: int, p: float) -> int:
 
 @dataclass(frozen=True)
 class EmpiricalDist:
-    """Multiset of duration samples with pdf/cdf/quantile/support queries.
+    """Multiset of duration samples with pdf/quantile/support queries.
 
     ``values`` is kept sorted ascending.  ``quantity`` names what was
     sampled (a duration like ``d4`` or a per-cycle sum like ``d4+d1``),
@@ -73,14 +75,6 @@ class EmpiricalDist:
 
     def support_max(self) -> float:
         return float(self.values[-1])
-
-    def cdf(self, x: float) -> float:
-        """P(X <= x), right-continuous and non-decreasing from 0 to 1."""
-        return float(np.searchsorted(self.values, x, side="right") / self.n)
-
-    def tail(self, x: float) -> float:
-        """P(X >= x)."""
-        return float((self.n - np.searchsorted(self.values, x, side="left")) / self.n)
 
     def pdf(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique sample values and their probability masses (sum to 1)."""
@@ -165,17 +159,20 @@ class JointSamples:
         return int(self.lead.size)
 
     @property
-    def sum_quantity(self) -> str:
+    def quantity(self) -> str:
         return f"{self.lead_quantity}+{self.follow_quantity}"
 
-    def sum_given_lead_gt(self, t: float) -> EmpiricalDist:
-        """Distribution of lead+follow over exactly the pairs with lead > t."""
+    def condition_gt(self, t: float) -> EmpiricalDist:
+        """Distribution of lead+follow over exactly the pairs with lead > t.
+
+        Raises EmptyCondition when no lead exceeds t.
+        """
         mask = self.lead > t
         if not mask.any():
             raise EmptyCondition(
                 f"no {self.lead_quantity} sample exceeds t = {t:g} s"
             )
-        return EmpiricalDist(self.lead[mask] + self.follow[mask], self.sum_quantity, self.stratum)
+        return EmpiricalDist(self.lead[mask] + self.follow[mask], self.quantity, self.stratum)
 
 
 def _single_stratum(table: CycleTable) -> float:

@@ -1,4 +1,4 @@
-"""Prediction-error curves over elapsed phase time.
+"""Error curves of predictions over elapsed phase time.
 
 For a grid of times t, the error at t averages a loss between the
 prediction made at t and the realized duration, over exactly the cycles
@@ -68,10 +68,10 @@ def _eval_arrays(
 ) -> tuple[np.ndarray, np.ndarray, Callable[[float], EmpiricalDist]]:
     """(survival key, prediction target) per evaluation cycle, and the training condition.
 
-    For a scalar distribution key and target are the quantity itself and the
-    condition is ``condition_gt``.  For joint samples the survival key is the
-    leading duration (predictions exist while the lead phase runs), the
-    target is the per-cycle sum and the condition is ``sum_given_lead_gt``.
+    The condition is ``condition_gt`` of either kind.  For a scalar
+    distribution key and target are the quantity itself.  For joint samples
+    the survival key is the leading duration (predictions exist while the
+    lead phase runs) and the target is the per-cycle sum.
     Raises ValueError unless ``grid_step`` is positive, and EmptyGrid when
     no evaluation cycle survives t = 0.
     """
@@ -80,13 +80,11 @@ def _eval_arrays(
     if isinstance(dist_or_joint, JointSamples):
         key = eval_table.column(dist_or_joint.lead_quantity)
         target = key + eval_table.column(dist_or_joint.follow_quantity)
-        condition = dist_or_joint.sum_given_lead_gt
     else:
         key = target = eval_table.column(dist_or_joint.quantity)
-        condition = dist_or_joint.condition_gt
     if key.size == 0 or not np.any(key > 0):
         raise EmptyGrid("no evaluation sample survives any t >= 0")
-    return key, target, condition
+    return key, target, dist_or_joint.condition_gt
 
 
 def _require_in_sample(dist_or_joint, key: np.ndarray, target: np.ndarray) -> None:

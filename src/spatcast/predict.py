@@ -66,25 +66,6 @@ PHASE_QUANTITY: dict[str, str | None] = {
 
 
 @dataclass(frozen=True)
-class Prediction:
-    """A predicted phase end with its residual and conditioning context."""
-
-    made_at: float
-    quantity: str
-    method: str
-    predicted_duration: float
-    residual: float
-    n_conditioning_samples: int
-    degraded: bool = False
-
-    def __post_init__(self) -> None:
-        if abs(self.residual - (self.predicted_duration - self.made_at)) > 1e-9:
-            raise ValueError("residual must equal predicted_duration - made_at")
-        if not self.degraded and self.n_conditioning_samples < 1:
-            raise ValueError("a non-degraded prediction needs >= 1 sample")
-
-
-@dataclass(frozen=True)
 class Expectation:
     """Conditional-mean prediction; minimizes mean squared error."""
 
@@ -196,31 +177,17 @@ def parse_method(spec: str) -> Method:
     )
 
 
-def _predict_given(condition, quantity: str, t: float, method: Method) -> Prediction:
-    """Apply ``method`` to ``condition(t)``."""
+def predict(source: EmpiricalDist | JointSamples, t: float, method: Method) -> float:
+    """The predicted end: ``method`` applied to ``source`` conditioned on t.
+
+    ``source`` is a distribution conditioned on running past t, or joint
+    pairs conditioned on their lead running past t.  EmptyCondition always
+    propagates when t reaches every historical sample; callers that must
+    broadcast something predict ``hold(t)``.
+    """
     if t < 0:
         raise ValueError("t must be >= 0")
-    cond = condition(t)
-    value = float(method.apply(cond))
-    return Prediction(
-        made_at=t, quantity=quantity, method=method.label,
-        predicted_duration=value, residual=value - t,
-        n_conditioning_samples=cond.n,
-    )
-
-
-def predict(dist: EmpiricalDist, t: float, method: Method) -> Prediction:
-    """Condition ``dist`` on running past t, then apply ``method``.
-
-    EmptyCondition always propagates when t reaches every historical
-    sample; callers that must broadcast something predict ``hold(t)``.
-    """
-    return _predict_given(dist.condition_gt, dist.quantity, t, method)
-
-
-def predict_sum_joint(joint: JointSamples, t: float, method: Method) -> Prediction:
-    """Predict a two-phase end from joint pairs, given the lead runs past t."""
-    return _predict_given(joint.sum_given_lead_gt, joint.sum_quantity, t, method)
+    return float(method.apply(source.condition_gt(t)))
 
 
 # ---------------------------------------------------------------------------

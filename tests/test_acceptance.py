@@ -77,15 +77,15 @@ def test_criterion_1_oracle_equivalence():
         assert survivors
         dist = sc.EmpiricalDist(np.array(samples, dtype=float), "d4", 120.0)
 
-        got = sc.predict(dist, t, sc.Expectation()).predicted_duration
+        got = sc.predict(dist, t, sc.Expectation())
         assert abs(got - oracle_mean(survivors)) <= 1e-9
 
         alpha = rng.uniform(0.02, 0.98)
-        got = sc.predict(dist, t, sc.Confidence(alpha)).predicted_duration
+        got = sc.predict(dist, t, sc.Confidence(alpha))
         assert got == oracle_exceedance_value(survivors, alpha)
 
         c1, c2 = rng.randint(1, 9), rng.randint(1, 9)
-        got = sc.predict(dist, t, sc.AsymmetricLoss(c1, c2)).predicted_duration
+        got = sc.predict(dist, t, sc.AsymmetricLoss(c1, c2))
         assert got == oracle_asymmetric_minimizer(survivors, c1, c2)
 
         trials += 1
@@ -129,8 +129,8 @@ def test_criterion_3_residual_jump_on_bimodal_history():
     expected_jump = expected_r_after - expected_r_before
     assert expected_jump > 0  # the oracle itself exhibits the upward jump
 
-    r_before = sc.predict(dist, 35.99, sc.Expectation()).residual
-    r_after = sc.predict(dist, 36.0, sc.Expectation()).residual
+    r_before = sc.predict(dist, 35.99, sc.Expectation()) - 35.99
+    r_after = sc.predict(dist, 36.0, sc.Expectation()) - 36.0
     assert r_before == pytest.approx(expected_r_before, abs=1e-9)
     assert r_after == pytest.approx(expected_r_after, abs=1e-9)
     assert r_after > r_before
@@ -174,14 +174,14 @@ def test_criterion_5_sum_prediction_route_contrast():
     sum_dist = sc.EmpiricalDist(np.array(sums), "d4+d1", 120.0)
     joint = sc.JointSamples(lead, follow)
     got_marginal = sc.predict(sum_dist, 38.0, sc.Expectation())
-    got_joint = sc.predict_sum_joint(joint, 38.0, sc.Expectation())
-    assert got_marginal.predicted_duration == pytest.approx(marginal_at_38, abs=1e-9)
-    assert got_joint.predicted_duration == pytest.approx(joint_at_38, abs=1e-9)
-    assert got_joint.predicted_duration != got_marginal.predicted_duration
+    got_joint = sc.predict(joint, 38.0, sc.Expectation())
+    assert got_marginal == pytest.approx(marginal_at_38, abs=1e-9)
+    assert got_joint == pytest.approx(joint_at_38, abs=1e-9)
+    assert got_joint != got_marginal
 
     at_zero_marginal = sc.predict(sum_dist, 0.0, sc.Expectation())
-    at_zero_joint = sc.predict_sum_joint(joint, 0.0, sc.Expectation())
-    assert at_zero_marginal.predicted_duration == at_zero_joint.predicted_duration
+    at_zero_joint = sc.predict(joint, 0.0, sc.Expectation())
+    assert at_zero_marginal == at_zero_joint
     _report(5, "marginal and joint sum routes differ at t=38, agree at t=0")
 
 

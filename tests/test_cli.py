@@ -851,7 +851,21 @@ def test_predict_survives_method_specs(method, phase, approach, t):
             assert rc == 2
         if rc == 0:
             assert err == ""
-            json.loads(out, parse_constant=_reject_constant)
+            payload = json.loads(out, parse_constant=_reject_constant)
+            assert list(payload) == ["quantity", "method", "madeAt",
+                                     "predictedDuration", "residual", "n"]
+            # n counts the training samples past t on the route taken: the
+            # lead for joint pairs, the sum or duration otherwise, and every
+            # cycle for a coordination phase, which ends at L.
+            table = sc.read_cycle_csv(cycles)
+            if phase == "p2":
+                assert payload["n"] == len(table)
+            else:
+                quantity = {"p4": "d4", "p1": "d4+d1", "p5": "d8+d5"}[phase]
+                key = quantity.split("+")[0] if approach == "2" else quantity
+                assert payload["n"] == int((table.column(key) > float(t)).sum())
+            assert payload["residual"] == pytest.approx(
+                payload["predictedDuration"] - float(t), abs=1e-4)
         else:
             assert out == ""
 

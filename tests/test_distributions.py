@@ -88,12 +88,6 @@ class TestScalarStats:
         assert dist.support_min() == 30.0
         assert dist.support_max() == 50.0
 
-    def test_cdf_endpoints(self):
-        dist = dist_of([30, 40, 50])
-        assert dist.cdf(dist.support_max()) == 1.0
-        assert dist.cdf(29.999) == 0.0
-        assert dist.cdf(40) == pytest.approx(2 / 3)
-
 
 def brute_upper_quantile(samples, alpha):
     """Independent oracle: largest support value still exceeded w.p. alpha."""
@@ -131,20 +125,20 @@ class TestJoint:
 
     def test_condition_on_lead(self):
         joint = sc.JointSamples(*self.PAIRS)
-        cond = joint.sum_given_lead_gt(38)
+        cond = joint.condition_gt(38)
         values, probs = cond.pdf()
         assert values.tolist() == [41.0, 51.0]
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_zero_threshold_keeps_all_sums(self):
         joint = sc.JointSamples(*self.PAIRS)
-        cond = joint.sum_given_lead_gt(0)
+        cond = joint.condition_gt(0)
         assert cond.values.tolist() == [36.0, 41.0, 41.0, 51.0]
 
     def test_strict_inequality_empties(self):
         joint = sc.JointSamples(*self.PAIRS)
         with pytest.raises(sc.EmptyCondition):
-            joint.sum_given_lead_gt(41)
+            joint.condition_gt(41)
 
     @pytest.mark.parametrize("lead, follow", [
         ([np.nan, 36.0], [1.0, 2.0]),
@@ -159,7 +153,7 @@ class TestJoint:
         table = build_table([(36, 0, 0), (41, 10, 5)])
         joint = sc.fit_joint(table, "d4", "d1")
         assert joint.n == 2
-        assert joint.sum_quantity == "d4+d1"
+        assert joint.quantity == "d4+d1"
         assert joint.stratum == 120.0
 
 
@@ -188,7 +182,7 @@ def test_upper_quantile_in_support_with_coverage(samples, alpha):
     dist = dist_of(samples)
     q = dist.upper_quantile(alpha)
     assert q in dist.values
-    assert dist.tail(q) >= alpha
+    assert np.mean(dist.values >= q) >= alpha
 
 
 @settings(max_examples=100, deadline=None)
@@ -197,21 +191,10 @@ def test_quantile_matches_cdf_convention(samples, p):
     dist = dist_of(samples)
     q = dist.quantile(p)
     assert q in dist.values
-    assert dist.cdf(q) >= p
+    assert np.mean(dist.values <= q) >= p
     smaller = dist.values[dist.values < q]
     if smaller.size:
-        assert dist.cdf(float(smaller.max())) < p
-
-
-@settings(max_examples=100, deadline=None)
-@given(samples_lists)
-def test_cdf_monotone_and_normalized(samples):
-    dist = dist_of(samples)
-    values, probs = dist.pdf()
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    cdfs = [dist.cdf(v) for v in values]
-    assert all(b >= a for a, b in zip(cdfs, cdfs[1:]))
-    assert cdfs[-1] == 1.0
+        assert np.mean(dist.values <= smaller.max()) < p
 
 
 @st.composite

@@ -44,7 +44,6 @@ def _drop_one(dist_or_joint, key_value, target_value):
 
 def refit_loo_errors(method, dist_or_joint, key, target, grid_step):
     """Leave-one-out (t, errors) per grid point, refitting without each cycle."""
-    predict = sc.predict_sum_joint if isinstance(dist_or_joint, sc.JointSamples) else sc.predict
     points = []
     for t in np.arange(0.0, float(key.max()), grid_step):
         mask = key > t
@@ -57,7 +56,7 @@ def refit_loo_errors(method, dist_or_joint, key, target, grid_step):
                 pred = t + DEFAULT_HOLD_S
             else:
                 try:
-                    pred = predict(reduced, t, method).predicted_duration
+                    pred = sc.predict(reduced, t, method)
                 except sc.EmptyCondition:
                     pred = t + DEFAULT_HOLD_S
             errs.append(pred - tv)
@@ -67,14 +66,13 @@ def refit_loo_errors(method, dist_or_joint, key, target, grid_step):
 
 def point_prediction_errors(method, dist_or_joint, key, target, grid_step):
     """(t, errors) per grid point from one prediction each, holding past the history."""
-    predict = sc.predict_sum_joint if isinstance(dist_or_joint, sc.JointSamples) else sc.predict
     points = []
     for t in np.arange(0.0, float(key.max()), grid_step):
         mask = key > t
         if not mask.any():
             continue
         try:
-            pred = predict(dist_or_joint, t, method).predicted_duration
+            pred = sc.predict(dist_or_joint, t, method)
         except sc.EmptyCondition:
             pred = t + DEFAULT_HOLD_S
         points.append((t, pred - target[mask]))
@@ -222,8 +220,8 @@ class TestOptimality:
         # winner exists.
         table = table_from_d4([10.0, 10.0, 10.0, 50.0], build_table)
         dist = sc.fit(table, "d4")
-        a = sc.predict(dist, 0, sc.AsymmetricLoss(1, 3)).predicted_duration
-        b = sc.predict(dist, 0, sc.AsymmetricLoss(3, 1)).predicted_duration
+        a = sc.predict(dist, 0, sc.AsymmetricLoss(1, 3))
+        b = sc.predict(dist, 0, sc.AsymmetricLoss(3, 1))
         assert a == b == 10.0
         under_low = error_curve(sc.AsymmetricLoss(1, 3), dist, table, "loss:1:3").values[0]
         under_high = error_curve(sc.AsymmetricLoss(3, 1), dist, table, "loss:1:3").values[0]
@@ -381,10 +379,9 @@ def reference_rows(predictors, fitted, table, metrics, grid_step):
     if isinstance(fitted, sc.JointSamples):
         key = table.column(fitted.lead_quantity)
         target = key + table.column(fitted.follow_quantity)
-        condition = fitted.sum_given_lead_gt
     else:
         key = target = table.column(fitted.quantity)
-        condition = fitted.condition_gt
+    condition = fitted.condition_gt
     rows = []
     for label, method in predictors:
         for metric in metrics:

@@ -20,17 +20,18 @@ int_samples = st.lists(st.integers(0, 120), min_size=1, max_size=50)
 
 class TestExpectation:
     def test_point_mass(self):
-        p = sc.predict(dist_of([40, 40, 40]), 10, sc.Expectation())
-        assert p.predicted_duration == 40.0
-        assert p.residual == 30.0
-        assert p.n_conditioning_samples == 3
-        assert not p.degraded
+        dist = dist_of([40, 40, 40])
+        p = sc.predict(dist, 10, sc.Expectation())
+        assert p == 40.0
+        assert p - 10 == 30.0
+        assert dist.condition_gt(10).n == 3
 
     def test_survivor_mean(self):
-        p = sc.predict(dist_of([30, 40, 50]), 35, sc.Expectation())
-        assert p.predicted_duration == pytest.approx(45.0)
-        assert p.residual == pytest.approx(10.0)
-        assert p.n_conditioning_samples == 2
+        dist = dist_of([30, 40, 50])
+        p = sc.predict(dist, 35, sc.Expectation())
+        assert p == pytest.approx(45.0)
+        assert p - 35 == pytest.approx(10.0)
+        assert dist.condition_gt(35).n == 2
 
     def test_empty_condition_propagates(self):
         with pytest.raises(sc.EmptyCondition):
@@ -40,16 +41,16 @@ class TestExpectation:
 class TestConfidence:
     def test_point_mass(self):
         p = sc.predict(dist_of([40]), 0, sc.Confidence(0.8))
-        assert p.predicted_duration == 40.0
+        assert p == 40.0
 
     def test_unconditioned_scan(self):
         p = sc.predict(dist_of([30, 30, 40, 50, 50]), 0, sc.Confidence(0.8))
-        assert p.predicted_duration == 30.0
+        assert p == 30.0
 
     def test_conditioned_scan(self):
         # survivors past 31 are {40, 50, 50}: P(X>=40)=1, P(X>=50)=2/3
         p = sc.predict(dist_of([30, 30, 40, 50, 50]), 31, sc.Confidence(0.8))
-        assert p.predicted_duration == 40.0
+        assert p == 40.0
 
 
 def grid_loss_minimizer(samples, c1, c2, lo, hi, step=0.01):
@@ -68,19 +69,19 @@ def grid_loss_minimizer(samples, c1, c2, lo, hi, step=0.01):
 class TestAsymmetric:
     def test_symmetric_weights_give_median(self):
         p = sc.predict(dist_of([10, 20, 30, 40, 50]), 0, sc.AsymmetricLoss(1, 1))
-        assert p.predicted_duration == 30.0
+        assert p == 30.0
 
     def test_matches_grid_search(self):
         samples = [10, 20, 30, 40, 50]
         oracle = grid_loss_minimizer(samples, c1=3, c2=1, lo=10, hi=50)
         assert oracle == 40.0
         p = sc.predict(dist_of(samples), 0, sc.AsymmetricLoss(3, 1))
-        assert p.predicted_duration == oracle
+        assert p == oracle
 
     def test_swapping_weights_crosses_median(self):
         dist = dist_of([10, 10, 10, 50, 50])
-        low = sc.predict(dist, 0, sc.AsymmetricLoss(1, 3)).predicted_duration
-        high = sc.predict(dist, 0, sc.AsymmetricLoss(3, 1)).predicted_duration
+        low = sc.predict(dist, 0, sc.AsymmetricLoss(1, 3))
+        high = sc.predict(dist, 0, sc.AsymmetricLoss(3, 1))
         median = dist.quantile(0.5)
         assert low <= median <= high
         assert low < high
@@ -132,37 +133,42 @@ class TestSumPredictors:
         dist = dist_of(self.SUMS, quantity="d4+d1")
         p = sc.predict(dist, 38, sc.Expectation())
         # survivors {41, 41, 51}
-        assert p.predicted_duration == pytest.approx(133 / 3)
-        assert p.n_conditioning_samples == 3
+        assert p == pytest.approx(133 / 3)
+        assert dist.condition_gt(38).n == 3
 
     def test_marginal_unconditioned(self):
         dist = dist_of(self.SUMS, quantity="d4+d1")
         p = sc.predict(dist, 0, sc.Expectation())
-        assert p.predicted_duration == pytest.approx(42.25)
+        assert p == pytest.approx(42.25)
 
     def test_marginal_confidence(self):
         dist = dist_of(self.SUMS, quantity="d4+d1")
         p = sc.predict(dist, 38, sc.Confidence(0.8))
-        assert p.predicted_duration == 41.0
+        assert p == 41.0
 
     def test_joint_conditions_on_lead(self):
         joint = sc.JointSamples(self.LEAD, self.FOLLOW)
-        p = sc.predict_sum_joint(joint, 38, sc.Expectation())
+        p = sc.predict(joint, 38, sc.Expectation())
         # pairs with lead > 38: (41,0), (41,10); mean of {41, 51}
-        assert p.predicted_duration == pytest.approx(46.0)
+        assert p == pytest.approx(46.0)
 
     def test_routes_agree_at_zero(self):
         joint = sc.JointSamples(self.LEAD, self.FOLLOW)
         marginal = dist_of(self.SUMS, quantity="d4+d1")
         a = sc.predict(marginal, 0, sc.Expectation())
-        b = sc.predict_sum_joint(joint, 0, sc.Expectation())
-        assert a.predicted_duration == b.predicted_duration
+        b = sc.predict(joint, 0, sc.Expectation())
+        assert a == b
 
     def test_single_pair(self):
         joint = sc.JointSamples([40.0], [5.0])
         for t in (0, 10, 39.9):
-            p = sc.predict_sum_joint(joint, t, sc.Expectation())
-            assert p.predicted_duration == 45.0
+            assert sc.predict(joint, t, sc.Expectation()) == 45.0
+
+    def test_negative_t_rejected_on_either_route(self):
+        for source in (dist_of(self.SUMS, quantity="d4+d1"),
+                       sc.JointSamples(self.LEAD, self.FOLLOW)):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                sc.predict(source, -1.0, sc.Expectation())
 
 
 class TestHold:
@@ -229,9 +235,7 @@ def test_all_methods_predict_strictly_past_t(samples, t, alpha):
     if dist.support_max() <= t:
         return
     for method in (sc.Expectation(), sc.Confidence(alpha), sc.AsymmetricLoss(2, 1)):
-        p = sc.predict(dist, t, method)
-        assert p.predicted_duration > t
-        assert p.residual == pytest.approx(p.predicted_duration - t)
+        assert sc.predict(dist, t, method) > t
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,7 +245,7 @@ def test_confidence_nonincreasing_in_alpha(samples, t):
     if dist.support_max() <= t:
         return
     alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
-    values = [sc.predict(dist, t, sc.Confidence(a)).predicted_duration for a in alphas]
+    values = [sc.predict(dist, t, sc.Confidence(a)) for a in alphas]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
@@ -253,6 +257,6 @@ def test_residual_jumps_upward_on_bimodal_history():
     before = sc.predict(dist, 35.99, sc.Expectation())
     after = sc.predict(dist, 36.0, sc.Expectation())
     mean_all = sum(Fraction(s) for s in samples) / len(samples)
-    assert before.predicted_duration == pytest.approx(float(mean_all))
-    assert after.predicted_duration == 45.0
-    assert after.residual > before.residual
+    assert before == pytest.approx(float(mean_all))
+    assert after == 45.0
+    assert after - 36.0 > before - 35.99
