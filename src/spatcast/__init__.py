@@ -64,7 +64,6 @@ from .simulate import (
     SimulationConfig,
     TimingPlan,
     emit_events,
-    format_config,
     load_config,
     parse_config,
     peaked_demand,

@@ -23,7 +23,6 @@ import codecs
 import collections
 import csv
 import datetime as dt
-import io
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -522,8 +521,8 @@ _BLOCK_BYTES = 1 << 18
 def read_event_csv(source) -> EventLog:
     """Read a phase-event CSV; a bad row raises MalformedRow with its line.
 
-    ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
-    whole, past one leading BOM.  After the header, rows in block form are
+    ``source`` is a path (``str`` or ``os.PathLike``), read whole as UTF-8
+    bytes, past one leading BOM.  After the header, rows in block form are
     parsed in numpy blocks: an ``int`` timestamp of 1 to 18 ASCII digits,
     then one ``enum`` field, one of the twelve ``ring,phase,kind`` spellings
     write_event_csv writes, and a line end of ``\\n`` or ``\\r\\n``.  The
@@ -542,20 +541,13 @@ def read_event_csv(source) -> EventLog:
 def _read_blocks(source, schema) -> list[list[np.ndarray]]:
     """The columns of a CSV file's rows, in parts, one part per block.
 
-    ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
-    whole; one leading BOM is skipped, and line numbers do not change.
-    After the schema's header and a ``\\n`` or ``\\r\\n``, blocks of whole
-    lines go to ``_parse_block``.  The first row it leaves, and every row
-    after it, goes to ``_read_per_row(lines, line, schema) -> columns``;
-    ``line`` is the file line before ``lines``, which start with the header
-    when it is 0.
+    ``source`` is a path (``str`` or ``os.PathLike``), read as bytes; one
+    leading UTF-8 BOM is skipped, and line numbers do not change.  After
+    the schema's header and a ``\\n`` or ``\\r\\n``, blocks of whole lines
+    go to ``_parse_block``.  The first row it leaves, and every row after
+    it, goes to ``_read_per_row``.
     """
-    if hasattr(source, "read"):
-        text = source.read().removeprefix("\ufeff")
-        # A lone surrogate stays in the text for the per-row loop to reject.
-        data = text.encode("utf-8", "surrogatepass")
-    else:
-        text, data = None, Path(source).read_bytes().removeprefix(codecs.BOM_UTF8)
+    data = Path(source).read_bytes().removeprefix(codecs.BOM_UTF8)
     head = ",".join(schema.header).encode()
     parts = []
     pos = line = 0
@@ -571,14 +563,7 @@ def _read_blocks(source, schema) -> list[list[np.ndarray]]:
         if pos < end or pos == len(data):
             break
     if pos < len(data) or not line:
-        if text is None:
-            lines = _decoded_lines(data[pos:], line)
-        else:
-            # The rest splits into lines as the handle splits them: at every
-            # line end when it reads universal newlines, else at "\n".
-            newline = "\n" if getattr(source, "newlines", None) is None else ""
-            lines = io.StringIO(text[pos:], newline=newline)  # the prefix is ASCII
-        parts.append(_read_per_row(lines, line, schema))
+        parts.append(_read_per_row(data[pos:], line, schema))
     return parts
 
 
@@ -771,63 +756,37 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
-def _decoded_lines(data: bytes, line: int) -> Iterator[str]:
-    """The lines of ``data`` as a file opened with newline="" gives them.
+def _read_per_row(data: bytes, line: int, schema) -> list[np.ndarray]:
+    """The columns of the rows in ``data``, parsed one at a time with
+    ``schema.parse_row`` and checked together.
 
-    ``line`` is the file line before ``data``.  An undecodable byte raises
-    MalformedRow for its line once the lines before it are read.
+    ``line`` is the file line before ``data``, which starts with the header
+    when it is 0; a header that differs raises ValueError.  The first bad
+    row raises MalformedRow with its file line; a parsed row that breaks a
+    rule comes before a later row that fails to read or parse.
     """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        fault = exc
-    else:
-        yield from io.StringIO(text, newline="")
-        return
-    cut = max(data.rfind(b"\n", 0, fault.start), data.rfind(b"\r", 0, fault.start)) + 1
-    before = io.StringIO(data[:cut].decode("utf-8"), newline="").readlines()
-    yield from before
-    in_line = UnicodeDecodeError(
-        fault.encoding, data[cut:fault.end], fault.start - cut, fault.end - cut, fault.reason
-    )
-    raise MalformedRow(line + len(before) + 1, str(in_line)) from fault
-
-
-def _read_rows(lines: Iterable[str], line: int, header: list[str], parse_row):
-    """Parse rows one at a time with ``parse_row(fields)``.
-
-    ``line`` is the file line before ``lines``, which start with
-    ``header`` when it is 0.  Returns ``(rows, lines_at, fault)``: the
-    parsed rows, each row's file line, and the error to raise once those
-    rows are checked, or None.  The error is a MalformedRow for the first
-    row that fails to read or parse, which ``rows`` stop before, or a
-    ValueError for a header that differs.
-    """
-    rows = csv.reader(lines)
+    # Lines are cut at "\r", "\n" and "\r\n", as a file opened with
+    # newline="" cuts them (str.splitlines would also cut at "\x0c", "\x85",
+    # U+2028 and others), and decoded one at a time, so a byte that is not
+    # UTF-8 names the line that holds it.
+    rows = csv.reader(map(bytes.decode, data.splitlines(keepends=True)))
     parsed: list = []
     lines_at: list[int] = []
+    fault = None
     try:
-        got = next(rows, None) if not line else header
-        if got != header:
-            return parsed, lines_at, ValueError(f"expected header {header}, got {got}")
-        for fields in rows:
-            parsed.append(parse_row(fields))
-            lines_at.append(line + rows.line_num)
+        if not line and (got := next(rows, None)) != schema.header:
+            fault = ValueError(f"expected header {schema.header}, got {got}")
+        else:
+            for fields in rows:
+                parsed.append(schema.parse_row(fields))
+                lines_at.append(line + rows.line_num)
+    except UnicodeDecodeError as exc:  # on a line not yet counted
+        fault = MalformedRow(line + rows.line_num + 1, str(exc))
+        fault.__cause__ = exc
     except (ValueError, csv.Error) as exc:
         fault = MalformedRow(line + rows.line_num, str(exc))
         fault.__cause__ = exc
-        return parsed, lines_at, fault
-    except MalformedRow as fault:  # an undecodable byte, which names its line
-        return parsed, lines_at, fault
-    return parsed, lines_at, None
-
-
-def _read_per_row(lines: Iterable[str], line: int, schema) -> list[np.ndarray]:
-    """The columns of rows parsed one at a time, checked together."""
-    rows, lines_at, fault = _read_rows(lines, line, schema.header, schema.parse_row)
-    columns, checked = schema.check(list(zip(*rows)) or [()] * sum(m for _, m in schema.kinds))
-    # A parsed row that breaks a rule comes before a later row that fails
-    # to read or parse.
+    columns, checked = schema.check(list(zip(*parsed)) or [()] * sum(m for _, m in schema.kinds))
     if checked is not None:
         i, exc = checked
         raise MalformedRow(lines_at[i], str(exc)) from exc
@@ -889,8 +848,8 @@ def _per_distinct(values: np.ndarray, fn=None) -> list:
 def read_cycle_csv(source) -> CycleTable:
     """Read a cycle-record CSV into a table.
 
-    ``source`` is a path, read as UTF-8 bytes, or an open text handle, read
-    whole, past one leading BOM.  After the header, rows in block form are
+    ``source`` is a path (``str`` or ``os.PathLike``), read whole as UTF-8
+    bytes, past one leading BOM.  After the header, rows in block form are
     parsed in numpy blocks: two ``int`` fields of 1 to 18 ASCII digits,
     seven ``decimal`` durations of 1 to 15 ASCII digits with at most one
     point and at most three digits after it (``36``, ``36.0``, ``36.00``),

@@ -89,9 +89,6 @@ class TimingPlan:
                     f"min_green_p4 + max_d1 >= L = {length}"
                 )
 
-    def cycle_length_at(self, hour: float) -> float:
-        return _segment_value(self.schedule, hour)
-
 
 @dataclass(frozen=True)
 class DemandProfile:
@@ -112,12 +109,6 @@ class DemandProfile:
                     raise ValueError("rates must be >= 0")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-
-    def side_rate_at(self, hour: float) -> float:
-        return _segment_value(self.side_street_rate, hour)
-
-    def left_rate_at(self, hour: float) -> float:
-        return _segment_value(self.left_turn_rate, hour)
 
 
 def peaked_demand(seed: int = 0) -> DemandProfile:
@@ -173,11 +164,12 @@ def simulate(
     t_ms = start_ms
     for i in range(n_cycles):
         hour = (t_ms % MS_PER_DAY) / _MS_PER_HOUR
-        length = plan.cycle_length_at(hour)
-        side = int(rng.poisson(demand.side_rate_at(hour)))
-        left = int(rng.poisson(demand.left_rate_at(hour)))
+        length = _segment_value(plan.schedule, hour)
+        left_rate = _segment_value(demand.left_turn_rate, hour)
+        side = int(rng.poisson(_segment_value(demand.side_street_rate, hour)))
+        left = int(rng.poisson(left_rate))
         d4, d1, d2 = ring1_durations(plan, length, side, left)
-        d5 = min(plan.extension * int(rng.poisson(demand.left_rate_at(hour))), plan.max_d1)
+        d5 = min(plan.extension * int(rng.poisson(left_rate)), plan.max_d1)
         d6 = d1 + d2 - d5
         if not d6 > 0:  # only float rounding at a near-zero margin gets here
             raise InfeasiblePlan(f"coordination phase d6 = {d6!r} <= 0 at L = {length}")
@@ -246,10 +238,6 @@ def _parse_segments(text: str) -> Segments:
     return tuple(segs)
 
 
-def _format_segments(segs: Segments) -> str:
-    return ", ".join(f"{a:g}-{b:g}@{v:g}" for a, b, v in segs)
-
-
 def parse_config(text: str) -> SimulationConfig:
     """Parse the flat ``key = value`` simulator config format.
 
@@ -308,22 +296,6 @@ def _seed(text: str) -> int:
     if seed < 0:
         raise ValueError(f"must be >= 0, got {seed}")
     return seed
-
-
-def format_config(config: SimulationConfig) -> str:
-    plan, demand = config.plan, config.demand
-    lines = [
-        f"schedule = {_format_segments(plan.schedule)}",
-        f"min_green_p4 = {plan.min_green_p4:g}",
-        f"extension = {plan.extension:g}",
-        f"max_d4 = {plan.max_d4:g}",
-        f"max_d1 = {plan.max_d1:g}",
-        f"side_street_rate = {_format_segments(demand.side_street_rate)}",
-        f"left_turn_rate = {_format_segments(demand.left_turn_rate)}",
-        f"seed = {demand.rng_seed}",
-        f"start_ms = {config.start_ms}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> SimulationConfig:

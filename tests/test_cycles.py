@@ -6,7 +6,6 @@ import re
 import tempfile
 import warnings
 from collections import namedtuple
-from contextlib import contextmanager
 from pathlib import Path
 from unittest.mock import patch
 
@@ -42,19 +41,6 @@ class PhaseEvent(namedtuple("PhaseEvent", "timestamp_ms ring phase kind")):
         if kind not in ("start", "end"):
             raise ValueError(f"kind must be 'start' or 'end', got {kind!r}")
         return super().__new__(cls, timestamp_ms, ring, phase, kind)
-
-
-@contextmanager
-def _opened(source):
-    """``source`` when it is an open handle, else the file it names, opened
-    as UTF-8 text with newline=""; either way past one leading BOM."""
-    if hasattr(source, "read"):
-        if source.read(1) != "\ufeff":
-            source.seek(0)
-        yield source
-    else:
-        with open(source, encoding="utf-8-sig", newline="") as f:
-            yield f
 
 
 def _cycle_events(start_ms, ring1, ring2):
@@ -236,24 +222,25 @@ class TestWindow:
 
 
 class TestCsv:
-    def test_cycle_csv_round_trip(self, build_table):
+    def test_cycle_csv_round_trip(self, build_table, tmp_path):
         table = build_table([(36, 0, 0), (41.25, 5.5, 10.75)])
-        buf = io.StringIO()
-        sc.write_cycle_csv(table, buf)
-        back = sc.read_cycle_csv(io.StringIO(buf.getvalue()))
+        path = tmp_path / "cycles.csv"
+        sc.write_cycle_csv(table, path)
+        back = sc.read_cycle_csv(path)
         for name in ("d4", "d1", "d2", "d8", "d5", "d6"):
             np.testing.assert_allclose(back.column(name), table.column(name), atol=1e-9)
         # A table is its columns: a simulated one reads back equal, and a
         # stratum that keeps every cycle is the table itself.
         sim = sc.simulate(sc.TimingPlan(), sc.peaked_demand(0), 30)
-        buf = io.StringIO()
-        sc.write_cycle_csv(sim, buf)
-        assert sc.read_cycle_csv(io.StringIO(buf.getvalue())) == sim
+        sc.write_cycle_csv(sim, path)
+        assert sc.read_cycle_csv(path) == sim
         assert sc.stratify(sim, 120) == sim
 
-    def test_cycle_csv_header_checked(self):
+    def test_cycle_csv_header_checked(self, tmp_path):
+        path = tmp_path / "cycles.csv"
+        path.write_bytes(b"a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
-            sc.read_cycle_csv(io.StringIO("a,b,c\n1,2,3\n"))
+            sc.read_cycle_csv(path)
 
     @pytest.mark.parametrize("row, reason", [
         ("1,120000,120.00,36.00,5.00,79.00,36.00,5.00", "expected 9 fields, got 8"),
@@ -268,26 +255,30 @@ class TestCsv:
         (f"{2**63},x,120.00,36.00,5.00,79.00,36.00,5.00,79.00",
          f"cycle_index {2**63} does not fit in int64"),
     ])
-    def test_cycle_csv_bad_row_names_its_line(self, build_table, row, reason):
-        buf = io.StringIO()
-        sc.write_cycle_csv(build_table([(36, 5, 5)]), buf)
+    def test_cycle_csv_bad_row_names_its_line(self, build_table, tmp_path, row, reason):
+        path = tmp_path / "cycles.csv"
+        sc.write_cycle_csv(build_table([(36, 5, 5)]), path)
+        with open(path, "a", newline="") as f:
+            f.write(row + "\n")
         with pytest.raises(sc.MalformedRow, match=f"^line 3: {reason}") as exc:
-            sc.read_cycle_csv(io.StringIO(buf.getvalue() + row + "\n"))
+            sc.read_cycle_csv(path)
         assert exc.value.line == 3
 
-    def test_event_csv_round_trip(self, build_table):
+    def test_event_csv_round_trip(self, build_table, tmp_path):
         log = sc.emit_events(build_table([(36, 5, 5)]))
-        buf = io.StringIO()
-        sc.write_event_csv(log, buf)
-        back = sc.read_event_csv(io.StringIO(buf.getvalue()))
+        path = tmp_path / "events.csv"
+        sc.write_event_csv(log, path)
+        back = sc.read_event_csv(path)
         assert log_columns(back) == log_columns(log)
 
-    def test_event_csv_accepts_other_integer_spellings(self, build_table):
+    def test_event_csv_accepts_other_integer_spellings(self, build_table, tmp_path):
         log = sc.emit_events(build_table([(36, 5, 5)]))
         buf = io.StringIO()
         sc.write_event_csv(log, buf)
         text = buf.getvalue().replace(",1,p4,", ",01,p4,").replace(",2,p8,", ", 2,p8,")
-        assert log_columns(sc.read_event_csv(io.StringIO(text))) == log_columns(log)
+        path = tmp_path / "events.csv"
+        path.write_bytes(text.encode())
+        assert log_columns(sc.read_event_csv(path)) == log_columns(log)
 
     @pytest.mark.parametrize("row, reason", [
         ("120000,1,p4", "not enough values to unpack"),
@@ -297,12 +288,14 @@ class TestCsv:
         (f"{2**63},1,p4,start", f"timestamp {2**63} ms does not fit in int64"),
         (f"{-2**63 - 1},1,p4,start", f"timestamp {-2**63 - 1} ms does not fit in int64"),
     ])
-    def test_event_csv_bad_row_names_its_line(self, build_table, row, reason):
+    def test_event_csv_bad_row_names_its_line(self, build_table, tmp_path, row, reason):
         buf = io.StringIO()
         sc.write_event_csv(sc.emit_events(build_table([(36, 5, 5)])), buf)
         line = buf.getvalue().count("\n") + 1
+        path = tmp_path / "events.csv"
+        path.write_bytes((buf.getvalue() + row + "\n").encode())
         with pytest.raises(sc.MalformedRow, match=f"^line {line}: {reason}") as exc:
-            sc.read_event_csv(io.StringIO(buf.getvalue() + row + "\n"))
+            sc.read_event_csv(path)
         assert exc.value.line == line
 
     @pytest.mark.parametrize("line, col, bad, reason", [
@@ -312,6 +305,10 @@ class TestCsv:
         (101, 5, b"\xff", "byte 0xff in position 5: invalid start byte"),
         (1, 13, b"\xff", "byte 0xff in position 13: invalid start byte"),
         (6001, 1, b"\xe2(", "byte 0xe2 in position 1: invalid continuation byte"),
+        # A sequence cut short by the line end, and a bad byte on a last line
+        # that has no line end.
+        (3000, 17, b"\xe2\x82", "bytes in position 17-18: invalid continuation byte"),
+        (6002, 0, b"\xff", "byte 0xff in position 0: invalid start byte"),
     ])
     def test_event_csv_undecodable_byte_names_its_line(self, tmp_path, line, col, bad, reason):
         table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(2), 500)
@@ -327,19 +324,31 @@ class TestCsv:
             sc.read_event_csv(path)
         assert exc.value.line == line
 
-    @pytest.mark.parametrize("line, col, bad, reason", [
-        (1201, 0, b"\xff", "byte 0xff in position 0: invalid start byte"),
-        (101, 5, b"\xff", "byte 0xff in position 5: invalid start byte"),
-        (1, 13, b"\xff", "byte 0xff in position 13: invalid start byte"),
-        (1501, 1, b"\xe2(", "byte 0xe2 in position 1: invalid continuation byte"),
+    @pytest.mark.parametrize("line, col, bad, reason, d4_end", [
+        (1201, 0, b"\xff", "byte 0xff in position 0: invalid start byte", ""),
+        (101, 5, b"\xff", "byte 0xff in position 5: invalid start byte", ""),
+        (1, 13, b"\xff", "byte 0xff in position 13: invalid start byte", ""),
+        (1501, 1, b"\xe2(", "byte 0xe2 in position 1: invalid continuation byte", ""),
+        # A sequence cut short by the line end, and one on a last line that
+        # has no line end.
+        (1501, 55, b"\xe2\x82", "bytes in position 55-56: invalid continuation byte", ""),
+        (1502, 0, b"\xe2\x82", "bytes in position 0-1: unexpected end of data", ""),
+        # A d4_s on line 3 that ends in a character str.splitlines cuts at:
+        # its row goes per row and reads whole, so the bad byte still names
+        # line 1201.
+        (1201, 0, b"\xff", "byte 0xff in position 0: invalid start byte", "\x0c"),
+        (1201, 0, b"\xff", "byte 0xff in position 0: invalid start byte", "\u2028"),
     ])
-    def test_cycle_csv_undecodable_byte_names_its_line(self, tmp_path, line, col, bad, reason):
+    def test_cycle_csv_undecodable_byte_names_its_line(self, tmp_path, line, col, bad, reason,
+                                                       d4_end):
         # Once a bare UnicodeDecodeError that named a byte offset, not a line.
         table = sc.simulate(sc.TimingPlan(), sc.peaked_demand(2), 1500)
         buf = io.StringIO()
         sc.write_cycle_csv(table, buf)
         lines = buf.getvalue().encode().split(b"\r\n")
         assert len(lines) == 1502  # 1,501 lines and the empty rest after the last
+        assert lines[2].startswith(b"1,120000,120.00,36.00,")
+        lines[2] = lines[2].replace(b",36.00,", b",36.00" + d4_end.encode() + b",", 1)
         lines[line - 1] = lines[line - 1][:col] + bad + lines[line - 1][col:]
         path = tmp_path / "cycles.csv"
         path.write_bytes(b"\r\n".join(lines))
@@ -638,9 +647,10 @@ def _outcome(ingest, events, tolerance):
 def test_ingest_matches_per_event_loop(events, tolerance):
     want = _outcome(_reference_ingest, events, tolerance)
     assert _outcome(_ingest, events, tolerance) == want
-    buf = io.StringIO()
-    sc.write_event_csv(event_log(events), buf)
-    log = sc.read_event_csv(io.StringIO(buf.getvalue()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        sc.write_event_csv(event_log(events), path)
+        log = sc.read_event_csv(path)
     assert _outcome(sc.ingest_events, log, tolerance) == want
 
 
@@ -667,9 +677,9 @@ def _reference_parse_cycle_row(row, line):
         raise sc.MalformedRow(line, str(exc)) from exc
 
 
-def _reference_read_cycle_csv(source):
+def _reference_read_cycle_csv(path):
     """The per-row cycle CSV reader, kept as the oracle for read_cycle_csv."""
-    with _opened(source) as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:
         rows = csv.reader(f)
         try:
             header = next(rows, None)
@@ -790,17 +800,11 @@ def _read_outcome(read, source):
     return [(col.dtype.str, col.tobytes()) for col in columns]
 
 
-def _sources(text, tmp):
-    """The four ways a reader takes ``text``: a path to its UTF-8 bytes, and
-    handles that keep line ends, read universal newlines or translate them."""
+def _written(text, tmp):
+    """A path in ``tmp`` to ``text``'s UTF-8 bytes."""
     path = Path(tmp) / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    return {
-        "path": lambda: path,
-        "text": lambda: io.StringIO(text),
-        "universal": lambda: io.StringIO(text, newline=""),
-        "translated": lambda: io.StringIO(text, newline=None),
-    }
+    return path
 
 
 def _cycle_csv(*rows, sep="\r\n"):
@@ -870,12 +874,12 @@ _WIDE = "1.00,12345.67,123456.78,1234567.89,1234567890123.45,5.00,0.00"
                     "1234567890123.45,0.00,84.00"), 7)
 def test_read_cycle_csv_matches_per_row_reader(text, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
-        for name, source in _sources(text, tmp).items():
-            want = _read_outcome(_reference_read_cycle_csv, source())
-            # Small blocks put a block edge next to every line.
-            for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
-                with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
-                    assert _read_outcome(sc.read_cycle_csv, source()) == want, (name, size)
+        path = _written(text, tmp)
+        want = _read_outcome(_reference_read_cycle_csv, path)
+        # Small blocks put a block edge next to every line.
+        for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
+            with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                assert _read_outcome(sc.read_cycle_csv, path) == want, size
 
 
 def _assert_block_read(tmp_path, table, sep, respell=None):
@@ -890,7 +894,7 @@ def _assert_block_read(tmp_path, table, sep, respell=None):
     path = tmp_path / "cycles.csv"
     path.write_bytes(text.replace("\r\n", sep).encode())
     want = _read_outcome(_reference_read_cycle_csv, path)
-    with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
+    with patch.object(spatcast.cycles, "_read_per_row", side_effect=AssertionError):
         for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
             with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
                 assert _read_outcome(sc.read_cycle_csv, path) == want
@@ -951,7 +955,7 @@ def test_decimal_kind_is_float(fields, block_bytes, sep):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cycles.csv"
         path.write_bytes(_cycle_csv(*rows, sep=sep).encode())
-        with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
+        with patch.object(spatcast.cycles, "_read_per_row", side_effect=AssertionError):
             for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
                 with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
                     table = sc.read_cycle_csv(path)
@@ -996,8 +1000,10 @@ def test_write_cycle_csv_matches_per_record_writer(rows, start):
     records = [sc.CycleRecord(i, s, *row) for i, (s, row) in enumerate(zip(starts, rows))]
     assert text == _reference_write_cycle_csv(records)
     # Durations off the 0.01 s grid read back as the per-row reader reads them.
-    want = _read_outcome(_reference_read_cycle_csv, io.StringIO(text, newline=""))
-    assert _read_outcome(sc.read_cycle_csv, io.StringIO(text, newline="")) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _written(text, tmp)
+        want = _read_outcome(_reference_read_cycle_csv, path)
+        assert _read_outcome(sc.read_cycle_csv, path) == want
 
 
 def _reference_column(records, quantity):
@@ -1209,11 +1215,11 @@ def test_integer_columns_take_whole_floats_and_int64_arrays():
 # read_event_csv against the per-row reader it replaced
 
 
-def _reference_read_event_csv(source) -> EventLog:
+def _reference_read_event_csv(path) -> EventLog:
     """Read a phase-event CSV; a bad row raises MalformedRow with its line."""
     times: list[int] = []
     codes: list[int] = []
-    with _opened(source) as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:
         rows = csv.reader(f)
         try:
             header = next(rows, None)
@@ -1362,12 +1368,12 @@ def _stamped(*stamps):
 @example(_stamped("1234567\u00e9", "1"), 7)
 def test_read_event_csv_matches_per_row_reader(text, block_bytes):
     with tempfile.TemporaryDirectory() as tmp:
-        for name, source in _sources(text, tmp).items():
-            want = _event_outcome(_reference_read_event_csv, source())
-            # Small blocks put a block edge next to every line.
-            for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
-                with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
-                    assert _event_outcome(sc.read_event_csv, source()) == want, (name, size)
+        path = _written(text, tmp)
+        want = _event_outcome(_reference_read_event_csv, path)
+        # Small blocks put a block edge next to every line.
+        for size in (1, block_bytes, spatcast.cycles._BLOCK_BYTES):
+            with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
+                assert _event_outcome(sc.read_event_csv, path) == want, size
 
 
 def _tail_slot(spelled: str) -> int:
@@ -1431,7 +1437,7 @@ def test_canonical_event_csv_skips_per_row_loop(tmp_path, sep):
         buf = io.StringIO()
         sc.write_event_csv(events, buf)
         path.write_bytes(buf.getvalue().replace("\r\n", sep).encode())
-        with patch.object(spatcast.cycles, "_read_rows", side_effect=AssertionError):
+        with patch.object(spatcast.cycles, "_read_per_row", side_effect=AssertionError):
             for size in (1, 100, spatcast.cycles._BLOCK_BYTES):
                 with patch.object(spatcast.cycles, "_BLOCK_BYTES", size):
                     assert log_columns(sc.read_event_csv(path)) == log_columns(events), start

@@ -3,6 +3,8 @@ import importlib
 import io
 import math
 import re
+import tempfile
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -155,16 +157,24 @@ class TestEmitEvents:
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = sc.SimulationConfig(
+    def test_every_key_parsed(self):
+        text = (
+            "schedule = 0-7@110, 7-24@120\n"
+            "min_green_p4 = 30\n"
+            "extension = 4.5\n"
+            "max_d4 = 55\n"
+            "max_d1 = 20\n"
+            "side_street_rate = 0-6@0.2, 6-10@3, 10-16@0.8, 16-19@3.5, 19-24@0.3\n"
+            "left_turn_rate = 0-6@0.1, 6-10@1.2, 10-16@0.4, 16-19@1.5, 19-24@0.2\n"
+            "seed = 11\n"
+            "start_ms = 86400000\n"
+        )
+        assert sc.parse_config(text) == sc.SimulationConfig(
             plan=sc.TimingPlan(schedule=((0.0, 7.0, 110.0), (7.0, 24.0, 120.0)),
-                               max_d4=55.0),
+                               min_green_p4=30.0, extension=4.5, max_d4=55.0, max_d1=20.0),
             demand=sc.peaked_demand(11),
             start_ms=86_400_000,
         )
-        text = sc.format_config(cfg)
-        back = sc.parse_config(text)
-        assert back == cfg
 
     def test_defaults_and_comments(self):
         cfg = sc.parse_config("# comment only\nseed = 5\n")
@@ -399,11 +409,12 @@ def _grid_plans(draw):
 def test_pipeline_through_event_csv_matches_cycle_csv(planned, n_cycles):
     plan, demand, start_ms = planned
     table = sc.simulate(plan, demand, n_cycles, start_ms=start_ms)
-    events_csv, cycles_csv = io.StringIO(), io.StringIO()
-    sc.write_event_csv(sc.emit_events(table), events_csv)
-    sc.write_cycle_csv(table, cycles_csv)
-    got = sc.ingest_events(sc.read_event_csv(io.StringIO(events_csv.getvalue())))
-    want = sc.read_cycle_csv(io.StringIO(cycles_csv.getvalue()))
+    with tempfile.TemporaryDirectory() as tmp:
+        events_csv, cycles_csv = Path(tmp) / "events.csv", Path(tmp) / "cycles.csv"
+        sc.write_event_csv(sc.emit_events(table), events_csv)
+        sc.write_cycle_csv(table, cycles_csv)
+        got = sc.ingest_events(sc.read_event_csv(events_csv))
+        want = sc.read_cycle_csv(cycles_csv)
     assert got == want
     if len(set(table.length_s.tolist())) == 1:  # a table that mixes plans does not stream
         assert _stream_outcome(got) == _stream_outcome(want)
