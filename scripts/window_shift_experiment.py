@@ -33,6 +33,12 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=101)
     ap.add_argument("--deltas", default="14,60,120")
     args = ap.parse_args()
+    # The data starts on day 1.  The first day evaluated, shift_day - 2, is
+    # fitted on the days before it, so it must be day 2 or later.
+    if args.shift_day < 4:
+        ap.error(f"--shift-day must be >= 4, got {args.shift_day}")
+    if args.last_day < args.shift_day:
+        ap.error(f"--last-day must be >= --shift-day ({args.shift_day}), got {args.last_day}")
 
     plan = sc.TimingPlan()
     per_day = 86_400 // 120

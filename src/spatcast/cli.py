@@ -18,6 +18,7 @@ import sys
 from . import evaluate as ev
 from .cycles import (
     DEFAULT_TOLERANCE_S,
+    day_number,
     ingest_events,
     read_cycle_csv,
     read_event_csv,
@@ -108,13 +109,29 @@ def _day_arg(text: str) -> "dt.date | int":
         ) from exc
 
 
-def _load_table(args, path=None):
+def _load_table(args, path=None, *, target_day_only=False):
     table = read_cycle_csv(path or args.input)
     if args.cycle_length is not None:
         table = stratify(table, args.cycle_length)
     if args.target_day is not None:
-        table = window(table, args.target_day, args.delta)
+        if target_day_only:
+            table = window(table, day_number(args.target_day) + 1, 1)
+        else:
+            table = window(table, args.target_day, args.delta)
     return table
+
+
+def _tables(args):
+    """The table to evaluate or replay, and the table to fit on.
+
+    Without --train-input both are the input, windowed in-sample.  With it,
+    --target-day cuts the input to the target day and the training table to
+    the --delta days before it.
+    """
+    if not args.train_input:
+        table = _load_table(args)
+        return table, table
+    return _load_table(args, target_day_only=True), _load_table(args, args.train_input)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +207,7 @@ def _cmd_message(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    table = _load_table(args)
-    train = _load_table(args, args.train_input) if args.train_input else table
+    table, train = _tables(args)
     dist = fit(train, args.quantity)
     predictors = [(spec, parse_method(spec)) for spec in args.compare.split(",")]
     metrics = args.metric.split(",")
@@ -206,8 +222,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    table = _load_table(args)
-    train = _load_table(args, args.train_input) if args.train_input else table
+    table, train = _tables(args)
     dists = fit_message_dists(train)
     with text_sink(args.output or sys.stdout) as out:
         stream(table, dists, out, cadence_ms=args.cadence_ms,
@@ -306,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="error curves for one or more predictors")
     p.add_argument("--input", required=True, help="evaluation cycle-record CSV")
     p.add_argument("--train-input", default=None,
-                   help="separate training CSV (default: in-sample)")
+                   help="separate training CSV (default: in-sample); with "
+                        "--target-day the input is cut to that day")
     p.add_argument("--quantity", default="d4")
     p.add_argument("--compare", required=True,
                    help="comma list: expectation,confidence:0.8,asymmetric:3:1")
@@ -326,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit", help="stream NDJSON SPaT messages from a replay")
     p.add_argument("--input", required=True, help="cycle-record CSV to replay")
     p.add_argument("--train-input", default=None,
-                   help="separate training CSV (default: in-sample)")
+                   help="separate training CSV (default: in-sample); with "
+                        "--target-day the input is cut to that day")
     p.add_argument("--cadence-ms", type=_cadence_arg, default=100)
     p.add_argument("--alpha", type=_alpha_arg, default=_DEFAULT_ALPHA)
     p.add_argument("--speed", type=_speed_arg, default="max",

@@ -10,17 +10,21 @@ satisfies the barrier identities exactly and is a pure function of
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import DURATION_NAMES, MS_PER_DAY, CycleTable, EventLog
+from .cycles import _INT64_MAX, _INT64_MIN, DURATION_NAMES, MS_PER_DAY, CycleTable, EventLog
 from .errors import InfeasiblePlan
 
 Segments = tuple[tuple[float, float, float], ...]
 
 _MS_PER_HOUR = 3_600_000.0
+# Generator.poisson rejects a rate above this with "lam value too large".
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max) - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 def _check_segments(segments: Segments, what: str) -> None:
@@ -37,11 +41,27 @@ def _check_segments(segments: Segments, what: str) -> None:
         raise ValueError(f"{what}: segments must end at hour 24")
 
 
-def _segment_value(segments: Segments, hour: float) -> float:
-    for start, end, value in segments:
-        if start <= hour < end:
-            return value
-    return segments[-1][2]
+def _first_ms(hour: float) -> int:
+    """The first millisecond of the day at or past ``hour``, by the test
+    ``hour <= ms / 3_600_000.0`` that places a cycle start in a segment."""
+    ms = min(max(math.ceil(hour * _MS_PER_HOUR), 0), MS_PER_DAY)
+    while ms > 0 and (ms - 1) / _MS_PER_HOUR >= hour:
+        ms -= 1
+    while ms < MS_PER_DAY and ms / _MS_PER_HOUR < hour:
+        ms += 1
+    return ms
+
+
+def _segment_starts_ms(segments: Segments) -> list[int]:
+    """Each segment's first millisecond of the day: a time of day ``ms``
+    lies in segment ``bisect_right(starts, ms) - 1``."""
+    return [_first_ms(start) for start, _, _ in segments]
+
+
+def _segment_values(segments: Segments, ms_of_day: np.ndarray) -> np.ndarray:
+    """The value of the segment that holds each time of day."""
+    values = np.array([value for _, _, value in segments], dtype=float)
+    return values[np.searchsorted(_segment_starts_ms(segments), ms_of_day, side="right") - 1]
 
 
 @dataclass(frozen=True)
@@ -126,13 +146,57 @@ def peaked_demand(seed: int = 0) -> DemandProfile:
     )
 
 
-def ring1_durations(
-    plan: TimingPlan, cycle_length: float, side_count: int, left_count: int
-) -> tuple[float, float, float]:
-    """Apply the extension rule: returns (d4, d1, d2) for one cycle."""
-    d4 = min(plan.min_green_p4 + plan.extension * side_count, plan.max_d4)
-    d1 = min(plan.extension * left_count, plan.max_d1)
+def _capped(green, cap):
+    """``min(green, cap)`` elementwise, by ``min``'s rule: ``cap`` only when
+    it is below ``green``, so a cap of -0.0 leaves a green of 0.0 as it is."""
+    return np.where(cap < green, cap, green)[()]
+
+
+def _left_turn_green(plan: TimingPlan, count):
+    """A left-turn green, d1 or d5: pure extensions, capped at ``max_d1``."""
+    return _capped(plan.extension * count, plan.max_d1)
+
+
+def ring1_durations(plan: TimingPlan, cycle_length, side_count, left_count):
+    """Apply the extension rule: returns (d4, d1, d2), for one cycle or for
+    each cycle of equal-length arrays."""
+    d4 = _capped(plan.min_green_p4 + plan.extension * side_count, plan.max_d4)
+    d1 = _left_turn_green(plan, left_count)
     return d4, d1, cycle_length - d4 - d1
+
+
+def _cycle_starts(plan: TimingPlan, n_cycles: int, start_ms: int):
+    """Each cycle's start and its time of day, in ms.
+
+    A cycle starts where the previous one ends, ``int(round(L * 1000))`` ms
+    later, and takes the segment that holds its own start time of day.  So
+    the starts step through one segment at a time: an arithmetic
+    progression up to the segment's end or the day's.  Starts are int64,
+    or Python ints when one leaves int64.
+    """
+    edges = [*_segment_starts_ms(plan.schedule), MS_PER_DAY]
+    steps = [int(round(length * 1000)) for _, _, length in plan.schedule]
+    runs = []  # (first start, step, its time of day, cycles)
+    t, todo = start_ms, n_cycles
+    while todo:
+        ms = t % MS_PER_DAY
+        seg = bisect.bisect_right(edges, ms) - 1
+        step = steps[seg]
+        count = todo if step == 0 else min(todo, -((ms - edges[seg + 1]) // step))
+        runs.append((t, step, ms, count))
+        t += step * count
+        todo -= count
+    first, step, ms, count = (list(col) for col in zip(*runs))
+    k = np.arange(n_cycles) - np.repeat(np.cumsum(count) - count, count)
+    # Within a run k * step < MS_PER_DAY, so a step past that has only k = 0.
+    offset = k * np.repeat([min(s, MS_PER_DAY) for s in step], count)
+    ms_of_day = np.repeat(ms, count) + offset
+    if all(_INT64_MIN <= f and f + s * (c - 1) <= _INT64_MAX
+           for f, s, c in zip(first, step, count)):
+        return np.repeat(np.array(first, dtype=np.int64), count) + offset, ms_of_day
+    # CycleTable names the first start past int64.
+    starts = [f + s * i for f, s, c in zip(first, step, count) for i in range(c)]
+    return starts, ms_of_day
 
 
 def simulate(
@@ -149,6 +213,11 @@ def simulate(
     InfeasiblePlan when the caps leave d2 <= 0, or when a cycle's
     coordination phase d6 would not get positive time.  Identical (plan,
     demand, n_cycles, start_ms) always produce an identical table.
+
+    A cycle takes its length and both rates from the segments that hold its
+    start time of day (UTC), and keeps them across a segment edge.  Its
+    side-street, left-turn and ring-2 left-turn counts are drawn in that
+    order, cycle after cycle, from one generator seeded by the demand.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -159,25 +228,29 @@ def simulate(
                 f"max_d4 + max_d1 = {plan.max_d4 + plan.max_d1}"
             )
 
+    starts, ms_of_day = _cycle_starts(plan, n_cycles, operator.index(start_ms))
+    lengths = _segment_values(plan.schedule, ms_of_day)
+    left_rate = _segment_values(demand.left_turn_rate, ms_of_day)
+    rates = np.stack([_segment_values(demand.side_street_rate, ms_of_day), left_rate, left_rate],
+                     axis=1)
+    # Generator.poisson checks every rate before it draws any, so cycles
+    # past the first rate it rejects are drawn apart: an earlier cycle's
+    # InfeasiblePlan comes first, as it would cycle by cycle.
+    too_large = (rates > _POISSON_LAM_MAX).any(axis=1)
+    n_drawn = int(too_large.argmax()) if too_large.any() else n_cycles
     rng = np.random.default_rng(demand.rng_seed)
-    starts, lengths, durations = [], [], []
-    t_ms = start_ms
-    for i in range(n_cycles):
-        hour = (t_ms % MS_PER_DAY) / _MS_PER_HOUR
-        length = _segment_value(plan.schedule, hour)
-        left_rate = _segment_value(demand.left_turn_rate, hour)
-        side = int(rng.poisson(_segment_value(demand.side_street_rate, hour)))
-        left = int(rng.poisson(left_rate))
-        d4, d1, d2 = ring1_durations(plan, length, side, left)
-        d5 = min(plan.extension * int(rng.poisson(left_rate)), plan.max_d1)
-        d6 = d1 + d2 - d5
-        if not d6 > 0:  # only float rounding at a near-zero margin gets here
-            raise InfeasiblePlan(f"coordination phase d6 = {d6!r} <= 0 at L = {length}")
-        starts.append(t_ms)
-        lengths.append(length)
-        durations.append((d4, d1, d2, d4, d5, d6))
-        t_ms += int(round(length * 1000))
-    return CycleTable.from_columns(range(n_cycles), starts, lengths, *zip(*durations))
+    side, left, left2 = rng.poisson(rates[:n_drawn]).T
+    d4, d1, d2 = ring1_durations(plan, lengths[:n_drawn], side, left)
+    d5 = _left_turn_green(plan, left2)
+    d6 = d1 + d2 - d5
+    infeasible = ~(d6 > 0)  # only float rounding at a near-zero margin gets here
+    if infeasible.any():
+        i = int(infeasible.argmax())
+        raise InfeasiblePlan(f"coordination phase d6 = {d6[i].item()!r} <= 0 "
+                             f"at L = {lengths[i].item()}")
+    if n_drawn < n_cycles:
+        rng.poisson(rates[n_drawn:])  # raises "lam value too large"
+    return CycleTable.from_columns(np.arange(n_cycles), starts, lengths, d4, d1, d2, d4, d5, d6)
 
 
 def emit_events(table: CycleTable) -> EventLog:

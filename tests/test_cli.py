@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import runpy
 import tempfile
 import warnings
 from pathlib import Path
@@ -619,6 +620,69 @@ class TestEmit:
         assert args.speed == value
 
 
+class TestOutOfSampleByDay:
+    """--train-input with --target-day D: the input's day D, fitted on the
+    training table's days [D - delta, D - 1], as ``window`` composes them."""
+
+    DAY, DELTA = 5, 3
+
+    @pytest.fixture
+    def month(self, tmp_path):
+        month_csv, day_csv = tmp_path / "month.csv", tmp_path / "day.csv"
+        assert main(["simulate", "--cycles", str(6 * 720), "--seed", "7",
+                     "-o", str(month_csv)]) == 0
+        table = sc.read_cycle_csv(month_csv)
+        sc.write_cycle_csv(sc.window(table, self.DAY + 1, 1), day_csv)
+        return table, month_csv, day_csv
+
+    def _run_both_inputs(self, tmp_path, month, command, flags):
+        """The bytes a command writes for the day's own file and for the
+        whole table as --input, each trained on the whole table."""
+        _, month_csv, day_csv = month
+        outs = []
+        for source in (day_csv, month_csv):
+            out = tmp_path / f"{command}_{source.stem}.out"
+            assert main([command, "--input", str(source), "--train-input", str(month_csv),
+                         "--target-day", str(self.DAY), "--delta", str(self.DELTA),
+                         *flags, "-o", str(out)]) == 0
+            outs.append(out.read_bytes())
+        return outs
+
+    def test_evaluate(self, tmp_path, month):
+        table = month[0]
+        specs, metrics = ["expectation", "confidence:0.8"], ["mae", "mse"]
+        flags = ["--compare", ",".join(specs), "--metric", ",".join(metrics)]
+        got = self._run_both_inputs(tmp_path, month, "evaluate", flags)
+        want = tmp_path / "want.csv"
+        sc.write_comparison_csv(sc.compare(
+            [(spec, sc.parse_method(spec)) for spec in specs],
+            sc.fit(sc.window(table, self.DAY, self.DELTA), "d4"),
+            sc.window(table, self.DAY + 1, 1), metrics,
+        ), want)
+        assert got == [want.read_bytes()] * 2
+        in_sample = tmp_path / "in_sample.csv"
+        assert main(["evaluate", "--input", str(month[1]), "--target-day", str(self.DAY),
+                     "--delta", str(self.DELTA), *flags, "-o", str(in_sample)]) == 0
+        assert in_sample.read_bytes() != got[0]
+
+    def test_emit(self, tmp_path, month):
+        table = month[0]
+        got = self._run_both_inputs(tmp_path, month, "emit", ["--cadence-ms", "10000"])
+        want = io.StringIO()
+        sc.stream(sc.window(table, self.DAY + 1, 1),
+                  sc.fit_message_dists(sc.window(table, self.DAY, self.DELTA)), want,
+                  cadence_ms=10000)
+        assert got == [want.getvalue().encode()] * 2
+
+    def test_input_without_the_target_day_exits_1(self, tmp_path, capsys, month):
+        _, month_csv, _ = month
+        rc = main(["evaluate", "--input", str(month_csv), "--train-input", str(month_csv),
+                   "--target-day", "9", "--compare", "expectation",
+                   "-o", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no cycles in days [9, 9]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["ingest", "--events", "e.csv", "-o", "c.csv", "--tolerance", "inf"],
     ["ingest", "--events", "e.csv", "-o", "c.csv", "--tolerance", "nan"],
@@ -1024,3 +1088,19 @@ def test_simulate_survives_random_config(text):
             assert err == ""
             assert not _NON_FINITE.search(cycles.read_text())
             sc.read_cycle_csv(cycles)
+
+
+_WINDOW_SHIFT = Path(__file__).resolve().parent.parent / "scripts" / "window_shift_experiment.py"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # Day 1 is the first day of data, and the first day evaluated is shift_day - 2.
+    (["--shift-day", "3"], "--shift-day must be >= 4, got 3"),
+    (["--shift-day", "10", "--last-day", "9"], "--last-day must be >= --shift-day (10), got 9"),
+])
+def test_window_shift_experiment_bounds_are_usage_errors(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr("sys.argv", [str(_WINDOW_SHIFT), *argv])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(_WINDOW_SHIFT), run_name="__main__")
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")

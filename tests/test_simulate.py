@@ -20,9 +20,11 @@ from spatcast.cycles import (
     _INT64_MAX,
     _INT64_MIN,
     DURATION_KEY,
+    MS_PER_DAY,
     RING_SEQUENCE,
 )
 from spatcast.ioutil import text_sink
+from spatcast.simulate import _POISSON_LAM_MAX, _first_ms
 
 
 def flat_demand(side=0.0, left=0.0, seed=0):
@@ -376,6 +378,183 @@ def test_d6_rounding_to_zero_raises_instead_of_redrawing():
         with pytest.raises(sc.InfeasiblePlan,
                            match=f"^coordination phase d6 = 0.0 <= 0 at L = {length}$"):
             sc.simulate(plan, flat_demand(left=1000.0), 3)
+
+
+def test_d6_rounding_to_zero_reached_by_drawn_counts():
+    # The same one-ulp margin without a patch: an extension of 1.1 * 11
+    # makes a count of 1 such a split, and a count of 7 or more caps d5.
+    # Seed 1 draws a 1 and then a count of 7 or more in one of 50 cycles.
+    length = math.nextafter(100.0, math.inf)
+    plan = sc.TimingPlan(schedule=((0.0, 24.0, length),), min_green_p4=20.0, max_d4=20.0,
+                         extension=1.1 * 11, max_d1=80.0)
+    with pytest.raises(sc.InfeasiblePlan,
+                       match=f"^coordination phase d6 = 0.0 <= 0 at L = {length}$"):
+        sc.simulate(plan, flat_demand(left=3.0, seed=1), 50)
+
+
+# ---------------------------------------------------------------------------
+# simulate against the per-cycle loop it replaced
+
+
+def _segment_value(segments, hour):
+    for start, end, value in segments:
+        if start <= hour < end:
+            return value
+    return segments[-1][2]
+
+
+def _reference_simulate(plan, demand, n_cycles, *, start_ms=0):
+    """The per-cycle simulate, kept as the oracle: three scalar Poisson
+    draws and the extension rule one cycle at a time."""
+    if n_cycles < 1:
+        raise ValueError("n_cycles must be >= 1")
+    for _, _, length in plan.schedule:
+        if length - plan.max_d4 - plan.max_d1 <= 0:
+            raise sc.InfeasiblePlan(
+                f"caps leave d2 <= 0 at L = {length}: "
+                f"max_d4 + max_d1 = {plan.max_d4 + plan.max_d1}"
+            )
+    rng = np.random.default_rng(demand.rng_seed)
+    starts, lengths, durations = [], [], []
+    t_ms = start_ms
+    for i in range(n_cycles):
+        hour = (t_ms % MS_PER_DAY) / 3_600_000.0
+        length = _segment_value(plan.schedule, hour)
+        left_rate = _segment_value(demand.left_turn_rate, hour)
+        side = int(rng.poisson(_segment_value(demand.side_street_rate, hour)))
+        left = int(rng.poisson(left_rate))
+        d4 = min(plan.min_green_p4 + plan.extension * side, plan.max_d4)
+        d1 = min(plan.extension * left, plan.max_d1)
+        d2 = length - d4 - d1
+        d5 = min(plan.extension * int(rng.poisson(left_rate)), plan.max_d1)
+        d6 = d1 + d2 - d5
+        if not d6 > 0:
+            raise sc.InfeasiblePlan(f"coordination phase d6 = {d6!r} <= 0 at L = {length}")
+        starts.append(t_ms)
+        lengths.append(length)
+        durations.append((d4, d1, d2, d4, d5, d6))
+        t_ms += int(round(length * 1000))
+    return sc.CycleTable.from_columns(range(n_cycles), starts, lengths, *zip(*durations))
+
+
+def _outcome(fn, *args, **kwargs):
+    """A table's column dtypes and bits, or the type and text of the error."""
+    try:
+        table = fn(*args, **kwargs)
+    except (ValueError, sc.InfeasiblePlan) as exc:
+        return type(exc).__name__, str(exc)
+    return [(col.dtype.str, col.tobytes()) for col in
+            (getattr(table, name) for name in ("cycle_index", "cycle_start_ms", "length_s",
+                                               "d4", "d1", "d2", "d8", "d5", "d6"))]
+
+
+_HOUR = 3_600_000.0
+# Segment edges: any hour, a whole or half one, one that falls on a
+# millisecond, and the floats either side of such an edge.
+_edge = st.one_of(
+    st.floats(0, 24, exclude_min=True, exclude_max=True),
+    st.integers(1, 47).map(lambda h: h / 2),
+    st.integers(1, MS_PER_DAY - 1).map(lambda ms: ms / _HOUR),
+    st.tuples(st.integers(1, MS_PER_DAY - 1), st.sampled_from([-math.inf, math.inf])).map(
+        lambda e: math.nextafter(e[0] / _HOUR, e[1])),
+)
+
+
+def _segments(value):
+    """Zero to three edges inside the day, and one drawn value per segment."""
+    @st.composite
+    def segments(draw):
+        edges = sorted(draw(st.sets(_edge, max_size=3)))
+        hours = [0.0, *edges, 24.0]
+        return tuple((a, b, draw(value)) for a, b in zip(hours, hours[1:]))
+    return segments()
+
+
+_rate = st.one_of(st.floats(0, 6), st.sampled_from([0.0, 3.0, 40.0, 1e19]))
+
+
+@st.composite
+def _simulations(draw):
+    """Plans with caps, signed zeros and lengths of any step, from 0 ms to
+    past a day, rate segments, seeds and starts anywhere in or past int64."""
+    min_green = draw(st.one_of(st.sampled_from([0.0, 20.0, 36.0]), st.floats(0, 60)))
+    max_d1 = draw(st.one_of(st.sampled_from([0.0, -0.0, 25.0, 80.0]), st.floats(0, 40)))
+    max_d4 = min_green + draw(st.one_of(st.sampled_from([0.0, 24.0]), st.floats(0, 40)))
+    extension = draw(st.one_of(st.sampled_from([5.0, 1.1 * 11, 0.001]), st.floats(0.01, 20)))
+    length = st.one_of(
+        st.sampled_from([0.0004, 100.0, math.nextafter(100.0, math.inf), 100.35, 120.0,
+                         3600.5, 90_000.0, 1e15]),
+        st.floats(min_green + max_d1, min_green + max_d1 + 200),
+    )
+    try:
+        plan = sc.TimingPlan(schedule=draw(_segments(length)), min_green_p4=min_green,
+                             extension=extension, max_d4=max_d4, max_d1=max_d1)
+    except ValueError:
+        assume(False)
+    demand = sc.DemandProfile(draw(_segments(_rate)), draw(_segments(_rate)),
+                              rng_seed=draw(st.integers(0, 2**70)))
+    edges = [start for segments in (plan.schedule, demand.side_street_rate,
+                                    demand.left_turn_rate) for start, _, _ in segments]
+    start_ms = draw(st.one_of(
+        st.integers(-10**12, 10**12),
+        st.tuples(st.sampled_from(edges), st.integers(-3, 400), st.integers(-1, 1)).map(
+            lambda e: e[1] * MS_PER_DAY + round(e[0] * _HOUR) + e[2]),  # on a segment edge
+        st.tuples(st.integers(-3, 400), st.integers(-600_000, 600_000)).map(
+            lambda d: d[0] * MS_PER_DAY + d[1]),  # around midnight
+        st.integers(0, 10**7).map(lambda k: _INT64_MAX - k),
+        st.integers(0, 10**7).map(lambda k: _INT64_MIN - k),
+        st.integers(-(2**70), 2**70),
+    ))
+    return plan, demand, start_ms
+
+
+_D6_PLAN = sc.TimingPlan(schedule=((0.0, 24.0, math.nextafter(100.0, math.inf)),),
+                         min_green_p4=20.0, max_d4=20.0, extension=1.1 * 11, max_d1=80.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_simulations(), st.integers(1, 60))
+@example(  # a cap of -0.0: min keeps a 0.0 green, where numpy's minimum gives -0.0
+    (sc.TimingPlan(max_d1=-0.0), flat_demand(left=0.5), 0), 50)
+@example(  # the second start lies past int64
+    (sc.TimingPlan(), flat_demand(), 2**63 - 100_000), 2)
+@example(  # a start past int64 fails as a start, not an OverflowError
+    (sc.TimingPlan(), flat_demand(), 2**63), 3)
+@example(  # d6 rounds to 0 before a later segment's rate is too large to draw
+    (_D6_PLAN, sc.DemandProfile(((0.0, 12.0, 0.0), (12.0, 24.0, 1e19)), ((0.0, 24.0, 3.0),), 1),
+     12 * 3_600_000 - 50 * 100_000), 60)
+@example(  # a 0 ms step: every cycle starts at once
+    (sc.TimingPlan(schedule=((0.0, 24.0, 0.0004),), min_green_p4=0.0, max_d4=0.0, max_d1=0.0),
+     flat_demand(), 0), 3)
+@example(  # two plans and three rate segments on both sides of midnight
+    (sc.TimingPlan(schedule=((0.0, 6.0, 100.0), (6.0, 24.0, 120.0))), sc.peaked_demand(3),
+     MS_PER_DAY - 300_000), 400)
+@example(  # hour * 3_600_000 rounds down onto 21,600,004 ms, which still lies before the edge
+    (sc.TimingPlan(schedule=((0.0, math.nextafter(21_600_004 / _HOUR, math.inf), 100.0),
+                             (math.nextafter(21_600_004 / _HOUR, math.inf), 24.0, 120.0))),
+     flat_demand(), 21_600_004), 2)
+def test_simulate_matches_per_cycle_loop(simulation, n_cycles):
+    plan, demand, start_ms = simulation
+    assert (_outcome(sc.simulate, plan, demand, n_cycles, start_ms=start_ms)
+            == _outcome(_reference_simulate, plan, demand, n_cycles, start_ms=start_ms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge)
+@example(math.nextafter(21_600_004 / _HOUR, math.inf))
+@example(24.0)
+def test_first_ms_is_the_first_millisecond_at_or_past_the_hour(hour):
+    ms = _first_ms(hour)
+    assert 0 <= ms <= MS_PER_DAY
+    assert ms == MS_PER_DAY or ms / _HOUR >= hour
+    assert ms == 0 or (ms - 1) / _HOUR < hour
+
+
+def test_poisson_rate_bound_is_numpys():
+    rng = np.random.default_rng(0)
+    rng.poisson(_POISSON_LAM_MAX)
+    with pytest.raises(ValueError, match="^lam value too large$"):
+        rng.poisson(np.nextafter(_POISSON_LAM_MAX, np.inf))
 
 
 # ---------------------------------------------------------------------------
